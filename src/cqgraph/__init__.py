@@ -26,7 +26,7 @@ from .cospan import (
     term_to_cospan,
 )
 from .errors import BudgetExhausted, CqError, ModelError, ParseError, SignatureError, SortError
-from .gcq import GcqTerm, eval_gcq, infer_sort, n_copy, n_discard, n_merge, n_spawn, n_swap, parse_gcq, print_gcq
+from .gcq import GcqTerm, eval_gcq, n_copy, n_discard, n_merge, n_spawn, n_swap, parse_gcq, print_gcq
 from .hypergraph import HgMorphism, Hypergraph, disjoint_union, find_morphisms, is_isomorphic, validate_morphism
 from .sigmodel import (
     Relation,

@@ -279,32 +279,29 @@ class AddVar(CcqDerivation):
         return (self.child,)
 
 
-RULE_NAMES = {
-    TopIntro: "top",
-    EqIntro: "eq",
-    RelIntro: "rel",
-    ConjIntro: "conj",
-    ExistsIntro: "exists",
-    SwapVars: "swap",
-    MergeVars: "merge",
-    AddVar: "weaken",
-}
-
-
 # -- constructing a derivation for any valid judgment ------------------------
 
-def _apply_perm(d: CcqDerivation, perm: list[int]) -> CcqDerivation:
-    """Rename free variable i to perm[i] via adjacent swaps."""
+def adjacent_swaps(perm: list[int]) -> list[int]:
+    """Positions of the adjacent swaps, in order, that move item i to
+    position perm[i] (a bubble pass)."""
     k = len(perm)
-    arr = list(range(k))  # arr[pos] = original variable currently named pos
+    arr = list(range(k))  # arr[pos] = item currently at pos
+    out = []
     changed = True
     while changed:
         changed = False
         for pos in range(k - 1):
             if perm[arr[pos]] > perm[arr[pos + 1]]:
                 arr[pos], arr[pos + 1] = arr[pos + 1], arr[pos]
-                d = SwapVars(d, pos)
+                out.append(pos)
                 changed = True
+    return out
+
+
+def _apply_perm(d: CcqDerivation, perm: list[int]) -> CcqDerivation:
+    """Rename free variable i to perm[i] via adjacent swaps."""
+    for pos in adjacent_swaps(perm):
+        d = SwapVars(d, pos)
     return d
 
 

@@ -7,7 +7,8 @@ over the header.  Files containing ``|-`` are judgments, anything else is
 a diagram term.
 
 Exit codes: 0 the requested relation holds / success, 1 it fails to hold,
-2 parse or usage error.  Nothing is printed on stdout for exit 2.
+2 parse, usage or internal error (a crash never reads as "does not hold").
+Exit 2 reports on stderr; stdout keeps only what was printed before it.
 """
 
 from __future__ import annotations
@@ -238,6 +239,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a crash is not a verdict
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

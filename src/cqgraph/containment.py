@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .cospan import Cospan, term_to_cospan
+from .cospan import boundary_pins, term_to_cospan
 from .errors import SortError
 from .gcq import GcqTerm, eval_gcq, term_signature
 from .hypergraph import HgMorphism, Hypergraph, find_morphisms
@@ -47,17 +47,6 @@ class EquivalenceVerdict:
     backward: InclusionVerdict
 
 
-def _interface_pins(frm: Cospan, to: Cospan) -> dict | None:
-    """Vertex pins forcing a morphism frm.apex -> to.apex to preserve both
-    boundary maps; None when the boundaries already clash."""
-    pins: dict[int, int] = {}
-    for src, dst in zip(frm.iota + frm.omega, to.iota + to.omega):
-        if pins.get(src, dst) != dst:
-            return None
-        pins[src] = dst
-    return pins
-
-
 def hypergraph_as_model(g: Hypergraph, sig: Signature | None = None) -> RelModel:
     """Read a hypergraph as a relational model: vertices become the carrier,
     the tentacle tuples of each symbol become its relation (a set, so
@@ -78,7 +67,7 @@ def decide_inclusion(c: GcqTerm, d: GcqTerm,
         raise SortError(f"cannot compare sorts {c.sort} and {d.sort}")
     ca = term_to_cospan(c)
     da = term_to_cospan(d)
-    pins = _interface_pins(da, ca)
+    pins = boundary_pins(da, ca)
     if pins is not None:
         found = find_morphisms(da.apex, ca.apex, pins, limit=1, budget=budget)
         if found:

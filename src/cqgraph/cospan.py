@@ -5,9 +5,10 @@ A cospan ``n -> apex <- m`` is a hypergraph together with two boundary
 maps from the finite ordinals ``n`` and ``m`` into its vertices.
 Composition glues two cospans along the shared boundary by quotienting
 vertices (a pushout over discrete boundaries, computed with union-find);
-tensor is disjoint union.  ``term_to_cospan`` compiles a diagram term to
-its cospan; ``cospan_to_term`` writes any cospan back as a term whose
-compilation is isomorphic to the input.
+tensor is disjoint union.  This algebra is the reference for
+``term_to_cospan``, which compiles a whole term as one colimit: one pass
+over the tree, then one quotient of all its wires.  ``cospan_to_term``
+writes any cospan back as a term whose compilation is isomorphic to it.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .ccq import adjacent_swaps
 from .errors import ModelError, SortError
 from .gcq import (
     Copy,
@@ -32,7 +34,7 @@ from .gcq import (
     seq,
     tensor,
 )
-from .hypergraph import Hypergraph, disjoint_union, hypergraph_to_dot, is_isomorphic
+from .hypergraph import Hypergraph, hypergraph_to_dot, is_isomorphic
 from .sigmodel import Sort
 
 
@@ -58,27 +60,30 @@ class Cospan:
         return Sort(self.n, self.m)
 
 
-class _UnionFind:
-    """Union-find with path compression; the smallest id is the root."""
+def _quotient(size: int, glue, edges: dict):
+    """Glue wires ``0..size-1`` along the pairs in ``glue`` and number the
+    classes densely, in ascending order of their smallest wire.
 
-    def __init__(self, size: int):
-        self.parent = list(range(size))
+    ``edges`` maps each symbol to its hyperedges over wires, in order.
+    Returns the quotient hypergraph and the wire -> vertex map.
+    """
+    parent = list(range(size))
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
 
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if ra > rb:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
+    for x, y in glue:
+        rx, ry = find(x), find(y)
+        parent[max(rx, ry)] = min(rx, ry)  # the smallest wire is the root
+    # a root is the first wire of its class that the scan meets
+    dense: dict[int, int] = {}
+    number = [dense.setdefault(find(w), len(dense)) for w in range(size)]
+    apex = Hypergraph(len(dense), {
+        sym: [(tuple(number[v] for v in s), tuple(number[v] for v in t)) for s, t in rows]
+        for sym, rows in edges.items()})
+    return apex, number
 
 
 def pushout(f: tuple, g: tuple, a: Hypergraph, b: Hypergraph):
@@ -91,24 +96,13 @@ def pushout(f: tuple, g: tuple, a: Hypergraph, b: Hypergraph):
     """
     if len(f) != len(g):
         raise ModelError("pushout legs must share their source ordinal")
-    total = a.vcount + b.vcount
-    uf = _UnionFind(total)
     off = a.vcount
-    for x, y in zip(f, g):
-        uf.union(x, off + y)
-    # densify class representatives in ascending order
-    reps = sorted({uf.find(v) for v in range(total)})
-    dense = {rep: i for i, rep in enumerate(reps)}
-    qa = tuple(dense[uf.find(v)] for v in range(a.vcount))
-    qb = tuple(dense[uf.find(off + v)] for v in range(b.vcount))
-    edges: dict[str, list] = {}
-    for sym, rows in a.edges.items():
-        edges.setdefault(sym, []).extend(
-            (tuple(qa[v] for v in s), tuple(qa[v] for v in t)) for s, t in rows)
+    edges = {sym: list(rows) for sym, rows in a.edges.items()}
     for sym, rows in b.edges.items():
         edges.setdefault(sym, []).extend(
-            (tuple(qb[v] for v in s), tuple(qb[v] for v in t)) for s, t in rows)
-    return Hypergraph(len(reps), edges), qa, qb
+            (tuple(off + v for v in s), tuple(off + v for v in t)) for s, t in rows)
+    apex, number = _quotient(off + b.vcount, ((x, off + y) for x, y in zip(f, g)), edges)
+    return apex, tuple(number[:off]), tuple(number[off:])
 
 
 def compose_cospans(a: Cospan, b: Cospan) -> Cospan:
@@ -122,60 +116,91 @@ def compose_cospans(a: Cospan, b: Cospan) -> Cospan:
 
 
 def tensor_cospans(a: Cospan, b: Cospan) -> Cospan:
-    apex, _, _ = disjoint_union(a.apex, b.apex)
-    off = a.apex.vcount
+    """Lay a and b side by side: apex is the pushout over the empty ordinal."""
+    apex, qa, qb = pushout((), (), a.apex, b.apex)
     return Cospan(a.n + b.n, a.m + b.m, apex,
-                  a.iota + tuple(off + v for v in b.iota),
-                  a.omega + tuple(off + v for v in b.omega))
+                  tuple(qa[v] for v in a.iota) + tuple(qb[v] for v in b.iota),
+                  tuple(qa[v] for v in a.omega) + tuple(qb[v] for v in b.omega))
 
 
 def identity_cospan(n: int) -> Cospan:
     return Cospan(n, n, Hypergraph(n), tuple(range(n)), tuple(range(n)))
 
 
-def term_to_cospan(t: GcqTerm) -> Cospan:
-    """Compile a term to its cospan of hypergraphs.
+# (vertices, iota, omega) of the discrete cospan of each wiring constant
+_WIRING = {
+    Copy: (1, (0,), (0, 0)),
+    Merge: (1, (0, 0), (0,)),
+    Discard: (1, (0,), ()),
+    Spawn: (1, (), (0,)),
+    Id0: (0, (), ()),
+    Id1: (1, (0,), (0,)),
+    Swap: (2, (0, 1), (1, 0)),
+}
 
-    Wiring constants become discrete cospans; a box becomes a single
-    hyperedge whose left boundary lists the source tentacles in order and
-    whose right boundary lists the target tentacles in order.
+
+def term_to_cospan(t: GcqTerm) -> Cospan:
+    """Compile a term to its cospan of hypergraphs in one pass.
+
+    Leaves get fresh wires left to right: a wiring constant its discrete
+    cospan, a box one hyperedge with the source tentacles in order on the
+    left boundary and the target tentacles on the right.  ``;`` glues the
+    inner boundaries, ``(+)`` concatenates, and one quotient of all wires
+    gives exactly the cospan that the reference algebra would.
     """
-    if isinstance(t, Copy):
-        return Cospan(1, 2, Hypergraph(1), (0,), (0, 0))
-    if isinstance(t, Merge):
-        return Cospan(2, 1, Hypergraph(1), (0, 0), (0,))
-    if isinstance(t, Discard):
-        return Cospan(1, 0, Hypergraph(1), (0,), ())
-    if isinstance(t, Spawn):
-        return Cospan(0, 1, Hypergraph(1), (), (0,))
-    if isinstance(t, Id0):
-        return Cospan(0, 0, Hypergraph(0), (), ())
-    if isinstance(t, Id1):
-        return identity_cospan(1)
-    if isinstance(t, Swap):
-        return Cospan(2, 2, Hypergraph(2), (0, 1), (1, 0))
-    if isinstance(t, Gen):
-        apex = Hypergraph(t.n + t.m, {t.name: [(tuple(range(t.n)),
-                                                tuple(range(t.n, t.n + t.m)))]})
-        return Cospan(t.n, t.m, apex,
-                      tuple(range(t.n)), tuple(range(t.n, t.n + t.m)))
-    if isinstance(t, Seq):
-        return compose_cospans(term_to_cospan(t.lhs), term_to_cospan(t.rhs))
-    if isinstance(t, Tensor):
-        return tensor_cospans(term_to_cospan(t.lhs), term_to_cospan(t.rhs))
-    raise TypeError(f"not a term: {t!r}")
+    wires = 0
+    glue: list[tuple[int, int]] = []
+    edges: dict[str, list] = {}
+    done: list[tuple[list, list]] = []  # (iota, omega) of finished subterms
+    todo: list[tuple[GcqTerm, bool]] = [(t, False)]
+    while todo:
+        u, children_done = todo.pop()
+        if children_done:
+            rhs, lhs = done.pop(), done.pop()
+            if isinstance(u, Seq):
+                glue.extend(zip(lhs[1], rhs[0]))
+                done.append((lhs[0], rhs[1]))
+            else:
+                lhs[0].extend(rhs[0])
+                lhs[1].extend(rhs[1])
+                done.append(lhs)
+        elif isinstance(u, (Seq, Tensor)):
+            todo += ((u, True), (u.rhs, False), (u.lhs, False))
+        elif isinstance(u, Gen):
+            src = range(wires, wires + u.n)
+            tgt = range(wires + u.n, wires + u.n + u.m)
+            edges.setdefault(u.name, []).append((src, tgt))
+            done.append((list(src), list(tgt)))
+            wires += u.n + u.m
+        elif type(u) in _WIRING:
+            size, iota, omega = _WIRING[type(u)]
+            done.append(([wires + v for v in iota], [wires + v for v in omega]))
+            wires += size
+        else:
+            raise TypeError(f"not a term: {u!r}")
+    apex, number = _quotient(wires, glue, edges)
+    iota, omega = done.pop()
+    return Cospan(t.sort.n, t.sort.m, apex,
+                  tuple(number[v] for v in iota), tuple(number[v] for v in omega))
+
+
+def boundary_pins(frm: Cospan, to: Cospan) -> dict | None:
+    """Vertex pins forcing a map frm.apex -> to.apex to preserve both
+    boundary maps; None when the boundaries already clash."""
+    pins: dict[int, int] = {}
+    for src, dst in zip(frm.iota + frm.omega, to.iota + to.omega):
+        if pins.get(src, dst) != dst:
+            return None
+        pins[src] = dst
+    return pins
 
 
 def is_isomorphic_cospan(a: Cospan, b: Cospan) -> bool:
     """True iff an apex isomorphism commutes with both boundary maps."""
     if a.sort != b.sort:
         raise SortError(f"cospan sorts differ: {a.sort} vs {b.sort}")
-    pins: dict[int, int] = {}
-    for src, dst in zip(a.iota + a.omega, b.iota + b.omega):
-        if pins.get(src, dst) != dst:
-            return False
-        pins[src] = dst
-    return is_isomorphic(a.apex, b.apex, pins) is not None
+    pins = boundary_pins(a, b)
+    return pins is not None and is_isomorphic(a.apex, b.apex, pins) is not None
 
 
 # -- writing a cospan back as a term ----------------------------------------
@@ -183,19 +208,8 @@ def is_isomorphic_cospan(a: Cospan, b: Cospan) -> bool:
 def _perm_term(perm: list[int]) -> GcqTerm:
     """A wiring term sending input wire i to output position perm[i]."""
     k = len(perm)
-    if perm == list(range(k)):
-        return identity(k)
-    layers = []
-    arr = list(range(k))  # arr[pos] = input wire currently at pos
-    # bubble until every wire sits at its target position
-    changed = True
-    while changed:
-        changed = False
-        for pos in range(k - 1):
-            if perm[arr[pos]] > perm[arr[pos + 1]]:
-                arr[pos], arr[pos + 1] = arr[pos + 1], arr[pos]
-                layers.append(tensor(identity(pos), Swap(), identity(k - pos - 2)))
-                changed = True
+    layers = [tensor(identity(pos), Swap(), identity(k - pos - 2))
+              for pos in adjacent_swaps(perm)]
     return seq(*layers) if layers else identity(k)
 
 

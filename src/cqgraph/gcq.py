@@ -232,41 +232,17 @@ def generator_count(t: GcqTerm) -> int:
 def term_signature(t: GcqTerm) -> Signature:
     """The signature spanned by the boxes occurring in t."""
     table: dict[str, tuple[int, int]] = {}
-    def walk(u: GcqTerm):
+    todo = [t]
+    while todo:
+        u = todo.pop()
         if isinstance(u, Gen):
             prev = table.get(u.name)
             if prev is not None and prev != (u.n, u.m):
                 raise SignatureError(f"symbol {u.name!r} used at two sorts")
             table[u.name] = (u.n, u.m)
         elif isinstance(u, (Seq, Tensor)):
-            walk(u.lhs)
-            walk(u.rhs)
-    walk(t)
+            todo += (u.rhs, u.lhs)
     return Signature(table)
-
-
-def infer_sort(t: GcqTerm, sig: Signature) -> GcqTerm:
-    """Check t against sig and return it with every node's sort validated.
-
-    Sorts of composite nodes are recomputed bottom-up; a box whose recorded
-    sort disagrees with the signature is an error.
-    """
-    if isinstance(t, Gen):
-        declared = sig.sort(t.name)
-        if declared != t.sort:
-            raise SortError(f"symbol {t.name!r} has sort {declared}, not {t.sort}")
-        return t
-    if isinstance(t, Seq):
-        infer_sort(t.lhs, sig)
-        infer_sort(t.rhs, sig)
-        if t.lhs.sort.m != t.rhs.sort.n:
-            raise SortError("composition widths disagree")
-        return t
-    if isinstance(t, Tensor):
-        infer_sort(t.lhs, sig)
-        infer_sort(t.rhs, sig)
-        return t
-    return t
 
 
 def eval_gcq(t: GcqTerm, model: RelModel) -> Relation:

@@ -101,28 +101,41 @@ def theta(j: CcqJudgment) -> GcqTerm:
 
 
 def _theta(d: CcqDerivation) -> GcqTerm:
-    if isinstance(d, TopIntro):
-        return Id0()
-    if isinstance(d, EqIntro):
-        return Seq(Merge(), Discard())
-    if isinstance(d, RelIntro):
-        return Gen(d.symbol, d.arity, 0)
-    if isinstance(d, ConjIntro):
-        return _tens(_theta(d.left), _theta(d.right))
-    if isinstance(d, ExistsIntro):
-        n = d.conclusion.context
-        return _seq(_tens(identity(n), Spawn()), _theta(d.child))
-    if isinstance(d, AddVar):
-        n = d.child.conclusion.context
-        return _seq(_tens(identity(n), Discard()), _theta(d.child))
-    if isinstance(d, MergeVars):
-        n = d.child.conclusion.context
-        return _seq(_tens(identity(n - 2), Copy()), _theta(d.child))
-    if isinstance(d, SwapVars):
-        n = d.conclusion.context
-        layer = _tens(_tens(identity(d.k), Swap()), identity(n - d.k - 2))
-        return _seq(layer, _theta(d.child))
-    raise TypeError(f"not a derivation: {d!r}")
+    """Apply each rule's wiring bottom-up over the derivation.
+
+    An explicit-stack post-order, so derivations of any depth translate.
+    """
+    done: list[GcqTerm] = []  # translations of finished subderivations
+    todo = [(d, False)]
+    while todo:
+        e, children_done = todo.pop()
+        if e.children and not children_done:
+            todo.append((e, True))
+            todo.extend((c, False) for c in reversed(e.children))
+            continue
+        if isinstance(e, TopIntro):
+            out = Id0()
+        elif isinstance(e, EqIntro):
+            out = Seq(Merge(), Discard())
+        elif isinstance(e, RelIntro):
+            out = Gen(e.symbol, e.arity, 0)
+        elif isinstance(e, ConjIntro):
+            right = done.pop()
+            out = _tens(done.pop(), right)
+        elif isinstance(e, ExistsIntro):
+            out = _seq(_tens(identity(e.conclusion.context), Spawn()), done.pop())
+        elif isinstance(e, AddVar):
+            out = _seq(_tens(identity(e.child.conclusion.context), Discard()), done.pop())
+        elif isinstance(e, MergeVars):
+            out = _seq(_tens(identity(e.child.conclusion.context - 2), Copy()), done.pop())
+        elif isinstance(e, SwapVars):
+            n = e.conclusion.context
+            layer = _tens(_tens(identity(e.k), Swap()), identity(n - e.k - 2))
+            out = _seq(layer, done.pop())
+        else:
+            raise TypeError(f"not a derivation: {e!r}")
+        done.append(out)
+    return done.pop()
 
 
 def lambda_term(t: GcqTerm) -> TwoSidedJudgment:

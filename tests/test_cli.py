@@ -59,6 +59,18 @@ def test_check_malformed_input_exits_2(workdir, capsys):
     assert "error" in captured.err
 
 
+def test_internal_error_exits_2(workdir, capsys, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("cqgraph.cli.decide_inclusion", crash)
+    code = main(["check", str(workdir / "phi.ccq"), str(workdir / "psi.ccq")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error" in captured.err and "RecursionError" in captured.err
+
+
 def test_eval_judgment(workdir, capsys):
     code = main(["eval", str(workdir / "phi.ccq"), str(workdir / "model.json")])
     assert code == 0

@@ -83,6 +83,24 @@ def test_sort_mismatch_is_an_error():
         natural_model_check(Id1(), Id0())
 
 
+def test_deep_clique_formulas_are_equivalent():
+    # K8 with x0 free: 56 atoms, a derivation about a thousand rules deep
+    def clique(n: int, reverse: bool) -> str:
+        edges = [(i, k) for i in range(n) for k in range(n) if i != k]
+        bound = list(range(1, n))
+        if reverse:
+            edges.reverse()
+            bound.reverse()
+        name = {0: "x0", **{v: f"z{v}" for v in bound}}
+        prefix = "".join(f"exists z{v}. " for v in bound)
+        return "1 |- " + prefix + " /\\ ".join(f"R({name[a]}, {name[b]})" for a, b in edges)
+
+    ccq_sig = Signature({"R": (2, 0)})
+    k8 = theta(parse_ccq(clique(8, False), ccq_sig))
+    k8_reversed = theta(parse_ccq(clique(8, True), ccq_sig))
+    assert decide_equivalence(k8, k8_reversed).holds
+
+
 def test_hypergraph_as_model():
     g = Hypergraph(2, {"R": [((0,), (1,)), ((0,), (1,))]})
     model = hypergraph_as_model(g, SIG)

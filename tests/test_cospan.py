@@ -88,14 +88,23 @@ def test_compose_boundary_mismatch():
 
 
 def test_compile_is_functorial_up_to_iso(rng):
+    # the one-pass compiler numbers vertices and orders edges exactly as
+    # the reference pushout algebra does, so the cospans are equal
     for _ in range(30):
         t = random_term(rng, SIG, max_nodes=8)
         u = random_term(rng, SIG, max_nodes=8)
-        assert is_isomorphic_cospan(term_to_cospan(Tensor(t, u)),
-                                    tensor_cospans(term_to_cospan(t), term_to_cospan(u)))
+        assert term_to_cospan(Tensor(t, u)) == \
+            tensor_cospans(term_to_cospan(t), term_to_cospan(u))
         if t.sort.m == u.sort.n:
-            assert is_isomorphic_cospan(term_to_cospan(Seq(t, u)),
-                                        compose_cospans(term_to_cospan(t), term_to_cospan(u)))
+            assert term_to_cospan(Seq(t, u)) == \
+                compose_cospans(term_to_cospan(t), term_to_cospan(u))
+
+
+def test_compile_long_chain():
+    c = term_to_cospan(seq(*[Gen("S", 1, 1)] * 10_000))
+    assert c.apex.vcount == 10_001
+    assert c.apex.edge_count() == 10_000
+    assert c.iota == (0,) and c.omega == (10_000,)
 
 
 def test_composition_associative_up_to_iso(rng):

@@ -14,7 +14,6 @@ from cqgraph.gcq import (
     Swap,
     Tensor,
     eval_gcq,
-    infer_sort,
     n_copy,
     n_discard,
     n_merge,
@@ -43,19 +42,11 @@ def test_example_term_sort():
     t = Seq(Tensor(Tensor(Id1(), Copy()), Id0()),
             Tensor(Gen("R", 2, 0), Gen("S", 1, 1)))
     assert t.sort == Sort(2, 1)
-    assert infer_sort(t, SIG) is t
 
 
 def test_ill_sorted_composition():
     with pytest.raises(SortError):
         Seq(Copy(), Copy())
-
-
-def test_infer_sort_rejects_wrong_box():
-    with pytest.raises(SortError):
-        infer_sort(Gen("R", 1, 1), SIG)
-    with pytest.raises(SignatureError):
-        infer_sort(Gen("Q", 1, 1), SIG)
 
 
 def test_eval_bone():
