@@ -6,20 +6,22 @@ variable index is below ``n``.  Bound variables are positional: an
 lives at context ``k+1``), so an index is free exactly when it is below
 the top-level context and alpha-conversion never arises.
 
-Two evaluators are provided: structural recursion on the formula, and
-replay of a derivation built from the eight judgment rules (truth,
-relation and equality introduction, conjunction, existential closure,
-plus the structural swap / merge / weaken moves on the context).  They
-agree, and the test-suite checks that.
+Two evaluators are provided.  ``eval_ccq`` joins the atoms of the
+formula's natural model (one vertex per class of variables made equal,
+one edge per atom) against the model, projecting bound variables early.
+``replay_eval`` replays a derivation built from the eight judgment rules
+(truth, relation and equality introduction, conjunction, existential
+closure, plus the structural swap / merge / weaken moves on the context)
+and serves as the reference.  They agree, and the test-suite checks that.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import ParseError, SignatureError
+from .hypergraph import boundary_assignments, quotient
 from .sigmodel import RelModel, Signature
 
 
@@ -61,44 +63,38 @@ class Exists(CcqFormula):
     body: CcqFormula
 
 
+def _walk(f: CcqFormula, ctx: int) -> list:
+    """Every subformula with the context it is read at, in pre-order (left
+    conjunct first), from an explicit stack."""
+    out, todo = [], [(f, ctx)]
+    while todo:
+        u, c = item = todo.pop()
+        out.append(item)
+        if isinstance(u, Conj):
+            todo += ((u.rhs, c), (u.lhs, c))
+        elif isinstance(u, Exists):
+            todo.append((u.body, c + 1))
+    return out
+
+
+def _vars(u: CcqFormula) -> tuple:
+    """The variables an equation or an atom mentions; none otherwise."""
+    return (u.i, u.j) if isinstance(u, Eq) else u.args if isinstance(u, RelAtom) else ()
+
+
 def _check(f: CcqFormula, ctx: int):
-    if isinstance(f, Top):
-        return
-    if isinstance(f, Eq):
-        if not (0 <= f.i < ctx and 0 <= f.j < ctx):
-            raise ValueError(f"variable out of context {ctx} in {f}")
-        return
-    if isinstance(f, RelAtom):
-        if any(not (0 <= a < ctx) for a in f.args):
-            raise ValueError(f"variable out of context {ctx} in {f}")
-        return
-    if isinstance(f, Conj):
-        _check(f.lhs, ctx)
-        _check(f.rhs, ctx)
-        return
-    if isinstance(f, Exists):
-        _check(f.body, ctx + 1)
-        return
-    raise TypeError(f"not a formula: {f!r}")
+    for u, c in _walk(f, ctx):
+        if isinstance(u, (Eq, RelAtom)):
+            for x in _vars(u):
+                if not 0 <= x < c:
+                    raise ValueError(f"variable out of context {c} in {u}")
+        elif not isinstance(u, (Top, Conj, Exists)):
+            raise TypeError(f"not a formula: {u!r}")
 
 
 def free_vars(f: CcqFormula, ctx: int) -> set:
     """Free variable indices of f when read at context ctx."""
-    out: set = set()
-
-    def walk(u: CcqFormula):
-        if isinstance(u, Eq):
-            out.update(x for x in (u.i, u.j) if x < ctx)
-        elif isinstance(u, RelAtom):
-            out.update(x for x in u.args if x < ctx)
-        elif isinstance(u, Conj):
-            walk(u.lhs)
-            walk(u.rhs)
-        elif isinstance(u, Exists):
-            walk(u.body)
-
-    walk(f)
-    return out
+    return {x for u, _ in _walk(f, ctx) for x in _vars(u) if x < ctx}
 
 
 def rename(f: CcqFormula, old_ctx: int, new_ctx: int, fmap: dict) -> CcqFormula:
@@ -430,97 +426,40 @@ def _derive_full(n: int, f: CcqFormula) -> CcqDerivation:
 
 # -- semantics ---------------------------------------------------------------
 
-def _check_signature(f: CcqFormula, sig: Signature):
-    if isinstance(f, RelAtom):
-        sort = sig.sort(f.symbol)
-        if sort.m != 0:
-            raise SignatureError(f"symbol {f.symbol!r} has coarity {sort.m}, not a CQ symbol")
-        if sort.n != len(f.args):
-            raise SignatureError(f"symbol {f.symbol!r} expects {sort.n} arguments")
-    elif isinstance(f, Conj):
-        _check_signature(f.lhs, sig)
-        _check_signature(f.rhs, sig)
-    elif isinstance(f, Exists):
-        _check_signature(f.body, sig)
+def natural_model(j: CcqJudgment):
+    """The natural model of j: a hypergraph and its free-variable vertices.
+
+    One wire per free variable and per ``Exists``; each ``Eq`` glues two
+    wires, each atom is an edge, and one quotient numbers the classes."""
+    wires = j.context
+    env = list(range(wires))  # variable index -> wire, at the visited context
+    glue = []
+    edges: dict[str, list] = {}
+    for f, ctx in _walk(j.formula, j.context):
+        # drop the binders of a finished subtree: an Exists at context k
+        # writes slot k only, so the slots below ctx are still this node's
+        del env[ctx:]
+        if isinstance(f, Exists):
+            env.append(wires)
+            wires += 1
+        elif isinstance(f, Eq):
+            glue.append((env[f.i], env[f.j]))
+        elif isinstance(f, RelAtom):
+            edges.setdefault(f.symbol, []).append((tuple(env[a] for a in f.args), ()))
+    g, number = quotient(wires, glue, edges)
+    return g, tuple(number[:j.context])
 
 
 def eval_ccq(j: CcqJudgment, model: RelModel) -> frozenset:
     """The set of context tuples satisfying the judgment in the model.
 
-    Structural recursion on the formula; every subformula is evaluated as
-    a set of assignments over its own free variables only (conjunction is
-    a join, quantification a projection), then the result is padded out to
-    the full context.  Keeps deeply quantified formulas tractable.
+    These are the images of the free variables under the homomorphisms
+    from j's natural model into the model (Chandra and Merlin), found by
+    one join of the atoms that checks them against the model's signature
+    and projects each bound variable after its last atom.
     """
-    _check_signature(j.formula, model.signature)
-    size = model.size
-    vars_, rows = _eval_proj(j.formula, j.context, model)
-    missing = [i for i in range(j.context) if i not in set(vars_)]
-    slot = {v: k for k, v in enumerate(vars_)}
-    out = set()
-    for row in rows:
-        for extra in product(range(size), repeat=len(missing)):
-            pad = dict(zip(missing, extra))
-            out.add(tuple(row[slot[i]] if i in slot else pad[i]
-                          for i in range(j.context)))
-    return frozenset(out)
-
-
-def _join(avars, arows, bvars, brows):
-    shared = tuple(v for v in avars if v in set(bvars))
-    out_vars = tuple(sorted(set(avars) | set(bvars)))
-    a_pos = {v: k for k, v in enumerate(avars)}
-    b_pos = {v: k for k, v in enumerate(bvars)}
-    index: dict = {}
-    for row in brows:
-        key = tuple(row[b_pos[v]] for v in shared)
-        index.setdefault(key, []).append(row)
-    out = set()
-    for row in arows:
-        key = tuple(row[a_pos[v]] for v in shared)
-        for other in index.get(key, ()):
-            out.add(tuple(row[a_pos[v]] if v in a_pos else other[b_pos[v]]
-                          for v in out_vars))
-    return out_vars, out
-
-
-def _eval_proj(f: CcqFormula, ctx: int, model: RelModel):
-    """Evaluate to (sorted free-variable tuple, assignment rows)."""
-    size = model.size
-    if isinstance(f, Top):
-        return (), {()}
-    if isinstance(f, Eq):
-        if f.i == f.j:
-            return (f.i,), {(v,) for v in range(size)}
-        lo, hi = sorted((f.i, f.j))
-        return (lo, hi), {(v, v) for v in range(size)}
-    if isinstance(f, RelAtom):
-        vars_ = tuple(sorted(set(f.args)))
-        pos = {v: k for k, v in enumerate(vars_)}
-        rows = set()
-        for t, _ in model.rho[f.symbol]:
-            env: dict = {}
-            ok = True
-            for a, val in zip(f.args, t):
-                if env.setdefault(a, val) != val:
-                    ok = False
-                    break
-            if ok:
-                rows.add(tuple(env[v] for v in vars_))
-        return vars_, rows
-    if isinstance(f, Conj):
-        avars, arows = _eval_proj(f.lhs, ctx, model)
-        bvars, brows = _eval_proj(f.rhs, ctx, model)
-        return _join(avars, arows, bvars, brows)
-    if isinstance(f, Exists):
-        cvars, crows = _eval_proj(f.body, ctx + 1, model)
-        if ctx not in cvars:
-            # vacuous quantifier: still needs a witness to exist
-            return cvars, (crows if size > 0 else set())
-        keep = tuple(k for k, v in enumerate(cvars) if v != ctx)
-        return (tuple(v for v in cvars if v != ctx),
-                {tuple(row[k] for k in keep) for row in crows})
-    raise TypeError(f"not a formula: {f!r}")
+    g, free = natural_model(j)
+    return boundary_assignments(g, free, model)
 
 
 def replay_eval(d: CcqDerivation, model: RelModel) -> frozenset:

@@ -25,6 +25,7 @@ from .containment import decide_equivalence, decide_inclusion
 from .cospan import cospan_to_dot, term_to_cospan
 from .errors import CqError
 from .gcq import eval_gcq, parse_gcq, print_gcq
+from .hypergraph import boundary_assignments
 from .sigmodel import Signature, dump_model, load_model, load_signature, random_model
 from .translate import lambda_model, lambda_term, theta, theta_model
 
@@ -97,9 +98,10 @@ def cmd_eval(args) -> int:
         doc = [[names[x] for x in row] for row in rows]
         lines = [", ".join(row) for row in doc]
     else:
-        rel = eval_gcq(q, model)
-        doc = [[[names[x] for x in a], [names[x] for x in b]]
-               for a, b in rel.sorted_pairs()]
+        cosp = term_to_cospan(q)
+        rows = sorted(boundary_assignments(cosp.apex, cosp.iota + cosp.omega, model))
+        doc = [[[names[x] for x in row[:cosp.n]], [names[x] for x in row[cosp.n:]]]
+               for row in rows]
         lines = [f"({', '.join(a)}) -> ({', '.join(b)})" for a, b in doc]
     if args.format == "text":
         for line in lines:
@@ -109,45 +111,30 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _spot_check_theta(j, term, sig, trials, seed) -> bool:
-    rng = random.Random(seed)
-    for _ in range(trials):
-        model = random_model(sig, rng.randint(0, 3), rng)
-        left = eval_ccq(j, model)
-        gm = theta_model(model)
-        rel = eval_gcq(term, gm)
-        if left != frozenset(a for a, _ in rel.pairs):
-            return False
-    return True
-
-
-def _spot_check_lambda(term, tsj, sig, trials, seed) -> bool:
-    from .ccq import eval_ccq as eval_j
-    rng = random.Random(seed)
-    for _ in range(trials):
-        model = random_model(sig, rng.randint(0, 3), rng)
-        rel = eval_gcq(term, model)
-        flat = eval_j(tsj.as_judgment(), lambda_model(model))
-        if frozenset(a + b for a, b in rel.pairs) != flat:
-            return False
-    return True
-
-
 def cmd_translate(args) -> int:
     body, sig = _load_query_file(args.query, args.sig)
     kind, q = _parse_query(body, sig)
     if kind == "ccq":
         term = theta(q)
         print(print_gcq(term))
-        if args.verify and not _spot_check_theta(q, term, sig, args.trials, args.seed):
-            print("verification failed", file=sys.stderr)
-            return 1
+
+        def agree(model) -> bool:
+            rel = eval_gcq(term, theta_model(model))
+            return eval_ccq(q, model) == frozenset(a for a, _ in rel.pairs)
     else:
         tsj = lambda_term(q)
         print(str(tsj))
-        if args.verify and not _spot_check_lambda(q, tsj, sig, args.trials, args.seed):
-            print("verification failed", file=sys.stderr)
-            return 1
+
+        def agree(model) -> bool:
+            rel = eval_gcq(q, model)
+            return frozenset(a + b for a, b in rel.pairs) == \
+                eval_ccq(tsj.as_judgment(), lambda_model(model))
+    # spot-check semantics preservation on random models
+    rng = random.Random(args.seed)
+    if args.verify and not all(agree(random_model(sig, rng.randint(0, 3), rng))
+                               for _ in range(args.trials)):
+        print("verification failed", file=sys.stderr)
+        return 1
     return 0
 
 

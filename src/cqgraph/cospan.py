@@ -34,7 +34,14 @@ from .gcq import (
     seq,
     tensor,
 )
-from .hypergraph import Hypergraph, hypergraph_to_dot, is_isomorphic
+from .hypergraph import (
+    Hypergraph,
+    hypergraph_from_doc,
+    hypergraph_to_doc,
+    hypergraph_to_dot,
+    is_isomorphic,
+    quotient,
+)
 from .sigmodel import Sort
 
 
@@ -60,32 +67,6 @@ class Cospan:
         return Sort(self.n, self.m)
 
 
-def _quotient(size: int, glue, edges: dict):
-    """Glue wires ``0..size-1`` along the pairs in ``glue`` and number the
-    classes densely, in ascending order of their smallest wire.
-
-    ``edges`` maps each symbol to its hyperedges over wires, in order.
-    Returns the quotient hypergraph and the wire -> vertex map.
-    """
-    parent = list(range(size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]  # path halving
-        return x
-
-    for x, y in glue:
-        rx, ry = find(x), find(y)
-        parent[max(rx, ry)] = min(rx, ry)  # the smallest wire is the root
-    # a root is the first wire of its class that the scan meets
-    dense: dict[int, int] = {}
-    number = [dense.setdefault(find(w), len(dense)) for w in range(size)]
-    apex = Hypergraph(len(dense), {
-        sym: [(tuple(number[v] for v in s), tuple(number[v] for v in t)) for s, t in rows]
-        for sym, rows in edges.items()})
-    return apex, number
-
-
 def pushout(f: tuple, g: tuple, a: Hypergraph, b: Hypergraph):
     """Pushout of the discrete span a <-f- k -g-> b.
 
@@ -101,7 +82,7 @@ def pushout(f: tuple, g: tuple, a: Hypergraph, b: Hypergraph):
     for sym, rows in b.edges.items():
         edges.setdefault(sym, []).extend(
             (tuple(off + v for v in s), tuple(off + v for v in t)) for s, t in rows)
-    apex, number = _quotient(off + b.vcount, ((x, off + y) for x, y in zip(f, g)), edges)
+    apex, number = quotient(off + b.vcount, ((x, off + y) for x, y in zip(f, g)), edges)
     return apex, tuple(number[:off]), tuple(number[off:])
 
 
@@ -178,7 +159,7 @@ def term_to_cospan(t: GcqTerm) -> Cospan:
             wires += size
         else:
             raise TypeError(f"not a term: {u!r}")
-    apex, number = _quotient(wires, glue, edges)
+    apex, number = quotient(wires, glue, edges)
     iota, omega = done.pop()
     return Cospan(t.sort.n, t.sort.m, apex,
                   tuple(number[v] for v in iota), tuple(number[v] for v in omega))
@@ -277,24 +258,14 @@ def cospan_to_term(c: Cospan) -> GcqTerm:
 
 
 def cospan_to_json(c: Cospan) -> str:
-    doc = {
-        "n": c.n,
-        "m": c.m,
-        "apex": {"vcount": c.apex.vcount,
-                 "edges": {sym: [[list(s), list(t)] for s, t in rows]
-                           for sym, rows in c.apex.edges.items()}},
-        "iota": list(c.iota),
-        "omega": list(c.omega),
-    }
-    return json.dumps(doc)
+    return json.dumps({"n": c.n, "m": c.m, "apex": hypergraph_to_doc(c.apex),
+                       "iota": list(c.iota), "omega": list(c.omega)})
 
 
 def cospan_from_json(text: str) -> Cospan:
     doc = json.loads(text)
-    apex = Hypergraph(doc["apex"]["vcount"],
-                      {sym: [(tuple(s), tuple(t)) for s, t in rows]
-                       for sym, rows in doc["apex"].get("edges", {}).items()})
-    return Cospan(doc["n"], doc["m"], apex, tuple(doc["iota"]), tuple(doc["omega"]))
+    return Cospan(doc["n"], doc["m"], hypergraph_from_doc(doc["apex"]),
+                  tuple(doc["iota"]), tuple(doc["omega"]))
 
 
 def cospan_to_dot(c: Cospan, name: str = "G") -> str:

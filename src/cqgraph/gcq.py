@@ -378,25 +378,22 @@ def parse_gcq(text: str, sig: Signature) -> GcqTerm:
 
 def print_gcq(t: GcqTerm) -> str:
     """Render with minimal parentheses; parse_gcq(print_gcq(t)) == t."""
-    def prec(u: GcqTerm) -> int:
-        if isinstance(u, Seq):
-            return 0
-        if isinstance(u, Tensor):
-            return 1
-        return 2
-
-    def go(u: GcqTerm, min_prec: int) -> str:
-        if prec(u) < min_prec:
-            return f"({go(u, 0)})"
-        if isinstance(u, Seq):
-            return f"{go(u.lhs, 0)} ; {go(u.rhs, 1)}"
-        if isinstance(u, Tensor):
-            return f"{go(u.lhs, 1)} (+) {go(u.rhs, 2)}"
-        if isinstance(u, Gen):
-            return u.name
-        for name, cls in _KEYWORDS.items():
-            if isinstance(u, cls):
-                return name
-        raise TypeError(f"not a term: {u!r}")
-
-    return go(t, 0)
+    out: list[str] = []
+    todo: list = [(t, 0)]  # text, or (subterm, least precedence it may show)
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        u, min_prec = item
+        prec = 0 if isinstance(u, Seq) else 1 if isinstance(u, Tensor) else 2
+        if prec < min_prec:
+            todo += (")", (u, 0), "(")
+        elif isinstance(u, Seq):
+            todo += ((u.rhs, 1), " ; ", (u.lhs, 0))
+        elif isinstance(u, Tensor):
+            todo += ((u.rhs, 2), " (+) ", (u.lhs, 1))
+        else:
+            out.append(u.name if isinstance(u, Gen) else
+                       next(name for name, cls in _KEYWORDS.items() if type(u) is cls))
+    return "".join(out)

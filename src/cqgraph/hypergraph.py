@@ -11,6 +11,10 @@ Morphism search is a backtracking enumeration over vertex images in index
 order, pruning through edges as soon as all their tentacles are assigned.
 The answer list is deterministic: vertex maps come out in lexicographic
 order and edge images ascend within each vertex map.
+
+``boundary_assignments`` answers the other question a query asks of a
+model: not one morphism but the boundary images of all of them, by a join
+over the edges instead of a search over vertices.
 """
 
 from __future__ import annotations
@@ -18,8 +22,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 
-from .errors import BudgetExhausted, ModelError
+from .errors import BudgetExhausted, ModelError, SignatureError
+from .sigmodel import RelModel
 
 
 Edge = tuple  # (source vertex tuple, target vertex tuple)
@@ -44,9 +50,6 @@ class Hypergraph:
 
     def edge_count(self) -> int:
         return sum(len(rows) for rows in self.edges.values())
-
-    def symbols(self) -> list[str]:
-        return list(self.edges)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Hypergraph) and self.vcount == other.vcount
@@ -272,7 +275,7 @@ class _Search:
         if not ok:
             return []
         try:
-            self.assign(0)
+            self.assign()
         finally:
             if self.bijective:
                 self.rollback(committed)
@@ -310,50 +313,55 @@ class _Search:
                     parent[find(b)] = find(a)
         return sorted({find(v) for v in range(h.vcount)})
 
-    def assign(self, v: int) -> bool:
-        if v == self.g.vcount:
-            return self.emit()
+    def assign(self) -> bool:
+        """Extend the vertex map over the unpinned vertices in index order,
+        depth first with a stack of image iterators instead of recursion.
+        True when ``emit`` asked to stop."""
         vmap = self.vmap
-        if vmap[v] is not None:
-            return self.assign(v + 1)
-        fresh = self.fresh_at[v]
-        if self.bijective:
-            used = self.used_vertex
-            for img in range(self.h.vcount):
-                if used[img]:
-                    continue
-                self.tick()
-                vmap[v] = img
-                ok, committed = self.check_new_edges(fresh)
-                if ok:
-                    used[img] = True
-                    stop = self.assign(v + 1)
-                    used[img] = False
-                    self.rollback(committed)
-                    if stop:
-                        vmap[v] = None
-                        return True
-                vmap[v] = None
-            return False
-        budget = self.budget
+        free = [v for v in range(self.g.vcount) if vmap[v] is None]
+        if not free:
+            return self.emit()
+        bijective, budget, fresh_at = self.bijective, self.budget, self.fresh_at
+        used = self.used_vertex if bijective else None
         images = range(self.h.vcount)
-        if self.root_break and all(u is None for u in vmap[:v]):
-            images = self.root_break
-            self.root_break = None  # applies to the first branch only
-        for img in images:
-            self.steps += 1
-            if budget is not None and self.steps > budget:
-                raise BudgetExhausted(f"morphism search exceeded {budget} steps")
-            vmap[v] = img
-            ok = True
-            for _, verts, fset in fresh:
-                if tuple(vmap[x] for x in verts) not in fset:
-                    ok = False
-                    break
-            if ok and self.assign(v + 1):
+        # the root_break classes apply to the first branching vertex only
+        stack = [iter(self.root_break or images)]
+        committed: list = [()] * len(free)
+        while stack:
+            depth = len(stack) - 1
+            v = free[depth]
+            if vmap[v] is not None:  # undo the image tried last at this depth
+                if bijective:
+                    used[vmap[v]] = False
+                    self.rollback(committed[depth])
                 vmap[v] = None
+            fresh = fresh_at[v]
+            for img in stack[-1]:
+                if bijective and used[img]:
+                    continue
+                self.steps += 1
+                if budget is not None and self.steps > budget:
+                    raise BudgetExhausted(f"morphism search exceeded {budget} steps")
+                vmap[v] = img
+                if bijective:
+                    ok, committed[depth] = self.check_new_edges(fresh)
+                    if ok:
+                        used[img] = True
+                        break
+                else:
+                    for _, verts, fset in fresh:
+                        if tuple(vmap[x] for x in verts) not in fset:
+                            break
+                    else:
+                        break
+                vmap[v] = None
+            else:
+                stack.pop()
+                continue
+            if depth + 1 < len(free):
+                stack.append(iter(images))
+            elif self.emit():
                 return True
-            vmap[v] = None
         return False
 
 
@@ -422,18 +430,121 @@ def disjoint_union(g: Hypergraph, h: Hypergraph):
     return out, inl, inr
 
 
+def quotient(size: int, glue, edges: dict):
+    """The hypergraph of ``edges`` (symbol -> hyperedges over wires) with
+    wires ``0..size-1`` glued along ``glue``, and the wire -> vertex map;
+    classes are numbered in ascending order of their smallest wire."""
+    parent = list(range(size))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
+
+    for x, y in glue:
+        rx, ry = find(x), find(y)
+        parent[max(rx, ry)] = min(rx, ry)  # the smallest wire is the root
+    # a root is the first wire of its class that the scan meets
+    dense: dict[int, int] = {}
+    number = [dense.setdefault(find(w), len(dense)) for w in range(size)]
+    graph = Hypergraph(len(dense), {
+        sym: [(tuple(number[v] for v in s), tuple(number[v] for v in t)) for s, t in rows]
+        for sym, rows in edges.items()})
+    return graph, number
+
+
+def _picker(idx):
+    """A function taking a sequence to the tuple of its items at ``idx``."""
+    if len(idx) == 1:
+        return lambda row, i=idx[0]: (row[i],)
+    return itemgetter(*idx) if idx else (lambda row: ())
+
+
+def boundary_assignments(g: Hypergraph, boundary, model: RelModel) -> frozenset:
+    """The tuples ``(f(b) for b in boundary)`` over every homomorphism f
+    from g into the model, read as a hypergraph on its carrier.
+
+    Greedy variable elimination: edges are joined one at a time with their
+    symbol's relation, depth first through shared vertices, so an edge
+    meets a joined vertex whenever its component has one.  A vertex off
+    the boundary is projected out once its last edge is joined.  A vertex
+    on no edge still needs an image: over the empty carrier none survives.
+    """
+    size = model.size
+    if g.vcount and not size:
+        return frozenset()
+    edges = []  # (tentacle vertices, model tuples)
+    incident: list[list[int]] = [[] for _ in range(g.vcount)]
+    for sym, rows in g.edges.items():
+        sort = model.signature.sort(sym)
+        tuples = [a + b for a, b in model.rho[sym]]
+        for s, t in rows:
+            if (len(s), len(t)) != sort:
+                raise SignatureError(f"model interprets {sym!r} at sort {tuple(sort)}, "
+                                     f"query uses {(len(s), len(t))}")
+            for v in s + t:
+                incident[v].append(len(edges))
+            edges.append((s + t, tuples))
+    order: list[int] = []
+    reached, queued = [False] * g.vcount, [False] * len(edges)
+    for root in range(len(edges)):
+        todo = [root]
+        while todo:
+            e = todo.pop()
+            if not queued[e]:
+                queued[e] = True
+                order.append(e)
+                for v in edges[e][0]:
+                    if not reached[v]:
+                        reached[v] = True
+                        todo += incident[v]
+    last = {v: step for step, e in enumerate(order) for v in edges[e][0]}
+    last.update(dict.fromkeys(boundary, len(order)))  # never projected out
+
+    cols = [v for v in dict.fromkeys(boundary) if not incident[v]]  # the vertex of each column
+    rows = set(product(range(size), repeat=len(cols)))
+    for step, e in enumerate(order):
+        verts, tuples = edges[e]
+        pos = {v: k for k, v in enumerate(cols)}
+        bound = [k for k, v in enumerate(verts) if v in pos]
+        fresh: dict[int, int] = {}  # new vertex -> its first tentacle
+        for k, v in enumerate(verts):
+            if v not in pos:
+                fresh.setdefault(v, k)
+        same = [(k, fresh[v]) for k, v in enumerate(verts) if fresh.get(v, k) != k]
+        key, ext = _picker(bound), _picker(list(fresh.values()))
+        index: dict = {}
+        for tup in tuples:
+            if all(tup[k] == tup[k0] for k, k0 in same):
+                index.setdefault(key(tup), []).append(ext(tup))
+        cols += fresh
+        survivors = [k for k, v in enumerate(cols) if last[v] > step]
+        project, row_key = _picker(survivors), _picker([pos[verts[k]] for k in bound])
+        rows = {project(row + x) for row in rows for x in index.get(row_key(row), ())}
+        if not rows:
+            return frozenset()
+        cols = [cols[k] for k in survivors]
+    at = {v: k for k, v in enumerate(cols)}
+    return frozenset(map(_picker([at[v] for v in boundary]), rows))
+
+
+def hypergraph_to_doc(g: Hypergraph) -> dict:
+    """g as a JSON-ready dict, which ``hypergraph_from_doc`` reads back."""
+    return {"vcount": g.vcount, "edges": {sym: [[list(s), list(t)] for s, t in rows]
+                                          for sym, rows in g.edges.items()}}
+
+
+def hypergraph_from_doc(doc: dict) -> Hypergraph:
+    return Hypergraph(doc["vcount"], {sym: [(tuple(s), tuple(t)) for s, t in rows]
+                                      for sym, rows in doc.get("edges", {}).items()})
+
+
 def hypergraph_to_json(g: Hypergraph) -> str:
-    doc = {"vcount": g.vcount,
-           "edges": {sym: [[list(s), list(t)] for s, t in rows]
-                     for sym, rows in g.edges.items()}}
-    return json.dumps(doc)
+    return json.dumps(hypergraph_to_doc(g))
 
 
 def hypergraph_from_json(text: str) -> Hypergraph:
-    doc = json.loads(text)
-    return Hypergraph(doc["vcount"],
-                      {sym: [(tuple(s), tuple(t)) for s, t in rows]
-                       for sym, rows in doc.get("edges", {}).items()})
+    return hypergraph_from_doc(json.loads(text))
 
 
 def hypergraph_to_dot(g: Hypergraph, name: str = "G") -> str:

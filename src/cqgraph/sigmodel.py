@@ -49,12 +49,6 @@ class Signature:
         except KeyError:
             raise SignatureError(f"unknown symbol {name!r}") from None
 
-    def arity(self, name: str) -> int:
-        return self.sort(name).n
-
-    def coarity(self, name: str) -> int:
-        return self.sort(name).m
-
     def is_relational(self) -> bool:
         """True when every symbol has coarity 0 (the classical CQ case)."""
         return all(s.m == 0 for s in self._table.values())
@@ -126,8 +120,8 @@ class Relation:
     """A finite relation of a fixed sort over a carrier of dense naturals.
 
     ``pairs`` is a set of ``(in-tuple, out-tuple)`` pairs.  Stored as a
-    frozenset, so equality is structural and order-independent; use
-    :meth:`sorted_pairs` for canonical output.
+    frozenset, so equality is structural and order-independent; sort it
+    for canonical output.
     """
 
     sort: Sort
@@ -143,9 +137,6 @@ class Relation:
                 raise ModelError(f"tuple lengths {len(a)},{len(b)} do not match sort {self.sort}")
             if any(not (0 <= x < self.carrier_size) for x in a + b):
                 raise ModelError("tuple element outside the carrier")
-
-    def sorted_pairs(self) -> list:
-        return sorted(self.pairs)
 
     def __len__(self) -> int:
         return len(self.pairs)

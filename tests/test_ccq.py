@@ -22,7 +22,7 @@ from cqgraph.ccq import (
     replay_eval,
     substitute,
 )
-from cqgraph.errors import ParseError
+from cqgraph.errors import ParseError, SignatureError
 from cqgraph.sigmodel import RelModel, Signature
 
 SIG = Signature({"R": (2, 0), "S": (1, 0)})
@@ -147,6 +147,12 @@ def test_eval_intro_formula():
     j = parse_ccq("2 |- exists z0. (x0 = x1) /\\ R(x0, z0)", SIG)
     model = RelModel(SIG, ["a", "b"], {"R": [((0, 0), ())]})
     assert eval_ccq(j, model) == frozenset({(0, 0)})
+
+
+def test_eval_checks_atoms_against_the_model():
+    model = RelModel(Signature({"R": (1, 1)}), ["a"])
+    with pytest.raises(SignatureError):
+        eval_ccq(CcqJudgment(1, RelAtom("R", (0,))), model)
 
 
 def test_eval_matches_naive_oracle(rng):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -102,6 +103,19 @@ def test_eval_box_is_verbatim(workdir, capsys):
     assert json.loads(capsys.readouterr().out) == [[["a", "a"], []]]
 
 
+def test_eval_long_chain(workdir, capsys):
+    (workdir / "r.json").write_text('{"R": [1, 1]}')
+    (workdir / "chain.gcq").write_text("signature: r.json\n" + " ; ".join(["R"] * 2000) + "\n")
+    (workdir / "cycle.json").write_text(
+        '{"carrier": ["a", "b", "c"], '
+        '"relations": {"R": [[["a"],["b"]], [["b"],["c"]], [["c"],["a"]]]}}')
+    code = main(["eval", str(workdir / "chain.gcq"), str(workdir / "cycle.json")])
+    assert code == 0
+    # 2000 steps around a 3-cycle advance by 2000 mod 3 = 2
+    assert json.loads(capsys.readouterr().out) == \
+        [[["a"], ["c"]], [["b"], ["a"]], [["c"], ["b"]]]
+
+
 def test_translate_ccq_to_diagram(workdir, capsys):
     (workdir / "top.ccq").write_text("signature: sig.json\n0 |- top\n")
     code = main(["translate", str(workdir / "top.ccq"), "--verify"])
@@ -120,6 +134,19 @@ def test_translate_verify_on_intro(workdir, capsys):
     code = main(["translate", str(workdir / "psi.ccq"), "--verify", "--trials", "12"])
     assert code == 0
     capsys.readouterr()
+
+
+def test_translate_deep_clique(workdir, capsys):
+    # K8 with x0 free: 56 atoms, a term nested about a thousand levels deep
+    edges = [(i, k) for i in range(8) for k in range(8) if i != k]
+    name = {0: "x0", **{v: f"z{v}" for v in range(1, 8)}}
+    body = ("1 |- " + "".join(f"exists z{v}. " for v in range(1, 8))
+            + " /\\ ".join(f"R({name[a]}, {name[b]})" for a, b in edges))
+    (workdir / "k8.ccq").write_text(f"signature: sig.json\n{body}\n")
+    code = main(["translate", str(workdir / "k8.ccq")])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert len(re.findall(r"\bR\b", out)) == 56
 
 
 def test_export_dot_counts(workdir, capsys):

@@ -101,6 +101,11 @@ def test_deep_clique_formulas_are_equivalent():
     assert decide_equivalence(k8, k8_reversed).holds
 
 
+def test_long_chain_is_included_in_itself():
+    chain = seq(*([Gen("R", 1, 1)] * 1200))
+    assert decide_inclusion(chain, chain).holds
+
+
 def test_hypergraph_as_model():
     g = Hypergraph(2, {"R": [((0,), (1,)), ((0,), (1,))]})
     model = hypergraph_as_model(g, SIG)

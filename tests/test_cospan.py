@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import random_cospan, random_term
+from conftest import model_battery, random_cospan, random_term
 from cqgraph.cospan import (
     Cospan,
     compose_cospans,
@@ -26,9 +26,10 @@ from cqgraph.gcq import (
     Spawn,
     Swap,
     Tensor,
+    eval_gcq,
     seq,
 )
-from cqgraph.hypergraph import Hypergraph, find_morphisms, validate_morphism
+from cqgraph.hypergraph import Hypergraph, boundary_assignments, find_morphisms, validate_morphism
 from cqgraph.sigmodel import Signature
 
 SIG = Signature({"R": (2, 0), "S": (1, 1)})
@@ -275,6 +276,23 @@ def test_json_round_trip(rng):
     c = random_cospan(rng, SIG)
     back = cospan_from_json(cospan_to_json(c))
     assert back == c
+
+
+def test_json_layout():
+    c = Cospan(1, 2, Hypergraph(2, {"R": [((0, 1), ())], "S": [((1,), (0,))]}), (0,), (1, 1))
+    assert cospan_to_json(c) == (
+        '{"n": 1, "m": 2, "apex": {"vcount": 2, "edges": {"R": [[[0, 1], []]], '
+        '"S": [[[1], [0]]]}}, "iota": [0], "omega": [1, 1]}')
+
+
+def test_join_over_compiled_cospan_is_relational_evaluation(rng):
+    # the battery's empty and one-element models exercise the witness rule
+    for _ in range(150):
+        t = random_term(rng, SIG, max_nodes=8)
+        c = term_to_cospan(t)
+        for model in model_battery(SIG, rng, sizes=(0, 1, 2, 3)):
+            flat = boundary_assignments(c.apex, c.iota + c.omega, model)
+            assert flat == frozenset(a + b for a, b in eval_gcq(t, model).pairs)
 
 
 def test_dot_marks_interfaces():

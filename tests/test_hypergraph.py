@@ -1,9 +1,10 @@
 import pytest
 
 from conftest import all_morphisms_oracle, random_hypergraph
-from cqgraph.errors import BudgetExhausted, ModelError
+from cqgraph.errors import BudgetExhausted, ModelError, SignatureError
 from cqgraph.hypergraph import (
     HgMorphism,
+    boundary_assignments,
     Hypergraph,
     compose_morphisms,
     disjoint_union,
@@ -15,7 +16,7 @@ from cqgraph.hypergraph import (
     is_isomorphic,
     validate_morphism,
 )
-from cqgraph.sigmodel import Signature
+from cqgraph.sigmodel import RelModel, Signature
 
 SIG = Signature({"R": (1, 1), "S": (2, 1)})
 
@@ -203,3 +204,30 @@ def test_dot_output_shape():
     assert dot.count("shape=point") == 2
     assert dot.count("shape=box") == 1
     assert 's0"' in dot and 't0"' in dot
+
+
+def test_boundary_assignments_of_a_triangle():
+    model = RelModel(SIG, ["a", "b", "c"],
+                     {"R": [((0,), (1,)), ((1,), (2,)), ((2,), (0,)), ((1,), (1,))]})
+    assert boundary_assignments(triangle(), (0,), model) == frozenset({(0,), (1,), (2,)})
+    assert boundary_assignments(triangle(), (0, 0, 1), model) == \
+        frozenset({(0, 0, 1), (1, 1, 2), (2, 2, 0), (1, 1, 1)})
+
+
+def test_boundary_assignments_witness_rule():
+    # a vertex on no edge needs an image: over the empty carrier nothing
+    # survives, elsewhere a boundary vertex ranges over the carrier
+    empty, two = RelModel(SIG, []), RelModel(SIG, ["a", "b"])
+    assert boundary_assignments(Hypergraph(1), (), empty) == frozenset()
+    assert boundary_assignments(Hypergraph(1), (), two) == frozenset({()})
+    assert boundary_assignments(Hypergraph(2), (1, 1), two) == frozenset({(0, 0), (1, 1)})
+    assert boundary_assignments(Hypergraph(0), (), empty) == frozenset({()})
+
+
+def test_boundary_assignments_check_sorts():
+    model = RelModel(SIG, ["a"])
+    with pytest.raises(SignatureError):
+        boundary_assignments(Hypergraph(1, {"R": [((0,), ())]}), (0,), model)
+    with pytest.raises(SignatureError):
+        boundary_assignments(Hypergraph(1, {"T": [((0,), ())]}), (0,), model)
+
