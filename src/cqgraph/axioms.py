@@ -39,8 +39,9 @@ from .gcq import (
     n_swap,
     seq,
     tensor,
+    term_signature,
 )
-from .sigmodel import RelModel, Signature, dump_model, random_model
+from .sigmodel import RelModel, Signature, random_model
 
 EQUALITY = "eq"
 LEFT_LEQ_RIGHT = "leq"
@@ -146,18 +147,8 @@ class AxiomReport:
     detail: str = ""
     countermodel: RelModel | None = None
 
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        out = f"{self.name}: {status}"
-        if self.detail and not self.passed:
-            out += f" ({self.detail})"
-        if self.countermodel is not None:
-            out += " countermodel " + dump_model(self.countermodel)
-        return out
-
 
 def _axiom_signature(entry: AxiomEntry, sig: Signature | None) -> Signature:
-    from .gcq import term_signature
     spanned = term_signature(entry.lhs).merged(term_signature(entry.rhs))
     return spanned if sig is None else sig.merged(spanned)
 

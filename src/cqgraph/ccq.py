@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ParseError, SignatureError
+from .gcq import tokenize
 from .hypergraph import boundary_assignments, quotient
 from .sigmodel import RelModel, Signature
 
@@ -507,20 +508,6 @@ def replay_eval(d: CcqDerivation, model: RelModel) -> frozenset:
 _CCQ_TOKEN = re.compile(r"\s*(\|-|/\\|[(),.=]|[A-Za-z_][A-Za-z0-9_]*|\d+)")
 
 
-def _ccq_tokens(text: str) -> list[str]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        match = _CCQ_TOKEN.match(text, pos)
-        if not match:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}")
-            break
-        out.append(match.group(1))
-        pos = match.end()
-    return out
-
-
 def parse_ccq(text: str, sig: Signature) -> CcqJudgment:
     """Parse "n |- formula" (or "n,m |- formula") against a signature."""
     left, right, formula = parse_ccq_two_sided(text, sig)
@@ -528,7 +515,7 @@ def parse_ccq(text: str, sig: Signature) -> CcqJudgment:
 
 
 def parse_ccq_two_sided(text: str, sig: Signature):
-    tokens = _ccq_tokens(text)
+    tokens = tokenize(_CCQ_TOKEN, text)
     pos = 0
 
     def peek():

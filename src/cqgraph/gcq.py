@@ -160,14 +160,6 @@ def identity(n: int) -> GcqTerm:
     return tensor(*(Id1() for _ in range(n)))
 
 
-def is_identity_term(t: GcqTerm) -> bool:
-    if isinstance(t, (Id0, Id1)):
-        return True
-    if isinstance(t, Tensor):
-        return is_identity_term(t.lhs) and is_identity_term(t.rhs)
-    return False
-
-
 def n_copy(n: int) -> GcqTerm:
     """Bundle-wise copy: sort (n, 2n), duplicating the whole n-wire bundle."""
     if n == 0:
@@ -248,9 +240,28 @@ def term_signature(t: GcqTerm) -> Signature:
 def eval_gcq(t: GcqTerm, model: RelModel) -> Relation:
     """The relation denoted by t in the given model.
 
-    Structural recursion: constants get their fixed interpretation, boxes
-    look up ``rho``, composition and tensor go to the relation algebra.
+    Constants get their fixed interpretation, boxes look up ``rho``,
+    composition and tensor go to the relation algebra.  An explicit-stack
+    post-order, so terms of any depth evaluate.
     """
+    done: list[Relation] = []  # relations of finished subterms
+    todo: list[tuple[GcqTerm, bool]] = [(t, False)]
+    while todo:
+        u, children_done = todo.pop()
+        if children_done:
+            rhs, lhs = done.pop(), done.pop()
+            if isinstance(u, Seq):
+                done.append(relation_compose(lhs, rhs))
+            else:
+                done.append(relation_tensor(lhs, rhs))
+        elif isinstance(u, (Seq, Tensor)):
+            todo += ((u, True), (u.rhs, False), (u.lhs, False))
+        else:
+            done.append(_leaf_relation(u, model))
+    return done.pop()
+
+
+def _leaf_relation(t: GcqTerm, model: RelModel) -> Relation:
     size = model.size
     if isinstance(t, Copy):
         return Relation(Sort(1, 2), size,
@@ -279,10 +290,6 @@ def eval_gcq(t: GcqTerm, model: RelModel) -> Relation:
             raise SignatureError(
                 f"model interprets {t.name!r} at sort {rel.sort}, term uses {t.sort}")
         return rel
-    if isinstance(t, Seq):
-        return relation_compose(eval_gcq(t.lhs, model), eval_gcq(t.rhs, model))
-    if isinstance(t, Tensor):
-        return relation_tensor(eval_gcq(t.lhs, model), eval_gcq(t.rhs, model))
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -308,11 +315,13 @@ _KEYWORDS = {
 _TOKEN = re.compile(r"\s*(\(\+\)|[();]|[A-Za-z_][A-Za-z0-9_]*)")
 
 
-def _tokenize(text: str) -> list[str]:
+def tokenize(token: re.Pattern, text: str) -> list[str]:
+    """The first groups of ``token`` matched back to back over text; a
+    character no match covers is a ParseError."""
     tokens = []
     pos = 0
     while pos < len(text):
-        match = _TOKEN.match(text, pos)
+        match = token.match(text, pos)
         if not match:
             if text[pos:].strip():
                 raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}")
@@ -323,57 +332,51 @@ def _tokenize(text: str) -> list[str]:
 
 
 def parse_gcq(text: str, sig: Signature) -> GcqTerm:
-    """Parse a term; box names are resolved and sort-checked against sig."""
-    tokens = _tokenize(text)
+    """Parse a term; box names are resolved and sort-checked against sig.
+
+    One loop over the tokens: ``composite`` and ``tensored`` are the ``;``
+    and ``(+)`` chains built so far at the current depth, and each open
+    parenthesis saves the pair around it on a stack, so input of any depth
+    parses.
+    """
+    tokens = tokenize(_TOKEN, text) + [None]  # None marks the end
+    frames: list[tuple] = []  # (composite, tensored) around each open parenthesis
+    composite = tensored = None
     pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def expect(tok):
-        nonlocal pos
-        if peek() != tok:
-            raise ParseError(f"expected {tok!r}, found {peek()!r}")
+    while True:
+        tok = tokens[pos]
         pos += 1
-
-    def atom() -> GcqTerm:
-        nonlocal pos
-        tok = peek()
+        if tok == "(":
+            frames.append((composite, tensored))
+            composite = tensored = None
+            continue
         if tok is None:
             raise ParseError("unexpected end of input")
-        if tok == "(":
-            pos += 1
-            inner = seq_level()
-            expect(")")
-            return inner
-        pos += 1
         if tok in _KEYWORDS:
-            return _KEYWORDS[tok]()
-        if tok in (";", ")", "(+)"):
+            atom = _KEYWORDS[tok]()
+        elif tok in (";", ")", "(+)"):
             raise ParseError(f"unexpected token {tok!r}")
-        sort = sig.sort(tok)
-        return Gen(tok, sort.n, sort.m)
-
-    def ten_level() -> GcqTerm:
-        nonlocal pos
-        out = atom()
-        while peek() == "(+)":
+        else:
+            sort = sig.sort(tok)
+            atom = Gen(tok, sort.n, sort.m)
+        while True:  # fold the finished atom in, closing parentheses as they come
+            tensored = atom if tensored is None else Tensor(tensored, atom)
+            tok = tokens[pos]
             pos += 1
-            out = Tensor(out, atom())
-        return out
-
-    def seq_level() -> GcqTerm:
-        nonlocal pos
-        out = ten_level()
-        while peek() == ";":
-            pos += 1
-            out = Seq(out, ten_level())
-        return out
-
-    term = seq_level()
-    if pos != len(tokens):
-        raise ParseError(f"trailing input near {tokens[pos]!r}")
-    return term
+            if tok == "(+)":
+                break
+            composite = tensored if composite is None else Seq(composite, tensored)
+            tensored = None
+            if tok == ";":
+                break
+            if not frames:
+                if tok is not None:
+                    raise ParseError(f"trailing input near {tok!r}")
+                return composite
+            if tok != ")":
+                raise ParseError(f"expected ')', found {tok!r}")
+            atom = composite
+            composite, tensored = frames.pop()
 
 
 def print_gcq(t: GcqTerm) -> str:

@@ -10,7 +10,9 @@ maps for exactly that reason.
 Morphism search is a backtracking enumeration over vertex images in index
 order, pruning through edges as soon as all their tentacles are assigned.
 The answer list is deterministic: vertex maps come out in lexicographic
-order and edge images ascend within each vertex map.
+order and edge images ascend within each vertex map.  Isomorphism search is
+the same search with an injective vertex map, whose edges may land only on
+classes of parallel edges as large as their own.
 
 ``boundary_assignments`` answers the other question a query asks of a
 model: not one morphism but the boundary images of all of them, by a join
@@ -20,6 +22,7 @@ over the edges instead of a search over vertices.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
@@ -130,42 +133,66 @@ def compose_morphisms(f: HgMorphism, k: HgMorphism) -> HgMorphism:
 
 
 class _Search:
-    """Shared backtracking state for morphism and isomorphism search."""
+    """Backtracking state shared by morphism and isomorphism search.
 
-    def __init__(self, g: Hypergraph, h: Hypergraph, pins, limit, budget, bijective):
+    Both searches assign vertex images and test every edge once its
+    tentacles are assigned: the image tentacle tuple must be one of the
+    edge's ``targets``.  An edge class is the set of edges with one symbol
+    and one tentacle tuple.  A plain search may send an edge onto any class
+    of its symbol.  An injective search sends vertices to distinct images
+    and an edge of a class K only onto a class with exactly |K| edges.
+
+    Given equal vertex counts and equal edge counts per symbol, which
+    ``is_isomorphic`` checks first, those two rules accept exactly the
+    vertex maps that extend to isomorphisms.  Enough: an injective map
+    between vertex sets of one size is a bijection, and it sends distinct
+    classes to distinct classes, so matched class sizes give an edge
+    bijection class by class, and equal totals leave no edge of h
+    uncovered.  Needed: an isomorphism restricts to a bijection K -> f(K).
+    """
+
+    def __init__(self, g: Hypergraph, h: Hypergraph, pins, limit, budget, injective):
         self.g = g
         self.h = h
         self.limit = limit
         self.budget = budget
         self.steps = 0
-        self.bijective = bijective
+        self.injective = injective
         self.results: list[HgMorphism] = []
 
         self.vmap: list = [None] * g.vcount
+        self.used = [False] * h.vcount  # images taken; only an injective search marks them
+        self.infeasible = False
         for v, img in (pins or {}).items():
             if not (0 <= v < g.vcount) or not (0 <= img < h.vcount):
                 raise ModelError("pin outside the graphs")
             self.vmap[v] = img
+            if injective:
+                self.infeasible |= self.used[img]  # two pins on one image
+                self.used[img] = True
 
-        # image lookup: symbol -> tentacle tuple pair -> ascending edge ids
+        # image lookup: symbol -> tentacle tuple pair -> ascending edge ids;
+        # targets: (symbol, class size or None) -> flat tentacle tuples of h
         self.h_index: dict[str, dict] = {}
-        flat: dict[str, frozenset] = {}
+        targets: dict[tuple, set] = {}
         for sym, rows in h.edges.items():
             index: dict = {}
             for i, row in enumerate(rows):
                 index.setdefault(row, []).append(i)
             self.h_index[sym] = index
-            flat[sym] = frozenset(s + t for s, t in rows)
+            for (s, t), ids in index.items():
+                targets.setdefault((sym, len(ids) if injective else None), set()).add(s + t)
+        targets = {key: frozenset(flat) for key, flat in targets.items()}
 
         # an edge becomes checkable at its last unpinned tentacle vertex;
         # precomputing that makes the hot loop a flat-set membership test
         self.fresh_at: list[list] = [[] for _ in range(g.vcount)]
         self.ready: list = []
         for sym, rows in g.edges.items():
-            fset = flat.get(sym, frozenset())
-            for i, (src, tgt) in enumerate(rows):
-                verts = src + tgt
-                ref = (sym, verts, fset)
+            size = Counter(rows) if injective else {}
+            for row in rows:
+                verts = row[0] + row[1]
+                ref = (verts, targets.get((sym, size.get(row)), frozenset()))
                 unpinned = [x for x in verts if self.vmap[x] is None]
                 if unpinned:
                     self.fresh_at[max(unpinned)].append(ref)
@@ -173,54 +200,13 @@ class _Search:
                     self.ready.append(ref)
 
         self.root_break = None
-        if not bijective and limit == 1 and not pins and g.vcount > 0 and h.vcount > 1:
+        if not injective and limit == 1 and not pins and g.vcount > 0 and h.vcount > 1:
             self.root_break = self.root_candidates()
-
-        self.infeasible = False
-        if bijective:
-            self.used_vertex = [False] * h.vcount
-            for img in self.vmap:
-                if img is not None:
-                    if self.used_vertex[img]:
-                        self.infeasible = True  # two pins collide: no bijection
-                    self.used_vertex[img] = True
-            # class capacities per symbol, decremented as edges are committed
-            self.capacity = {sym: {key: len(ids) for key, ids in index.items()}
-                             for sym, index in self.h_index.items()}
 
     def tick(self):
         self.steps += 1
         if self.budget is not None and self.steps > self.budget:
             raise BudgetExhausted(f"morphism search exceeded {self.budget} steps")
-
-    def check_new_edges(self, refs) -> tuple[bool, list]:
-        """Prune on edges whose tentacles are now fully assigned.
-
-        In bijective mode the per-class capacities are decremented and the
-        commitments returned so the caller can roll them back.
-        """
-        vmap = self.vmap
-        if not self.bijective:
-            for _, verts, fset in refs:
-                if tuple(vmap[x] for x in verts) not in fset:
-                    return False, ()
-            return True, ()
-        committed = []
-        for sym, verts, _ in refs:
-            arity = len(self.g.edges[sym][0][0])
-            imgs = tuple(vmap[x] for x in verts)
-            key = (imgs[:arity], imgs[arity:])
-            cap = self.capacity.get(sym, {}).get(key, 0)
-            if cap == 0:
-                self.rollback(committed)
-                return False, ()
-            self.capacity[sym][key] = cap - 1
-            committed.append((sym, key))
-        return True, committed
-
-    def rollback(self, committed):
-        for sym, key in committed:
-            self.capacity[sym][key] += 1
 
     def emit(self):
         """All edge maps compatible with the completed vertex map."""
@@ -236,9 +222,9 @@ class _Search:
                 cands.append(ids)
             per_edge[sym] = cands
 
-        if self.bijective:
-            # capacities guarantee class counts match; pick the order-preserving
-            # bijection inside each tentacle class
+        if self.injective:
+            # each class lands on a class of its own size; pick the
+            # order-preserving bijection inside each tentacle class
             emaps = {}
             for sym, cands in per_edge.items():
                 taken: dict = {}
@@ -268,17 +254,11 @@ class _Search:
         return False
 
     def run(self) -> list[HgMorphism]:
-        if self.infeasible:
-            return []
         # edges entirely inside the pinned region are checked once, up front
-        ok, committed = self.check_new_edges(self.ready)
-        if not ok:
+        if self.infeasible or any(tuple(self.vmap[x] for x in verts) not in fset
+                                  for verts, fset in self.ready):
             return []
-        try:
-            self.assign()
-        finally:
-            if self.bijective:
-                self.rollback(committed)
+        self.assign()
         return self.results
 
     def root_candidates(self) -> list[int]:
@@ -321,39 +301,30 @@ class _Search:
         free = [v for v in range(self.g.vcount) if vmap[v] is None]
         if not free:
             return self.emit()
-        bijective, budget, fresh_at = self.bijective, self.budget, self.fresh_at
-        used = self.used_vertex if bijective else None
+        budget, fresh_at, used, injective = self.budget, self.fresh_at, self.used, self.injective
         images = range(self.h.vcount)
         # the root_break classes apply to the first branching vertex only
         stack = [iter(self.root_break or images)]
-        committed: list = [()] * len(free)
         while stack:
             depth = len(stack) - 1
             v = free[depth]
             if vmap[v] is not None:  # undo the image tried last at this depth
-                if bijective:
-                    used[vmap[v]] = False
-                    self.rollback(committed[depth])
+                used[vmap[v]] = False
                 vmap[v] = None
             fresh = fresh_at[v]
             for img in stack[-1]:
-                if bijective and used[img]:
+                if used[img]:
                     continue
                 self.steps += 1
                 if budget is not None and self.steps > budget:
                     raise BudgetExhausted(f"morphism search exceeded {budget} steps")
                 vmap[v] = img
-                if bijective:
-                    ok, committed[depth] = self.check_new_edges(fresh)
-                    if ok:
-                        used[img] = True
+                for verts, fset in fresh:
+                    if tuple(vmap[x] for x in verts) not in fset:
                         break
                 else:
-                    for _, verts, fset in fresh:
-                        if tuple(vmap[x] for x in verts) not in fset:
-                            break
-                    else:
-                        break
+                    used[img] = injective
+                    break
                 vmap[v] = None
             else:
                 stack.pop()
@@ -375,7 +346,7 @@ def find_morphisms(g: Hypergraph, h: Hypergraph,
     number of search steps; exceeding it raises :class:`BudgetExhausted`.
     An empty list means no morphism exists — never a cancelled search.
     """
-    return _Search(g, h, pins, limit, budget, bijective=False).run()
+    return _Search(g, h, pins, limit, budget, injective=False).run()
 
 
 def _degree_signature(g: Hypergraph):
@@ -394,7 +365,13 @@ def _degree_signature(g: Hypergraph):
 def is_isomorphic(g: Hypergraph, h: Hypergraph,
                   pins: dict | None = None,
                   budget: int | None = None) -> HgMorphism | None:
-    """An isomorphism g -> h (bijective vertex and edge maps), or None."""
+    """An isomorphism g -> h (bijective vertex and edge maps), or None.
+
+    After cheap invariants (vertex count, edge count per symbol, multisets
+    of vertex degrees, degrees of pinned vertices) the morphism search runs
+    injective, each edge restricted to the classes of h with as many
+    parallel edges as its own class; the first hit is the answer.
+    """
     if g.vcount != h.vcount:
         return None
     if {s: len(r) for s, r in g.edges.items()} != {s: len(r) for s, r in h.edges.items()}:
@@ -406,7 +383,7 @@ def is_isomorphic(g: Hypergraph, h: Hypergraph,
         return None
     if pins and any(sig_g[v] != sig_h[img] for v, img in pins.items()):
         return None
-    search = _Search(g, h, pins, limit=1, budget=budget, bijective=True)
+    search = _Search(g, h, pins, limit=1, budget=budget, injective=True)
     found = search.run()
     return found[0] if found else None
 

@@ -32,7 +32,7 @@ class Signature:
     """Immutable map from symbol names to sorts, kept in lexicographic order."""
 
     def __init__(self, symbols: Mapping[str, tuple[int, int]] | Iterable[tuple[str, tuple[int, int]]] = ()):
-        raw = dict(symbols) if not isinstance(symbols, Mapping) else dict(symbols)
+        raw = dict(symbols)
         table: dict[str, Sort] = {}
         for name in sorted(raw):
             n, m = raw[name]

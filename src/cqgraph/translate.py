@@ -49,7 +49,6 @@ from .gcq import (
     Swap,
     Tensor,
     identity,
-    is_identity_term,
 )
 from .sigmodel import RelModel, Signature
 
@@ -75,12 +74,9 @@ class TwoSidedJudgment:
 
 
 def _seq(a: GcqTerm, b: GcqTerm) -> GcqTerm:
-    # drop identity factors so the translation of small judgments stays small
-    if is_identity_term(a):
-        return b
-    if is_identity_term(b):
-        return a
-    return Seq(a, b)
+    # a is a rule's wiring layer, which holds a constant and so is never an
+    # identity; b has sort (k, 0), an identity only as id0
+    return a if isinstance(b, Id0) else Seq(a, b)
 
 
 def _tens(a: GcqTerm, b: GcqTerm) -> GcqTerm:

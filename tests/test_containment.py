@@ -22,6 +22,8 @@ from cqgraph.gcq import (
     Spawn,
     Tensor,
     eval_gcq,
+    parse_gcq,
+    print_gcq,
     seq,
     tensor,
 )
@@ -83,22 +85,33 @@ def test_sort_mismatch_is_an_error():
         natural_model_check(Id1(), Id0())
 
 
+CCQ_SIG = Signature({"R": (2, 0)})
+
+
+def clique(n: int, reverse: bool) -> str:
+    """The n-clique formula with x0 free, atoms and quantifiers in either order."""
+    edges = [(i, k) for i in range(n) for k in range(n) if i != k]
+    bound = list(range(1, n))
+    if reverse:
+        edges.reverse()
+        bound.reverse()
+    name = {0: "x0", **{v: f"z{v}" for v in bound}}
+    prefix = "".join(f"exists z{v}. " for v in bound)
+    return "1 |- " + prefix + " /\\ ".join(f"R({name[a]}, {name[b]})" for a, b in edges)
+
+
 def test_deep_clique_formulas_are_equivalent():
     # K8 with x0 free: 56 atoms, a derivation about a thousand rules deep
-    def clique(n: int, reverse: bool) -> str:
-        edges = [(i, k) for i in range(n) for k in range(n) if i != k]
-        bound = list(range(1, n))
-        if reverse:
-            edges.reverse()
-            bound.reverse()
-        name = {0: "x0", **{v: f"z{v}" for v in bound}}
-        prefix = "".join(f"exists z{v}. " for v in bound)
-        return "1 |- " + prefix + " /\\ ".join(f"R({name[a]}, {name[b]})" for a, b in edges)
-
-    ccq_sig = Signature({"R": (2, 0)})
-    k8 = theta(parse_ccq(clique(8, False), ccq_sig))
-    k8_reversed = theta(parse_ccq(clique(8, True), ccq_sig))
+    k8 = theta(parse_ccq(clique(8, False), CCQ_SIG))
+    k8_reversed = theta(parse_ccq(clique(8, True), CCQ_SIG))
     assert decide_equivalence(k8, k8_reversed).holds
+
+
+def test_deep_clique_term_prints_and_parses_back():
+    # theta(K8) prints with parentheses nested about a thousand deep; the
+    # text is compared, as == on terms that deep exhausts the Python stack
+    text = print_gcq(theta(parse_ccq(clique(8, False), CCQ_SIG)))
+    assert print_gcq(parse_gcq(text, CCQ_SIG)) == text
 
 
 def test_long_chain_is_included_in_itself():

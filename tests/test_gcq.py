@@ -69,6 +69,18 @@ def test_eval_box_is_interpretation():
     assert eval_gcq(Gen("S", 1, 1), model) == model.relation("S")
 
 
+def test_eval_of_a_long_chain_is_the_relational_power():
+    pairs = {(0, 1), (1, 0), (2, 0)}
+    model = RelModel(SIG, ["a", "b", "c"], {"S": [((x,), (y,)) for x, y in pairs]})
+    power = {(x, x) for x in range(3)}
+    for _ in range(1200):
+        power = {(x, z) for x, y in power for y2, z in pairs if y == y2}
+    chain = Gen("S", 1, 1)
+    for _ in range(1199):
+        chain = Seq(chain, Gen("S", 1, 1))
+    assert eval_gcq(chain, model).pairs == {((x,), (z,)) for x, z in power}
+
+
 def test_eval_unknown_symbol():
     model = RelModel(Signature({}), ["a"])
     with pytest.raises(SignatureError):

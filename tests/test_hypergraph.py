@@ -145,10 +145,35 @@ def test_isomorphic_symmetric_with_invertible_witness(rng):
         assert validate_morphism(compose_morphisms(f, back), g, g)
 
 
+def test_not_isomorphic_when_only_multiplicities_differ():
+    # equal vertex degrees, and the vertex map (1, 0, 2) sends every edge of
+    # g onto an edge of h, but g has a double loop at 0 and h two single loops
+    g = Hypergraph(3, {"R": [((1,), (2,)), ((0,), (0,)), ((0,), (0,)), ((2,), (1,))]})
+    h = Hypergraph(3, {"R": [((0,), (0,)), ((1,), (1,)), ((0,), (2,)), ((2,), (0,))]})
+    assert validate_morphism(HgMorphism((1, 0, 2), {"R": (2, 1, 1, 3)}), g, h)
+    assert is_isomorphic(g, h) is None
+    assert is_isomorphic(g, g) is not None
+
+
+def test_not_isomorphic_when_two_pins_share_an_image():
+    two_loops = Hypergraph(2, {"R": [((0,), (0,)), ((1,), (1,))]})
+    assert is_isomorphic(two_loops, two_loops, pins={0: 0, 1: 0}) is None
+    assert is_isomorphic(two_loops, two_loops, pins={0: 1, 1: 0}) is not None
+
+
+def with_repeats(rng, g: Hypergraph) -> Hypergraph:
+    """g with one row per symbol repeated or not, so parallel edges occur."""
+    return Hypergraph(g.vcount, {sym: rows + (rng.choice(rows),) * rng.randint(0, 1)
+                                 for sym, rows in g.edges.items()})
+
+
 def test_isomorphism_agrees_with_brute_force(rng):
+    pairs = []
     for _ in range(30):
         g = random_hypergraph(rng, SIG, max_v=3, max_edges=2)
         h = random_hypergraph(rng, SIG, max_v=3, max_edges=2)
+        pairs += [(g, h), (with_repeats(rng, g), with_repeats(rng, g))]
+    for g, h in pairs:
         brute = any(
             len(set(f.vmap)) == g.vcount == h.vcount
             and all(len(set(emap)) == len(emap) == len(h.edges.get(sym, ())) == len(g.edges[sym])
