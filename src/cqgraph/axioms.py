@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .containment import decide_inclusion
 from .cospan import is_isomorphic_cospan, term_to_cospan
 from .errors import SignatureError
 from .gcq import (
+    Branch,
     Copy,
     Discard,
     Gen,
@@ -37,7 +39,9 @@ from .gcq import (
     n_copy,
     n_discard,
     n_swap,
+    postorder,
     seq,
+    subtrees,
     tensor,
     term_signature,
 )
@@ -208,7 +212,7 @@ def reversed_entry(entry: AxiomEntry) -> AxiomEntry:
 
 @dataclass(frozen=True)
 class CpTerm:
-    pass
+    children = ()
 
 
 @dataclass(frozen=True)
@@ -216,10 +220,12 @@ class CpTop(CpTerm):
     pass
 
 
-@dataclass(frozen=True)
-class CpMeet(CpTerm):
+@dataclass(frozen=True, eq=False, repr=False)
+class CpMeet(Branch, CpTerm):
     lhs: CpTerm
     rhs: CpTerm
+
+    children = property(attrgetter("lhs", "rhs"))
 
 
 @dataclass(frozen=True)
@@ -227,15 +233,21 @@ class CpId(CpTerm):
     pass
 
 
-@dataclass(frozen=True)
-class CpComp(CpTerm):
+@dataclass(frozen=True, eq=False, repr=False)
+class CpComp(Branch, CpTerm):
     lhs: CpTerm
     rhs: CpTerm
 
+    children = property(attrgetter("lhs", "rhs"))
 
-@dataclass(frozen=True)
-class CpConverse(CpTerm):
+
+@dataclass(frozen=True, eq=False, repr=False)
+class CpConverse(Branch, CpTerm):
     arg: CpTerm
+
+    @property
+    def children(self):
+        return (self.arg,)
 
 
 @dataclass(frozen=True)
@@ -250,20 +262,27 @@ def encode_cp(t: CpTerm) -> GcqTerm:
     wire-bending pair: a spawn-copy cap on the left and a merge-discard
     cup on the right.
     """
-    if isinstance(t, CpTop):
-        return Seq(Discard(), Spawn())
-    if isinstance(t, CpMeet):
-        return seq(Copy(), Tensor(encode_cp(t.lhs), encode_cp(t.rhs)), Merge())
-    if isinstance(t, CpId):
-        return Id1()
-    if isinstance(t, CpComp):
-        return Seq(encode_cp(t.lhs), encode_cp(t.rhs))
-    if isinstance(t, CpConverse):
-        cap = Seq(Spawn(), Copy())
-        cup = Seq(Merge(), Discard())
-        return seq(Tensor(cap, Id1()),
-                   tensor(Id1(), encode_cp(t.arg), Id1()),
-                   Tensor(Id1(), cup))
-    if isinstance(t, CpRel):
-        return Gen(t.symbol, 1, 1)
-    raise TypeError(f"not a converse-algebra term: {t!r}")
+    done: list[GcqTerm] = []  # encodings of finished subterms
+    for u in postorder(t, subtrees):
+        if isinstance(u, CpTop):
+            out = Seq(Discard(), Spawn())
+        elif isinstance(u, CpMeet):
+            rhs, lhs = done.pop(), done.pop()
+            out = seq(Copy(), Tensor(lhs, rhs), Merge())
+        elif isinstance(u, CpId):
+            out = Id1()
+        elif isinstance(u, CpComp):
+            rhs, lhs = done.pop(), done.pop()
+            out = Seq(lhs, rhs)
+        elif isinstance(u, CpConverse):
+            cap = Seq(Spawn(), Copy())
+            cup = Seq(Merge(), Discard())
+            out = seq(Tensor(cap, Id1()),
+                      tensor(Id1(), done.pop(), Id1()),
+                      Tensor(Id1(), cup))
+        elif isinstance(u, CpRel):
+            out = Gen(u.symbol, 1, 1)
+        else:
+            raise TypeError(f"not a converse-algebra term: {u!r}")
+        done.append(out)
+    return done.pop()

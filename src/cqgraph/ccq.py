@@ -13,15 +13,20 @@ one edge per atom) against the model, projecting bound variables early.
 (truth, relation and equality introduction, conjunction, existential
 closure, plus the structural swap / merge / weaken moves on the context)
 and serves as the reference.  They agree, and the test-suite checks that.
+
+Formulas and derivations are trees; every pass over one is a loop with an
+explicit stack (``_walk`` or :func:`cqgraph.gcq.postorder`), so any depth
+is handled under the default recursion limit.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import ParseError, SignatureError
-from .gcq import tokenize
+from .gcq import Branch, postorder, subtrees, tokenize
 from .hypergraph import boundary_assignments, quotient
 from .sigmodel import RelModel, Signature
 
@@ -30,7 +35,7 @@ from .sigmodel import RelModel, Signature
 
 @dataclass(frozen=True)
 class CcqFormula:
-    pass
+    children = ()
 
 
 @dataclass(frozen=True)
@@ -38,10 +43,12 @@ class Top(CcqFormula):
     pass
 
 
-@dataclass(frozen=True)
-class Conj(CcqFormula):
+@dataclass(frozen=True, eq=False, repr=False)
+class Conj(Branch, CcqFormula):
     lhs: CcqFormula
     rhs: CcqFormula
+
+    children = property(attrgetter("lhs", "rhs"))
 
 
 @dataclass(frozen=True)
@@ -59,9 +66,13 @@ class RelAtom(CcqFormula):
         object.__setattr__(self, "args", tuple(self.args))
 
 
-@dataclass(frozen=True)
-class Exists(CcqFormula):
+@dataclass(frozen=True, eq=False, repr=False)
+class Exists(Branch, CcqFormula):
     body: CcqFormula
+
+    @property
+    def children(self):
+        return (self.body,)
 
 
 def _walk(f: CcqFormula, ctx: int) -> list:
@@ -113,18 +124,22 @@ def rename(f: CcqFormula, old_ctx: int, new_ctx: int, fmap: dict) -> CcqFormula:
             return j
         return i - old_ctx + new_ctx
 
-    if isinstance(f, Top):
-        return f
-    if isinstance(f, Eq):
-        return Eq(m(f.i), m(f.j))
-    if isinstance(f, RelAtom):
-        return RelAtom(f.symbol, tuple(m(a) for a in f.args))
-    if isinstance(f, Conj):
-        return Conj(rename(f.lhs, old_ctx, new_ctx, fmap),
-                    rename(f.rhs, old_ctx, new_ctx, fmap))
-    if isinstance(f, Exists):
-        return Exists(rename(f.body, old_ctx, new_ctx, fmap))
-    raise TypeError(f"not a formula: {f!r}")
+    done: list[CcqFormula] = []  # renamed subformulas
+    for u in postorder(f, subtrees):
+        if isinstance(u, Conj):
+            rhs = done.pop()
+            done[-1] = Conj(done[-1], rhs)
+        elif isinstance(u, Exists):
+            done[-1] = Exists(done[-1])
+        elif isinstance(u, Eq):
+            done.append(Eq(m(u.i), m(u.j)))
+        elif isinstance(u, RelAtom):
+            done.append(RelAtom(u.symbol, tuple(m(a) for a in u.args)))
+        elif isinstance(u, Top):
+            done.append(u)
+        else:
+            raise TypeError(f"not a formula: {u!r}")
+    return done.pop()
 
 
 def substitute(f: CcqFormula, pairs, context: int) -> CcqFormula:
@@ -152,13 +167,11 @@ class CcqJudgment:
 
 @dataclass(frozen=True)
 class CcqDerivation:
+    children = ()  # the premises
+
     @property
     def conclusion(self) -> CcqJudgment:
         return self._conclusion
-
-    @property
-    def children(self):
-        return ()
 
 
 @dataclass(frozen=True)
@@ -200,9 +213,7 @@ class ConjIntro(CcqDerivation):
         concl = CcqJudgment(total, Conj(lifted, shifted))
         object.__setattr__(self, "_conclusion", concl)
 
-    @property
-    def children(self):
-        return (self.left, self.right)
+    children = property(attrgetter("left", "right"))
 
 
 @dataclass(frozen=True)
@@ -341,42 +352,76 @@ def derive(j: CcqJudgment) -> CcqDerivation:
     Grammar nodes are introduced in their canonical shape, variables are
     aligned with swap/merge/weaken moves, conjunctions are combined and
     existentials closed last.  Subformulas are derived over their own free
-    variables and weakened afterwards, which keeps derivations small.
+    variables and weakened afterwards, which keeps derivations small.  One
+    fold over the tree of premises (see ``_premise``).
     """
-    d = _derive(j.context, j.formula)
+    done: list[tuple] = []  # (derivation, free variables) of finished premises
+    for k, f, fv in postorder(_premise(j.context, j.formula), _premises):
+        if isinstance(f, Conj):
+            right, left = done.pop(), done.pop()
+            d = _conj_derivation(k, left, right)
+        elif isinstance(f, Exists):
+            d = ExistsIntro(_spread(*done.pop(), k + 1))
+        else:
+            d = _atom_derivation(k, f)
+        done.append((d, fv))
+    d = _spread(*done.pop(), j.context)
     if d.conclusion != j:
         raise AssertionError(f"derivation concluded {d.conclusion}, wanted {j}")
     return d
 
 
-def _weaken_to(d: CcqDerivation, n: int) -> CcqDerivation:
+def _premise(n: int, f: CcqFormula) -> tuple:
+    """``(k, g, fv)``: f read at context n is g read at k = |fv| over
+    exactly its free variables fv (sorted), renamed onto 0..k-1."""
+    fv = sorted(free_vars(f, n))
+    if len(fv) < n:
+        f = rename(f, n, len(fv), {v: i for i, v in enumerate(fv)})
+    return len(fv), f, fv
+
+
+def _premises(node: tuple) -> tuple:
+    """The premises a node of ``derive``'s tree is derived from: the two
+    conjuncts, or the body of an existential with its variable free."""
+    k, f, _ = node
+    if isinstance(f, Conj):
+        return _premise(k, f.lhs), _premise(k, f.rhs)
+    if isinstance(f, Exists):
+        return (_premise(k + 1, f.body),)
+    return ()
+
+
+def _spread(d: CcqDerivation, fv: list[int], n: int) -> CcqDerivation:
+    """Weaken a derivation over |fv| variables to n and send its variable
+    i back to position fv[i]."""
     while d.conclusion.context < n:
         d = AddVar(d)
-    return d
-
-
-def _derive(n: int, f: CcqFormula) -> CcqDerivation:
-    """Derive n |- f by compacting onto the free variables first."""
-    fv = sorted(free_vars(f, n))
-    if len(fv) == n:
-        return _derive_full(n, f)
-    d = _weaken_to(_derive_compact(n, f, fv), n)
-    # send compact variable i back to position fv[i]
     perm = list(fv)
     perm.extend(sorted(set(range(n)) - set(fv)))
     return _apply_perm(d, perm)
 
 
-def _derive_compact(n: int, f: CcqFormula, fv: list[int]) -> CcqDerivation:
-    """Derive f over exactly its own free variables, renamed onto 0..|fv|-1."""
-    if len(fv) == n:
-        return _derive_full(n, f)
-    compact = rename(f, n, len(fv), {v: i for i, v in enumerate(fv)})
-    return _derive_full(len(fv), compact)
+def _conj_derivation(n: int, left: tuple, right: tuple) -> CcqDerivation:
+    """Derive n |- l /\\ r from the premises of the two conjuncts by
+    merging their shared free variables."""
+    (dl, fvl), (dr, fvr) = left, right
+    d = ConjIntro(dl, dr)
+    pos = {}
+    for i, v in enumerate(fvl):
+        pos[("l", v)] = i
+    for i, v in enumerate(fvr):
+        pos[("r", v)] = len(fvl) + i
+    for v in sorted(set(fvl) & set(fvr)):
+        d, tr = _merge_positions(d, pos[("l", v)], pos[("r", v)])
+        pos = {key: tr(p) for key, p in pos.items()}
+    perm = [0] * n
+    for (side, v), p in pos.items():
+        perm[p] = v
+    return _apply_perm(d, perm)
 
 
-def _derive_full(n: int, f: CcqFormula) -> CcqDerivation:
-    """Derive n |- f when every variable below n is free in f."""
+def _atom_derivation(n: int, f: CcqFormula) -> CcqDerivation:
+    """Derive n |- f for an atomic f in which every variable below n is free."""
     if isinstance(f, Top):
         return TopIntro()  # n == 0 after compaction
     if isinstance(f, Eq):
@@ -403,25 +448,6 @@ def _derive_full(n: int, f: CcqFormula) -> CcqDerivation:
         for s, v in enumerate(f.args):
             perm[pos[s]] = v
         return _apply_perm(d, perm)
-    if isinstance(f, Conj):
-        fvl = sorted(free_vars(f.lhs, n))
-        fvr = sorted(free_vars(f.rhs, n))
-        d = ConjIntro(_derive_compact(n, f.lhs, fvl),
-                      _derive_compact(n, f.rhs, fvr))
-        pos = {}
-        for i, v in enumerate(fvl):
-            pos[("l", v)] = i
-        for i, v in enumerate(fvr):
-            pos[("r", v)] = len(fvl) + i
-        for v in sorted(set(fvl) & set(fvr)):
-            d, tr = _merge_positions(d, pos[("l", v)], pos[("r", v)])
-            pos = {key: tr(p) for key, p in pos.items()}
-        perm = [0] * n
-        for (side, v), p in pos.items():
-            perm[p] = v
-        return _apply_perm(d, perm)
-    if isinstance(f, Exists):
-        return ExistsIntro(_derive(n + 1, f.body))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -464,34 +490,36 @@ def eval_ccq(j: CcqJudgment, model: RelModel) -> frozenset:
 
 
 def replay_eval(d: CcqDerivation, model: RelModel) -> frozenset:
-    """Evaluate by recursion on a derivation, one clause per rule."""
+    """Evaluate by induction on a derivation, one clause per rule, in one
+    pass over ``postorder``."""
     size = model.size
-    if isinstance(d, TopIntro):
-        return frozenset({()})
-    if isinstance(d, EqIntro):
-        return frozenset((v, v) for v in range(size))
-    if isinstance(d, RelIntro):
-        sort = model.signature.sort(d.symbol)
-        if sort != (d.arity, 0):
-            raise SignatureError(f"symbol {d.symbol!r} is not an arity-{d.arity} CQ symbol")
-        return frozenset(a for a, _ in model.rho[d.symbol])
-    if isinstance(d, ConjIntro):
-        left = replay_eval(d.left, model)
-        right = replay_eval(d.right, model)
-        return frozenset(a + b for a in left for b in right)
-    if isinstance(d, ExistsIntro):
-        return frozenset(t[:-1] for t in replay_eval(d.child, model))
-    if isinstance(d, SwapVars):
-        k = d.k
-        return frozenset(t[:k] + (t[k + 1], t[k]) + t[k + 2:]
-                         for t in replay_eval(d.child, model))
-    if isinstance(d, MergeVars):
-        return frozenset(t[:-1] for t in replay_eval(d.child, model)
-                         if t[-1] == t[-2])
-    if isinstance(d, AddVar):
-        return frozenset(t + (w,) for t in replay_eval(d.child, model)
-                         for w in range(size))
-    raise TypeError(f"not a derivation: {d!r}")
+    done: list[frozenset] = []  # values of finished subderivations
+    for e in postorder(d, subtrees):
+        if isinstance(e, TopIntro):
+            out = frozenset({()})
+        elif isinstance(e, EqIntro):
+            out = frozenset((v, v) for v in range(size))
+        elif isinstance(e, RelIntro):
+            sort = model.signature.sort(e.symbol)
+            if sort != (e.arity, 0):
+                raise SignatureError(f"symbol {e.symbol!r} is not an arity-{e.arity} CQ symbol")
+            out = frozenset(a for a, _ in model.rho[e.symbol])
+        elif isinstance(e, ConjIntro):
+            right, left = done.pop(), done.pop()
+            out = frozenset(a + b for a in left for b in right)
+        elif isinstance(e, ExistsIntro):
+            out = frozenset(t[:-1] for t in done.pop())
+        elif isinstance(e, SwapVars):
+            k = e.k
+            out = frozenset(t[:k] + (t[k + 1], t[k]) + t[k + 2:] for t in done.pop())
+        elif isinstance(e, MergeVars):
+            out = frozenset(t[:-1] for t in done.pop() if t[-1] == t[-2])
+        elif isinstance(e, AddVar):
+            out = frozenset(t + (w,) for t in done.pop() for w in range(size))
+        else:
+            raise TypeError(f"not a derivation: {e!r}")
+        done.append(out)
+    return done.pop()
 
 
 # -- concrete syntax ---------------------------------------------------------
@@ -573,32 +601,12 @@ def parse_ccq_two_sided(text: str, sig: Signature):
             raise ParseError(f"expected a variable, found {tok!r}")
         return resolve(tok)
 
-    def unit(depth: int) -> CcqFormula:
+    def atom() -> CcqFormula:
+        """A unit that is neither parenthesised nor quantified."""
         tok = peek()
-        if tok == "(":
-            take()
-            out = conj(depth)
-            expect(")")
-            return out
         if tok == "top":
             take()
             return Top()
-        if tok == "exists":
-            take()
-            name = take()
-            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) or name in ("top", "exists"):
-                raise ParseError(f"bad quantifier variable {name!r}")
-            if name in bound:
-                raise ParseError(f"shadowed variable {name!r}")
-            if re.fullmatch(r"x(\d+)", name) and int(name[1:]) < left:
-                raise ParseError(f"shadowed variable {name!r}")
-            if right > 0 and re.fullmatch(r"y(\d+)", name) and int(name[1:]) < right:
-                raise ParseError(f"shadowed variable {name!r}")
-            expect(".")
-            bound[name] = n_free + depth
-            body = conj(depth + 1)
-            del bound[name]
-            return Exists(body)
         if tok is not None and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok) and \
                 pos + 1 < len(tokens) and tokens[pos + 1] == "(":
             name = take()
@@ -625,14 +633,52 @@ def parse_ccq_two_sided(text: str, sig: Signature):
         jdx = variable()
         return Eq(i, jdx)
 
-    def conj(depth: int) -> CcqFormula:
-        out = unit(depth)
-        while peek() == "/\\":
+    # One loop over the units: ``conj`` is the conjunction built so far at
+    # the current level, and each open parenthesis or quantifier saves it
+    # on a stack (with the quantified name), so input of any depth parses.
+    frames: list[tuple] = []  # (conj around it, name or None for a parenthesis)
+    conj = None
+    while True:
+        tok = peek()
+        if tok == "(":
             take()
-            out = Conj(out, unit(depth))
-        return out
+            frames.append((conj, None))
+            conj = None
+            continue
+        if tok == "exists":
+            take()
+            name = take()
+            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) or name in ("top", "exists"):
+                raise ParseError(f"bad quantifier variable {name!r}")
+            if name in bound:
+                raise ParseError(f"shadowed variable {name!r}")
+            if re.fullmatch(r"x(\d+)", name) and int(name[1:]) < left:
+                raise ParseError(f"shadowed variable {name!r}")
+            if right > 0 and re.fullmatch(r"y(\d+)", name) and int(name[1:]) < right:
+                raise ParseError(f"shadowed variable {name!r}")
+            expect(".")
+            bound[name] = n_free + len(bound)  # one binder per open quantifier
+            frames.append((conj, name))
+            conj = None
+            continue
+        unit = atom()
+        while True:  # fold the finished unit in, closing frames as they come
+            conj = unit if conj is None else Conj(conj, unit)
+            if peek() == "/\\" or not frames:
+                break
+            outer, name = frames.pop()
+            if name is None:
+                expect(")")
+                unit = conj
+            else:
+                del bound[name]
+                unit = Exists(conj)
+            conj = outer
+        if peek() != "/\\":
+            break  # the top-level conjunction is complete
+        take()
 
-    formula = conj(0)
+    formula = conj
     if pos != len(tokens):
         raise ParseError(f"trailing input near {tokens[pos]!r}")
     try:
@@ -657,20 +703,27 @@ def format_formula(f: CcqFormula, left: int, right: int) -> str:
             return f"y{i - left}"
         return f"z{i - n_free}"
 
-    def go(u: CcqFormula, depth: int, outer: bool) -> str:
+    # read the pre-order backwards: each node finds its subformulas' texts
+    # on the stack, right conjunct first; a text is kept bare together with
+    # whether it needs parentheses inside a conjunction
+    done: list[tuple[str, bool]] = []
+    for u, depth in reversed(_walk(f, 0)):
         if isinstance(u, Top):
-            return "top"
-        if isinstance(u, Eq):
-            body = f"{var(u.i)} = {var(u.j)}"
-            return body if outer else f"({body})"
-        if isinstance(u, RelAtom):
-            return f"{u.symbol}({', '.join(var(a) for a in u.args)})"
-        if isinstance(u, Conj):
-            body = f"{go(u.lhs, depth, False)} /\\ {go(u.rhs, depth, False)}"
-            return body if outer else f"({body})"
-        if isinstance(u, Exists):
-            body = f"exists z{depth}. {go(u.body, depth + 1, True)}"
-            return body if outer else f"({body})"
-        raise TypeError(f"not a formula: {u!r}")
+            done.append(("top", False))
+        elif isinstance(u, Eq):
+            done.append((f"{var(u.i)} = {var(u.j)}", True))
+        elif isinstance(u, RelAtom):
+            done.append((f"{u.symbol}({', '.join(var(a) for a in u.args)})", False))
+        elif isinstance(u, Conj):
+            lhs, rhs = done.pop(), done.pop()
+            done.append((f"{_inner(lhs)} /\\ {_inner(rhs)}", True))
+        elif isinstance(u, Exists):
+            done.append((f"exists z{depth}. {done.pop()[0]}", True))
+        else:
+            raise TypeError(f"not a formula: {u!r}")
+    return done.pop()[0]
 
-    return go(f, 0, True)
+
+def _inner(text: tuple[str, bool]) -> str:
+    body, wrap = text
+    return f"({body})" if wrap else body

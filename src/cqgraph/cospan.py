@@ -31,7 +31,9 @@ from .gcq import (
     Swap,
     Tensor,
     identity,
+    postorder,
     seq,
+    subtrees,
     tensor,
 )
 from .hypergraph import (
@@ -133,20 +135,15 @@ def term_to_cospan(t: GcqTerm) -> Cospan:
     glue: list[tuple[int, int]] = []
     edges: dict[str, list] = {}
     done: list[tuple[list, list]] = []  # (iota, omega) of finished subterms
-    todo: list[tuple[GcqTerm, bool]] = [(t, False)]
-    while todo:
-        u, children_done = todo.pop()
-        if children_done:
+    for u in postorder(t, subtrees):
+        if isinstance(u, Seq):
             rhs, lhs = done.pop(), done.pop()
-            if isinstance(u, Seq):
-                glue.extend(zip(lhs[1], rhs[0]))
-                done.append((lhs[0], rhs[1]))
-            else:
-                lhs[0].extend(rhs[0])
-                lhs[1].extend(rhs[1])
-                done.append(lhs)
-        elif isinstance(u, (Seq, Tensor)):
-            todo += ((u, True), (u.rhs, False), (u.lhs, False))
+            glue.extend(zip(lhs[1], rhs[0]))
+            done.append((lhs[0], rhs[1]))
+        elif isinstance(u, Tensor):
+            rhs, lhs = done.pop(), done[-1]
+            lhs[0].extend(rhs[0])
+            lhs[1].extend(rhs[1])
         elif isinstance(u, Gen):
             src = range(wires, wires + u.n)
             tgt = range(wires + u.n, wires + u.n + u.m)
@@ -198,18 +195,20 @@ def _merge_fan(d: int) -> GcqTerm:
     """d wires into one: spawn for d=0, folded binary merges otherwise."""
     if d == 0:
         return Spawn()
-    if d == 1:
-        return Id1()
-    return Seq(Tensor(_merge_fan(d - 1), Id1()), Merge())
+    out = Id1()
+    for _ in range(d - 1):
+        out = Seq(Tensor(out, Id1()), Merge())
+    return out
 
 
 def _copy_fan(d: int) -> GcqTerm:
     """One wire into d: discard for d=0, folded binary copies otherwise."""
     if d == 0:
         return Discard()
-    if d == 1:
-        return Id1()
-    return Seq(Copy(), Tensor(_copy_fan(d - 1), Id1()))
+    out = Id1()
+    for _ in range(d - 1):
+        out = Seq(Copy(), Tensor(out, Id1()))
+    return out
 
 
 def _discrete_term(f: tuple, g: tuple, vcount: int) -> GcqTerm:

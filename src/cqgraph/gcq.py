@@ -5,12 +5,17 @@ signature, sequential composition ``;`` and parallel composition ``(+)``.
 Every node carries its sort ``(n, m)``: the number of dangling wires on the
 left and on the right.  No quotienting happens at the data level; equality
 up to the diagrammatic laws lives in :mod:`cqgraph.containment`.
+
+Every pass over a tree is a flat loop over ``postorder``, an explicit
+stack, so terms (and the formulas and derivations of the other modules)
+of any depth are handled under the default recursion limit.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import ParseError, SignatureError, SortError
 from .sigmodel import (
@@ -25,9 +30,69 @@ from .sigmodel import (
 )
 
 
+def postorder(root, children) -> list:
+    """Every node of the tree under root, each after its children and the
+    left subtree before the right: ``children(u)`` lists u's subtrees
+    (for the syntax trees of this package, ``subtrees``).
+
+    An explicit stack, so any depth: the pre-order that visits the right
+    subtree first, read backwards.
+    """
+    out, todo = [], [root]
+    while todo:
+        u = todo.pop()
+        out.append(u)
+        todo += children(u)
+    out.reverse()
+    return out
+
+
+# A node of a term, formula, derivation or converse-algebra term lists its
+# subtrees, left to right, in ``children``: a class attribute () on leaves.
+subtrees = attrgetter("children")
+
+
+class Branch:
+    """An inner node of a syntax tree, whose fields are its ``children``.
+
+    ``==``, ``hash`` and ``repr`` walk the tree with ``postorder`` instead
+    of recursing through the fields as the dataclass defaults do.  Put it
+    first among the bases and pass ``eq=False, repr=False`` to dataclass.
+    """
+
+    def _key(self) -> tuple:
+        # the class of each inner node (which fixes its number of subtrees)
+        # and each leaf, in post-order: equal keys, equal trees
+        return tuple(type(u) if isinstance(u, Branch) else u
+                     for u in postorder(self, subtrees))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        done: list[str] = []  # reprs of finished subtrees
+        for u in postorder(self, subtrees):
+            if isinstance(u, Branch):
+                names = u.__match_args__
+                args = done[len(done) - len(names):]
+                del done[len(done) - len(names):]
+                done.append(f"{type(u).__qualname__}("
+                            + ", ".join(f"{n}={a}" for n, a in zip(names, args)) + ")")
+            else:
+                done.append(repr(u))
+        return done.pop()
+
+
 @dataclass(frozen=True)
 class GcqTerm:
     """Base class for term nodes; immutable, sort available as ``.sort``."""
+
+    children = ()
 
     @property
     def sort(self) -> Sort:
@@ -104,10 +169,12 @@ class Gen(GcqTerm):
         return Sort(self.n, self.m)
 
 
-@dataclass(frozen=True)
-class Seq(GcqTerm):
+@dataclass(frozen=True, eq=False, repr=False)
+class Seq(Branch, GcqTerm):
     lhs: GcqTerm
     rhs: GcqTerm
+
+    children = property(attrgetter("lhs", "rhs"))
 
     def __post_init__(self):
         if self.lhs.sort.m != self.rhs.sort.n:
@@ -121,10 +188,12 @@ class Seq(GcqTerm):
         return self._sort
 
 
-@dataclass(frozen=True)
-class Tensor(GcqTerm):
+@dataclass(frozen=True, eq=False, repr=False)
+class Tensor(Branch, GcqTerm):
     lhs: GcqTerm
     rhs: GcqTerm
+
+    children = property(attrgetter("lhs", "rhs"))
 
     def __post_init__(self):
         a, b = self.lhs.sort, self.rhs.sort
@@ -162,78 +231,72 @@ def identity(n: int) -> GcqTerm:
 
 def n_copy(n: int) -> GcqTerm:
     """Bundle-wise copy: sort (n, 2n), duplicating the whole n-wire bundle."""
-    if n == 0:
-        return Id0()
-    rest = n_copy(n - 1)
-    # (copy_1 (+) copy_{n-1}) ; (id (+) swap_{1,n-1} (+) id_{n-1})
-    return Seq(Tensor(Copy(), rest),
-               tensor(Id1(), n_swap(1, n - 1), identity(n - 1)))
+    out = Id0()
+    for k in range(1, n + 1):
+        # (copy_1 (+) copy_{k-1}) ; (id (+) swap_{1,k-1} (+) id_{k-1})
+        out = Seq(Tensor(Copy(), out),
+                  tensor(Id1(), n_swap(1, k - 1), identity(k - 1)))
+    return out
 
 
 def n_merge(n: int) -> GcqTerm:
     """Bundle-wise merge: sort (2n, n)."""
+    out = Id0()
+    for k in range(1, n + 1):
+        out = Seq(tensor(Id1(), n_swap(k - 1, 1), identity(k - 1)),
+                  Tensor(Merge(), out))
+    return out
+
+
+def _parallel(leaf: GcqTerm, n: int) -> GcqTerm:
+    """n parallel copies of a leaf, nested to the right; id0 for n = 0."""
     if n == 0:
         return Id0()
-    rest = n_merge(n - 1)
-    return Seq(tensor(Id1(), n_swap(n - 1, 1), identity(n - 1)),
-               Tensor(Merge(), rest))
+    out = leaf
+    for _ in range(n - 1):
+        out = Tensor(leaf, out)
+    return out
 
 
 def n_discard(n: int) -> GcqTerm:
     """n parallel discards: sort (n, 0)."""
-    if n == 0:
-        return Id0()
-    if n == 1:
-        return Discard()
-    return Tensor(Discard(), n_discard(n - 1))
+    return _parallel(Discard(), n)
 
 
 def n_spawn(n: int) -> GcqTerm:
     """n parallel spawns: sort (0, n)."""
-    if n == 0:
-        return Id0()
-    if n == 1:
-        return Spawn()
-    return Tensor(Spawn(), n_spawn(n - 1))
+    return _parallel(Spawn(), n)
 
 
 def n_swap(n: int, m: int) -> GcqTerm:
     """Block crossing of n wires over m wires: sort (n+m, m+n)."""
-    if n == 0:
-        return identity(m)
-    if m == 0:
-        return identity(n)
-    if n == 1 and m == 1:
-        return Swap()
-    if n == 1:
-        # (swap (+) id_{m-1}) ; (id (+) swap_{1,m-1})
-        return Seq(Tensor(Swap(), identity(m - 1)),
-                   Tensor(Id1(), n_swap(1, m - 1)))
-    # (id (+) swap_{n-1,m}) ; (swap_{1,m} (+) id_{n-1})
-    return Seq(Tensor(Id1(), n_swap(n - 1, m)),
-               Tensor(n_swap(1, m), identity(n - 1)))
+    if n == 0 or m == 0:
+        return identity(n + m)
+    row = Swap()  # swap_{1,k}, grown one wire at a time:
+    for k in range(2, m + 1):
+        # (swap (+) id_{k-1}) ; (id (+) swap_{1,k-1})
+        row = Seq(Tensor(Swap(), identity(k - 1)), Tensor(Id1(), row))
+    out = row  # swap_{k,m}, grown one wire at a time:
+    for k in range(2, n + 1):
+        # (id (+) swap_{k-1,m}) ; (swap_{1,m} (+) id_{k-1})
+        out = Seq(Tensor(Id1(), out), Tensor(row, identity(k - 1)))
+    return out
 
 
 def generator_count(t: GcqTerm) -> int:
     """Number of leaf generators (constants and boxes) in the tree."""
-    if isinstance(t, (Seq, Tensor)):
-        return generator_count(t.lhs) + generator_count(t.rhs)
-    return 1
+    return sum(1 for u in postorder(t, subtrees) if not isinstance(u, (Seq, Tensor)))
 
 
 def term_signature(t: GcqTerm) -> Signature:
     """The signature spanned by the boxes occurring in t."""
     table: dict[str, tuple[int, int]] = {}
-    todo = [t]
-    while todo:
-        u = todo.pop()
+    for u in postorder(t, subtrees):
         if isinstance(u, Gen):
             prev = table.get(u.name)
             if prev is not None and prev != (u.n, u.m):
                 raise SignatureError(f"symbol {u.name!r} used at two sorts")
             table[u.name] = (u.n, u.m)
-        elif isinstance(u, (Seq, Tensor)):
-            todo += (u.rhs, u.lhs)
     return Signature(table)
 
 
@@ -241,21 +304,17 @@ def eval_gcq(t: GcqTerm, model: RelModel) -> Relation:
     """The relation denoted by t in the given model.
 
     Constants get their fixed interpretation, boxes look up ``rho``,
-    composition and tensor go to the relation algebra.  An explicit-stack
-    post-order, so terms of any depth evaluate.
+    composition and tensor go to the relation algebra, in one pass over
+    ``postorder``.
     """
     done: list[Relation] = []  # relations of finished subterms
-    todo: list[tuple[GcqTerm, bool]] = [(t, False)]
-    while todo:
-        u, children_done = todo.pop()
-        if children_done:
-            rhs, lhs = done.pop(), done.pop()
-            if isinstance(u, Seq):
-                done.append(relation_compose(lhs, rhs))
-            else:
-                done.append(relation_tensor(lhs, rhs))
-        elif isinstance(u, (Seq, Tensor)):
-            todo += ((u, True), (u.rhs, False), (u.lhs, False))
+    for u in postorder(t, subtrees):
+        if isinstance(u, Seq):
+            rhs = done.pop()
+            done[-1] = relation_compose(done[-1], rhs)
+        elif isinstance(u, Tensor):
+            rhs = done.pop()
+            done[-1] = relation_tensor(done[-1], rhs)
         else:
             done.append(_leaf_relation(u, model))
     return done.pop()

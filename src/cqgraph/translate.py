@@ -1,7 +1,7 @@
 """Semantics-preserving translations between query formulas and diagram terms.
 
 ``theta`` turns a judgment ``n |- f`` into a term of sort ``(n, 0)`` by
-recursion on its canonical derivation: each of the eight judgment rules has
+induction on its canonical derivation: each of the eight judgment rules has
 a fixed wiring.  ``lambda_term`` goes the other way, producing a two-sided
 judgment whose left variables are the term's inputs and right variables its
 outputs; composition introduces existentially quantified middle variables.
@@ -49,6 +49,8 @@ from .gcq import (
     Swap,
     Tensor,
     identity,
+    postorder,
+    subtrees,
 )
 from .sigmodel import RelModel, Signature
 
@@ -97,18 +99,9 @@ def theta(j: CcqJudgment) -> GcqTerm:
 
 
 def _theta(d: CcqDerivation) -> GcqTerm:
-    """Apply each rule's wiring bottom-up over the derivation.
-
-    An explicit-stack post-order, so derivations of any depth translate.
-    """
+    """Apply each rule's wiring bottom-up over the derivation."""
     done: list[GcqTerm] = []  # translations of finished subderivations
-    todo = [(d, False)]
-    while todo:
-        e, children_done = todo.pop()
-        if e.children and not children_done:
-            todo.append((e, True))
-            todo.extend((c, False) for c in reversed(e.children))
-            continue
+    for e in postorder(d, subtrees):
         if isinstance(e, TopIntro):
             out = Id0()
         elif isinstance(e, EqIntro):
@@ -136,48 +129,51 @@ def _theta(d: CcqDerivation) -> GcqTerm:
 
 def lambda_term(t: GcqTerm) -> TwoSidedJudgment:
     """Translate a term of sort (n, m) to a two-sided judgment n,m |- f."""
-    if isinstance(t, Copy):
-        return TwoSidedJudgment(1, 2, Conj(Eq(0, 1), Eq(0, 2)))
-    if isinstance(t, Discard):
-        return TwoSidedJudgment(1, 0, Top())
-    if isinstance(t, Merge):
-        return TwoSidedJudgment(2, 1, Conj(Eq(0, 2), Eq(1, 2)))
-    if isinstance(t, Spawn):
-        return TwoSidedJudgment(0, 1, Top())
-    if isinstance(t, Id0):
-        return TwoSidedJudgment(0, 0, Top())
-    if isinstance(t, Id1):
-        return TwoSidedJudgment(1, 1, Eq(0, 1))
-    if isinstance(t, Swap):
-        return TwoSidedJudgment(2, 2, Conj(Eq(0, 3), Eq(1, 2)))
-    if isinstance(t, Gen):
-        return TwoSidedJudgment(t.n, t.m, RelAtom(t.name, tuple(range(t.n + t.m))))
-    if isinstance(t, Tensor):
-        a = lambda_term(t.lhs)
-        b = lambda_term(t.rhs)
-        l1, r1, l2, r2 = a.left, a.right, b.left, b.right
-        total = l1 + l2 + r1 + r2
-        fa = rename(a.formula, l1 + r1, total,
-                    {l1 + i: l1 + l2 + i for i in range(r1)})
-        fb = rename(b.formula, l2 + r2, total,
-                    {**{i: l1 + i for i in range(l2)},
-                     **{l2 + i: l1 + l2 + r1 + i for i in range(r2)}})
-        return TwoSidedJudgment(l1 + l2, r1 + r2, Conj(fa, fb))
-    if isinstance(t, Seq):
-        a = lambda_term(t.lhs)
-        b = lambda_term(t.rhs)
-        k, mid, n = a.left, a.right, b.right
-        total = k + n + mid  # middle variables become the topmost indices
-        fa = rename(a.formula, k + mid, total,
-                    {k + i: k + n + i for i in range(mid)})
-        fb = rename(b.formula, mid + n, total,
-                    {**{i: k + n + i for i in range(mid)},
-                     **{mid + i: k + i for i in range(n)}})
-        body: CcqFormula = Conj(fa, fb)
-        for _ in range(mid):
-            body = Exists(body)
-        return TwoSidedJudgment(k, n, body)
-    raise TypeError(f"not a term: {t!r}")
+    done: list[TwoSidedJudgment] = []  # translations of finished subterms
+    for u in postorder(t, subtrees):
+        if isinstance(u, Tensor):
+            b, a = done.pop(), done.pop()
+            l1, r1, l2, r2 = a.left, a.right, b.left, b.right
+            total = l1 + l2 + r1 + r2
+            fa = rename(a.formula, l1 + r1, total,
+                        {l1 + i: l1 + l2 + i for i in range(r1)})
+            fb = rename(b.formula, l2 + r2, total,
+                        {**{i: l1 + i for i in range(l2)},
+                         **{l2 + i: l1 + l2 + r1 + i for i in range(r2)}})
+            out = TwoSidedJudgment(l1 + l2, r1 + r2, Conj(fa, fb))
+        elif isinstance(u, Seq):
+            b, a = done.pop(), done.pop()
+            k, mid, n = a.left, a.right, b.right
+            total = k + n + mid  # middle variables become the topmost indices
+            fa = rename(a.formula, k + mid, total,
+                        {k + i: k + n + i for i in range(mid)})
+            fb = rename(b.formula, mid + n, total,
+                        {**{i: k + n + i for i in range(mid)},
+                         **{mid + i: k + i for i in range(n)}})
+            body: CcqFormula = Conj(fa, fb)
+            for _ in range(mid):
+                body = Exists(body)
+            out = TwoSidedJudgment(k, n, body)
+        elif isinstance(u, Copy):
+            out = TwoSidedJudgment(1, 2, Conj(Eq(0, 1), Eq(0, 2)))
+        elif isinstance(u, Discard):
+            out = TwoSidedJudgment(1, 0, Top())
+        elif isinstance(u, Merge):
+            out = TwoSidedJudgment(2, 1, Conj(Eq(0, 2), Eq(1, 2)))
+        elif isinstance(u, Spawn):
+            out = TwoSidedJudgment(0, 1, Top())
+        elif isinstance(u, Id0):
+            out = TwoSidedJudgment(0, 0, Top())
+        elif isinstance(u, Id1):
+            out = TwoSidedJudgment(1, 1, Eq(0, 1))
+        elif isinstance(u, Swap):
+            out = TwoSidedJudgment(2, 2, Conj(Eq(0, 3), Eq(1, 2)))
+        elif isinstance(u, Gen):
+            out = TwoSidedJudgment(u.n, u.m, RelAtom(u.name, tuple(range(u.n + u.m))))
+        else:
+            raise TypeError(f"not a term: {u!r}")
+        done.append(out)
+    return done.pop()
 
 
 def relational_signature(sig: Signature) -> Signature:

@@ -142,6 +142,18 @@ def random_judgment(rng: random.Random, sig: Signature,
     return CcqJudgment(ctx, random_formula(rng, sig, ctx, rng.randint(0, max_depth)))
 
 
+def clique(n: int, reverse: bool) -> str:
+    """The n-clique formula with x0 free, atoms and quantifiers in either order."""
+    edges = [(i, k) for i in range(n) for k in range(n) if i != k]
+    bound = list(range(1, n))
+    if reverse:
+        edges.reverse()
+        bound.reverse()
+    name = {0: "x0", **{v: f"z{v}" for v in bound}}
+    prefix = "".join(f"exists z{v}. " for v in bound)
+    return "1 |- " + prefix + " /\\ ".join(f"R({name[a]}, {name[b]})" for a, b in edges)
+
+
 def random_hypergraph(rng: random.Random, sig: Signature,
                       max_v: int = 3, max_edges: int = 3) -> Hypergraph:
     v = rng.randint(0, max_v)

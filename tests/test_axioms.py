@@ -14,7 +14,7 @@ from cqgraph.axioms import (
     verify_axiom_semantic,
 )
 from cqgraph.containment import decide_equivalence, decide_inclusion
-from cqgraph.gcq import Copy, Discard, Gen, Id1, Merge, Seq, Tensor, eval_gcq, n_discard
+from cqgraph.gcq import Copy, Discard, Gen, Id1, Merge, Seq, Tensor, eval_gcq, n_discard, seq
 from cqgraph.sigmodel import Signature, Sort, full_relation, random_model
 
 SIG = Signature({"E": (1, 1), "J": (2, 1), "P": (2, 0), "D": (1, 0)})
@@ -154,3 +154,10 @@ def test_converse_is_an_involution(rng):
         t = random_cp(rng, 2)
         doubled = encode_cp(CpConverse(CpConverse(t)))
         assert decide_equivalence(doubled, encode_cp(t)).holds
+
+
+def test_encode_a_deep_composition_chain():
+    chain = CpRel("E")
+    for _ in range(1199):
+        chain = CpComp(chain, CpRel("E"))
+    assert encode_cp(chain) == seq(*([Gen("E", 1, 1)] * 1200))

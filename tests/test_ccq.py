@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import model_battery, naive_eval_ccq, random_judgment
+from conftest import clique, model_battery, naive_eval_ccq, random_judgment
 from cqgraph.ccq import (
     AddVar,
     CcqJudgment,
@@ -23,7 +23,7 @@ from cqgraph.ccq import (
     substitute,
 )
 from cqgraph.errors import ParseError, SignatureError
-from cqgraph.sigmodel import RelModel, Signature
+from cqgraph.sigmodel import RelModel, Signature, random_model
 
 SIG = Signature({"R": (2, 0), "S": (1, 0)})
 
@@ -202,3 +202,39 @@ def test_exists_clause_brute_force(rng):
         for model in model_battery(SIG, rng, sizes=(1, 2)):
             inner = eval_ccq(j, model)
             assert eval_ccq(closed, model) == frozenset(t[:-1] for t in inner)
+
+
+def test_deeply_nested_formula_parses_prints_and_compares():
+    text = "1 |- " + "".join(f"exists z{i}. " for i in range(1200)) + "top"
+    j = parse_ccq(text, SIG)
+    assert print_ccq(j) == text
+    again = parse_ccq(text.replace("top", "(top)"), SIG)
+    assert j == again and hash(j) == hash(again)
+    assert j != parse_ccq(text.replace("top", "x0 = x0"), SIG)
+    assert repr(j.formula).count("Exists(body=") == 1200
+
+
+def test_parse_errors_inside_nesting():
+    for text, message in [
+        ("1 |- (exists z. top x0", "expected ')', found 'x0'"),
+        ("1 |- ((top)", "unexpected end of input"),
+        ("1 |- (top))", "trailing input near ')'"),
+        ("1 |- (exists z. top) /\\ x0 = z", "unbound variable 'z'"),
+        ("1 |- exists z. exists z. top", "shadowed variable 'z'"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_ccq(text, SIG)
+        assert str(err.value) == message
+    assert parse_ccq("1 |- exists z. (exists w. R(z, w)) /\\ S(z)", SIG).formula == \
+        Exists(Conj(Exists(RelAtom("R", (1, 2))), RelAtom("S", (1,))))
+
+
+def test_replay_of_the_deep_clique_derivation():
+    # K8 with x0 free: a derivation about a thousand rules deep
+    sig = Signature({"R": (2, 0)})
+    j = parse_ccq(clique(8, False), sig)
+    d = derive(j)
+    rng = random.Random(8)
+    for size, density in [(0, 0.9), (1, 0.9), (2, 0.9), (2, 0.5), (3, 0.3)]:
+        model = random_model(sig, size, rng, density=density)
+        assert replay_eval(d, model) == eval_ccq(j, model)

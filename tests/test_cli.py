@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from conftest import clique
 from cqgraph.cli import main
 
 SIG_CCQ = '{"R": [2, 0]}'
@@ -138,15 +139,27 @@ def test_translate_verify_on_intro(workdir, capsys):
 
 def test_translate_deep_clique(workdir, capsys):
     # K8 with x0 free: 56 atoms, a term nested about a thousand levels deep
-    edges = [(i, k) for i in range(8) for k in range(8) if i != k]
-    name = {0: "x0", **{v: f"z{v}" for v in range(1, 8)}}
-    body = ("1 |- " + "".join(f"exists z{v}. " for v in range(1, 8))
-            + " /\\ ".join(f"R({name[a]}, {name[b]})" for a, b in edges))
-    (workdir / "k8.ccq").write_text(f"signature: sig.json\n{body}\n")
+    (workdir / "k8.ccq").write_text(f"signature: sig.json\n{clique(8, False)}\n")
     code = main(["translate", str(workdir / "k8.ccq")])
     out = capsys.readouterr().out
     assert code == 0
     assert len(re.findall(r"\bR\b", out)) == 56
+
+
+def test_check_deeply_nested_quantifiers(workdir, capsys):
+    body = "0 |- " + "".join(f"exists z{i}. " for i in range(600)) + "top"
+    (workdir / "deep.ccq").write_text(f"signature: sig.json\n{body}\n")
+    code = main(["check", str(workdir / "deep.ccq"), str(workdir / "deep.ccq")])
+    capsys.readouterr()
+    assert code == 0
+
+
+def test_translate_long_chain(workdir, capsys):
+    (workdir / "chain.gcq").write_text("signature: diag.json\n" + " ; ".join(["R"] * 600))
+    code = main(["translate", str(workdir / "chain.gcq")])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("1,1 |- exists z0. ") and out.count("R(") == 600
 
 
 def test_export_dot_counts(workdir, capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import model_battery, random_hypergraph, random_term, random_term_pairs
+from conftest import clique, model_battery, random_hypergraph, random_term, random_term_pairs
 from cqgraph.ccq import parse_ccq
 from cqgraph.containment import (
     decide_equivalence,
@@ -88,18 +88,6 @@ def test_sort_mismatch_is_an_error():
 CCQ_SIG = Signature({"R": (2, 0)})
 
 
-def clique(n: int, reverse: bool) -> str:
-    """The n-clique formula with x0 free, atoms and quantifiers in either order."""
-    edges = [(i, k) for i in range(n) for k in range(n) if i != k]
-    bound = list(range(1, n))
-    if reverse:
-        edges.reverse()
-        bound.reverse()
-    name = {0: "x0", **{v: f"z{v}" for v in bound}}
-    prefix = "".join(f"exists z{v}. " for v in bound)
-    return "1 |- " + prefix + " /\\ ".join(f"R({name[a]}, {name[b]})" for a, b in edges)
-
-
 def test_deep_clique_formulas_are_equivalent():
     # K8 with x0 free: 56 atoms, a derivation about a thousand rules deep
     k8 = theta(parse_ccq(clique(8, False), CCQ_SIG))
@@ -108,10 +96,9 @@ def test_deep_clique_formulas_are_equivalent():
 
 
 def test_deep_clique_term_prints_and_parses_back():
-    # theta(K8) prints with parentheses nested about a thousand deep; the
-    # text is compared, as == on terms that deep exhausts the Python stack
-    text = print_gcq(theta(parse_ccq(clique(8, False), CCQ_SIG)))
-    assert print_gcq(parse_gcq(text, CCQ_SIG)) == text
+    # theta(K8) prints with parentheses nested about a thousand deep
+    k8 = theta(parse_ccq(clique(8, False), CCQ_SIG))
+    assert parse_gcq(print_gcq(k8), CCQ_SIG) == k8
 
 
 def test_long_chain_is_included_in_itself():

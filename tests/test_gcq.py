@@ -14,6 +14,7 @@ from cqgraph.gcq import (
     Swap,
     Tensor,
     eval_gcq,
+    generator_count,
     n_copy,
     n_discard,
     n_merge,
@@ -21,6 +22,7 @@ from cqgraph.gcq import (
     n_swap,
     parse_gcq,
     print_gcq,
+    seq,
 )
 from cqgraph.sigmodel import RelModel, Signature, Sort, relation_compose, relation_tensor
 
@@ -193,3 +195,29 @@ def test_precongruence_on_models(rng):
             if c.sort.m == d.sort.n:
                 assert eval_gcq(Seq(c, d), model).pairs <= \
                     eval_gcq(Seq(c2, d2), model).pairs
+
+
+def test_composites_compare_hash_and_print_like_dataclasses():
+    a, b = Seq(Copy(), Merge()), Seq(Copy(), Merge())
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert Tensor(Copy(), Merge()) != a
+    assert Seq(Copy(), Seq(Merge(), Copy())) != Seq(Seq(Copy(), Merge()), Copy())
+    assert Seq(Gen("S", 1, 1), Id1()) != Seq(Gen("T", 1, 1), Id1())
+    assert repr(Seq(Copy(), Tensor(Gen("S", 1, 1), Id1()))) == \
+        "Seq(lhs=Copy(), rhs=Tensor(lhs=Gen(name='S', n=1, m=1), rhs=Id1()))"
+
+
+def test_long_chain_counts_compares_hashes_and_prints():
+    chain = seq(*([Gen("S", 1, 1)] * 1200))
+    again = seq(*([Gen("S", 1, 1)] * 1200))
+    assert generator_count(chain) == 1200
+    assert chain == again and hash(chain) == hash(again)
+    assert chain != seq(*([Gen("S", 1, 1)] * 1199), Id1())
+    assert repr(chain).count("Gen(name='S', n=1, m=1)") == 1200
+
+
+def test_wide_sugar_builds_without_recursion():
+    assert generator_count(n_discard(1500)) == 1500
+    assert n_spawn(1500).sort == Sort(0, 1500)
+    assert n_copy(40).sort == Sort(40, 80)
+    assert n_merge(40).sort == Sort(80, 40)

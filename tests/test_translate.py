@@ -8,6 +8,7 @@ from cqgraph.ccq import (
     Top,
     eval_ccq,
     parse_ccq,
+    parse_ccq_two_sided,
 )
 from cqgraph.gcq import (
     Copy,
@@ -19,6 +20,9 @@ from cqgraph.gcq import (
     Seq,
     Spawn,
     eval_gcq,
+    postorder,
+    seq,
+    subtrees,
 )
 from cqgraph.sigmodel import RelModel, Signature, Sort
 from cqgraph.translate import (
@@ -139,11 +143,29 @@ def test_relational_signature():
 
 def test_two_sided_judgments_reparse(rng):
     # the printed form of any translated term parses back structurally
-    from cqgraph.ccq import parse_ccq_two_sided
-
     flat = relational_signature(DIAG_SIG)
     for _ in range(40):
         t = random_term(rng, DIAG_SIG, max_nodes=8, width_cap=4)
         tsj = lambda_term(t)
         left, right, formula = parse_ccq_two_sided(str(tsj), flat)
         assert (left, right, formula) == (tsj.left, tsj.right, tsj.formula)
+
+
+def test_theta_of_a_long_path():
+    body = " /\\ ".join(f"R(z{i}, z{i + 1})" for i in range(200))
+    j = parse_ccq("0 |- " + "".join(f"exists z{i}. " for i in range(201)) + body, SIG)
+    t = theta(j)
+    assert t.sort == Sort(0, 0)
+    assert sum(isinstance(u, Gen) for u in postorder(t, subtrees)) == 200
+
+
+def test_theta_of_a_long_conjunction_of_truths():
+    j = parse_ccq("0 |- " + " /\\ ".join(["top"] * 600), SIG)
+    assert theta(j) == Id0()
+
+
+def test_lambda_of_a_long_chain_prints_and_parses_back():
+    tsj = lambda_term(seq(*([Gen("R", 1, 1)] * 600)))
+    assert (tsj.left, tsj.right) == (1, 1)
+    flat = relational_signature(DIAG_SIG)
+    assert parse_ccq_two_sided(str(tsj), flat) == (1, 1, tsj.formula)
