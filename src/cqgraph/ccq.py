@@ -196,8 +196,8 @@ class RelIntro(CcqDerivation):
         object.__setattr__(self, "_conclusion", concl)
 
 
-@dataclass(frozen=True)
-class ConjIntro(CcqDerivation):
+@dataclass(frozen=True, eq=False, repr=False)
+class ConjIntro(Branch, CcqDerivation):
     left: CcqDerivation
     right: CcqDerivation
 
@@ -216,8 +216,8 @@ class ConjIntro(CcqDerivation):
     children = property(attrgetter("left", "right"))
 
 
-@dataclass(frozen=True)
-class ExistsIntro(CcqDerivation):
+@dataclass(frozen=True, eq=False, repr=False)
+class ExistsIntro(Branch, CcqDerivation):
     child: CcqDerivation
 
     def __post_init__(self):
@@ -232,12 +232,13 @@ class ExistsIntro(CcqDerivation):
         return (self.child,)
 
 
-@dataclass(frozen=True)
-class SwapVars(CcqDerivation):
+@dataclass(frozen=True, eq=False, repr=False)
+class SwapVars(Branch, CcqDerivation):
     """Swap free variables k and k+1 in the conclusion."""
 
     child: CcqDerivation
     k: int
+    tags = ("k",)  # unannotated: a class attribute, not a field
 
     def __post_init__(self):
         j = self.child.conclusion
@@ -252,8 +253,8 @@ class SwapVars(CcqDerivation):
         return (self.child,)
 
 
-@dataclass(frozen=True)
-class MergeVars(CcqDerivation):
+@dataclass(frozen=True, eq=False, repr=False)
+class MergeVars(Branch, CcqDerivation):
     """Identify the last two free variables, shrinking the context by one."""
 
     child: CcqDerivation
@@ -271,8 +272,8 @@ class MergeVars(CcqDerivation):
         return (self.child,)
 
 
-@dataclass(frozen=True)
-class AddVar(CcqDerivation):
+@dataclass(frozen=True, eq=False, repr=False)
+class AddVar(Branch, CcqDerivation):
     """Weaken: introduce a fresh last free variable."""
 
     child: CcqDerivation

@@ -53,18 +53,20 @@ subtrees = attrgetter("children")
 
 
 class Branch:
-    """An inner node of a syntax tree, whose fields are its ``children``.
+    """An inner node of a syntax tree, whose fields are its ``children``, then its ``tags``.
 
     ``==``, ``hash`` and ``repr`` walk the tree with ``postorder`` instead
     of recursing through the fields as the dataclass defaults do.  Put it
     first among the bases and pass ``eq=False, repr=False`` to dataclass.
     """
 
+    tags = ()  # the names of the fields after the children, which hold no subtree
+
     def _key(self) -> tuple:
-        # the class of each inner node (which fixes its number of subtrees)
-        # and each leaf, in post-order: equal keys, equal trees
-        return tuple(type(u) if isinstance(u, Branch) else u
-                     for u in postorder(self, subtrees))
+        # each leaf, and each inner node's class (fixing its number of
+        # subtrees) with its tags, in post-order: equal keys, equal trees
+        return tuple(((type(u), *map(u.__getattribute__, u.tags)) if u.tags else type(u))
+                     if isinstance(u, Branch) else u for u in postorder(self, subtrees))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -79,8 +81,9 @@ class Branch:
         for u in postorder(self, subtrees):
             if isinstance(u, Branch):
                 names = u.__match_args__
-                args = done[len(done) - len(names):]
-                del done[len(done) - len(names):]
+                split = len(done) - len(names) + len(u.tags)
+                args = done[split:] + [repr(getattr(u, n)) for n in u.tags]
+                del done[split:]
                 done.append(f"{type(u).__qualname__}("
                             + ", ".join(f"{n}={a}" for n, a in zip(names, args)) + ")")
             else:

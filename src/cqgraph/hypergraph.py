@@ -7,8 +7,9 @@ symbol's sort.  Edge lists may contain duplicates: parallel edges with
 identical tentacles are distinct edges, and morphisms carry explicit edge
 maps for exactly that reason.
 
-Morphism search is a backtracking enumeration over vertex images in index
-order, pruning through edges as soon as all their tentacles are assigned.
+Morphism search is a backtracking enumeration over vertex images, drawn
+from an index of h's edges where an edge constrains them, pruning through
+edges as soon as all their tentacles are assigned.
 The answer list is deterministic: vertex maps come out in lexicographic
 order and edge images ascend within each vertex map.  Isomorphism search is
 the same search with an injective vertex map, whose edges may land only on
@@ -149,6 +150,18 @@ class _Search:
     classes to distinct classes, so matched class sizes give an edge
     bijection class by class, and equal totals leave no edge of h
     uncovered.  Needed: an isomorphism restricts to a bijection K -> f(K).
+
+    Two rules narrow the images tried at v without changing the answers.
+    (a) An edge checkable at v admits, ascending, only the images an index
+    of its targets lists for its other tentacles' images; any other fails
+    it, so the maps and their order are those of a loop over all of h.
+    (b) An existence search (limit 1, not injective) tries, of the vertices
+    of h with no preimage yet, only the smallest of each swap class: a ~ b
+    iff the transposition (a b) is an automorphism of h.  It fixes every
+    image so far, so it carries a map through b, and the edge of (a), to
+    ones through a: sound.  That copy is lexicographically smaller, so the
+    first map found, the witness, never goes through b.  Only an image
+    after a failed one with no other preimage is pruned: classes wait.
     """
 
     def __init__(self, g: Hypergraph, h: Hypergraph, pins, limit, budget, injective):
@@ -161,15 +174,13 @@ class _Search:
         self.results: list[HgMorphism] = []
 
         self.vmap: list = [None] * g.vcount
-        self.used = [False] * h.vcount  # images taken; only an injective search marks them
-        self.infeasible = False
+        self.hits = [0] * h.vcount  # preimages of each vertex of h so far
         for v, img in (pins or {}).items():
             if not (0 <= v < g.vcount) or not (0 <= img < h.vcount):
                 raise ModelError("pin outside the graphs")
             self.vmap[v] = img
-            if injective:
-                self.infeasible |= self.used[img]  # two pins on one image
-                self.used[img] = True
+            self.hits[img] += 1
+        self.infeasible = injective and any(n > 1 for n in self.hits)  # two pins on one image
 
         # image lookup: symbol -> tentacle tuple pair -> ascending edge ids;
         # targets: (symbol, class size or None) -> flat tentacle tuples of h
@@ -198,10 +209,7 @@ class _Search:
                     self.fresh_at[max(unpinned)].append(ref)
                 else:
                     self.ready.append(ref)
-
-        self.root_break = None
-        if not injective and limit == 1 and not pins and g.vcount > 0 and h.vcount > 1:
-            self.root_break = self.root_candidates()
+        self.by_rest: dict[tuple, dict] = {}  # rule (a): (id of targets, positions) -> index
 
     def tick(self):
         self.steps += 1
@@ -261,76 +269,94 @@ class _Search:
         self.assign()
         return self.results
 
-    def root_candidates(self) -> list[int]:
-        """Class representatives for the very first branching vertex.
+    def images(self, v: int):
+        """Rule (a): the images an edge checkable at v allows there, given
+        its other tentacles' images, ascending; else every vertex of h."""
+        if not self.fresh_at[v]:
+            return range(self.h.vcount)
+        verts, fset = self.fresh_at[v][0]
+        at = tuple(k for k, x in enumerate(verts) if x == v)
+        rest = [k for k, x in enumerate(verts) if x != v]
+        index = self.by_rest.get((id(fset), at))
+        if index is None:  # flats sorted: within a key, ascending at v
+            index = self.by_rest[id(fset), at] = {}
+            for flat in sorted(fset):
+                if all(flat[k] == flat[at[0]] for k in at):
+                    index.setdefault(tuple(flat[k] for k in rest), []).append(flat[at[0]])
+        return index.get(tuple(self.vmap[verts[k]] for k in rest), ())
 
-        Only used for existence checks (limit 1, no pins): when exchanging
-        two target vertices is an automorphism, any morphism through one
-        can be rerouted through the other, so one representative suffices.
-        Classes are the transitive closure over such transpositions.
-        """
-        h = self.h
-        parent = list(range(h.vcount))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def is_swap_automorphism(a: int, b: int) -> bool:
-            sub = {a: b, b: a}
-            for rows in h.edges.values():
-                swapped = sorted((tuple(sub.get(v, v) for v in s),
-                                  tuple(sub.get(v, v) for v in t)) for s, t in rows)
-                if swapped != sorted(rows):
-                    return False
-            return True
-
-        for a in range(h.vcount):
-            for b in range(a + 1, h.vcount):
-                if find(a) != find(b) and is_swap_automorphism(a, b):
-                    parent[find(b)] = find(a)
-        return sorted({find(v) for v in range(h.vcount)})
+    def swap_classes(self) -> list[list[int]]:
+        """Rule (b): each vertex's swap class in h, ascending.  Swappable a, b
+        share N(a) - {a} (not adjacent) or N(a) + {a} (adjacent), and (a b) is
+        an automorphism iff it permutes the edges at a or b.  (a c)(c b)(a c)
+        = (a b), so ~ is an equivalence.  No class mixes the kinds: a ~ b
+        apart and b ~ c adjacent give a ~ c adjacent, and then b, in
+        N(c) + {c} = N(a) + {a}, is adjacent to a.  So a class lies in one
+        bucket, where one test per class met finds it."""
+        rows = [(sym, s + t) for sym, table in self.h.edges.items() for s, t in table]
+        at: list[set] = [set() for _ in range(self.h.vcount)]  # the edges at each vertex
+        for e, (_, flat) in enumerate(rows):
+            for x in flat:
+                at[x].add(e)
+        buckets: dict[frozenset, list] = {}
+        for a, edges in enumerate(at):
+            near = set().union(*(rows[e][1] for e in edges))
+            for key in (near - {a}, near | {a}):
+                buckets.setdefault(frozenset(key), []).append(a)
+        classes = [[a] for a in range(self.h.vcount)]
+        for bucket in buckets.values():
+            reps: list[int] = []
+            for a in bucket:
+                for r in reps:
+                    sub, moved = {a: r, r: a}, [rows[e] for e in at[a] | at[r]]
+                    if Counter(moved) == Counter((sym, tuple(sub.get(x, x) for x in flat))
+                                                 for sym, flat in moved):
+                        classes[r].append(a)
+                        classes[a] = classes[r]
+                        break
+                else:
+                    reps.append(a)
+        return classes
 
     def assign(self) -> bool:
         """Extend the vertex map over the unpinned vertices in index order,
         depth first with a stack of image iterators instead of recursion.
         True when ``emit`` asked to stop."""
-        vmap = self.vmap
+        vmap, hits = self.vmap, self.hits
         free = [v for v in range(self.g.vcount) if vmap[v] is None]
         if not free:
             return self.emit()
-        budget, fresh_at, used, injective = self.budget, self.fresh_at, self.used, self.injective
-        images = range(self.h.vcount)
-        # the root_break classes apply to the first branching vertex only
-        stack = [iter(self.root_break or images)]
+        budget, fresh_at, injective = self.budget, self.fresh_at, self.injective
+        # rule (b)'s swap classes: None until they are needed
+        twins = None if self.limit == 1 and not injective else ()
+        stack = [iter(self.images(free[0]))]
         while stack:
             depth = len(stack) - 1
             v = free[depth]
             if vmap[v] is not None:  # undo the image tried last at this depth
-                used[vmap[v]] = False
+                hits[vmap[v]] -= 1
+                if twins is None and not hits[vmap[v]]:
+                    twins = self.swap_classes()
                 vmap[v] = None
-            fresh = fresh_at[v]
-            for img in stack[-1]:
-                if used[img]:
-                    continue
-                self.steps += 1
-                if budget is not None and self.steps > budget:
-                    raise BudgetExhausted(f"morphism search exceeded {budget} steps")
-                vmap[v] = img
-                for verts, fset in fresh:
-                    if tuple(vmap[x] for x in verts) not in fset:
-                        break
-                else:
-                    used[img] = injective
-                    break
-                vmap[v] = None
-            else:
+            img = next(stack[-1], None)
+            if img is None:
                 stack.pop()
                 continue
+            if hits[img]:
+                if injective:
+                    continue
+            elif twins and twins[img][0] < img and not all(
+                    map(hits.__getitem__, twins[img][:twins[img].index(img)])):
+                continue  # a smaller member with no preimage stands for img
+            self.steps += 1
+            if budget is not None and self.steps > budget:
+                raise BudgetExhausted(f"morphism search exceeded {budget} steps")
+            vmap[v] = img
+            hits[img] += 1
+            if any(tuple(vmap[x] for x in verts) not in fset for verts, fset in fresh_at[v]):
+                continue  # rejected: undone at the top of the loop
             if depth + 1 < len(free):
-                stack.append(iter(images))
+                stack.append(iter(self.images(free[depth + 1])))
             elif self.emit():
                 return True
         return False

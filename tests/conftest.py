@@ -31,8 +31,8 @@ from cqgraph.gcq import (
     seq,
     tensor,
 )
-from cqgraph.hypergraph import HgMorphism, Hypergraph, validate_morphism
-from cqgraph.cospan import Cospan
+from cqgraph.hypergraph import HgMorphism, Hypergraph, _Search, validate_morphism
+from cqgraph.cospan import Cospan, boundary_pins, term_to_cospan
 from cqgraph.sigmodel import RelModel, Signature, random_model
 
 
@@ -152,6 +152,33 @@ def clique(n: int, reverse: bool) -> str:
     name = {0: "x0", **{v: f"z{v}" for v in bound}}
     prefix = "".join(f"exists z{v}. " for v in bound)
     return "1 |- " + prefix + " /\\ ".join(f"R({name[a]}, {name[b]})" for a, b in edges)
+
+
+def clique_graph(n: int, tails=()) -> Hypergraph:
+    """K_n under E, plus a path of ``tails[i]`` F-edges hanging off vertex i:
+    tails of distinct lengths leave no transposition automorphism."""
+    edges = {"E": [((i,), (k,)) for i in range(n) for k in range(n) if i != k], "F": []}
+    vcount = n
+    for i, length in enumerate(tails):
+        prev = i
+        for _ in range(length):
+            edges["F"].append(((prev,), (vcount,)))
+            prev, vcount = vcount, vcount + 1
+    return Hypergraph(vcount, edges)
+
+
+def search_steps(g: Hypergraph, h: Hypergraph, pins=None) -> int:
+    """The steps an unbudgeted existence search (``limit=1``) for g -> h takes;
+    they do not depend on the machine."""
+    search = _Search(g, h, pins, 1, None, injective=False)
+    search.run()
+    return search.steps
+
+
+def inclusion_steps(c: GcqTerm, d: GcqTerm) -> int:
+    """The steps of the search behind ``decide_inclusion(c, d)``, unbudgeted."""
+    ca, da = term_to_cospan(c), term_to_cospan(d)
+    return search_steps(da.apex, ca.apex, boundary_pins(da, ca))
 
 
 def random_hypergraph(rng: random.Random, sig: Signature,

@@ -10,12 +10,14 @@ import time
 import pytest
 
 from conftest import (
+    clique_graph,
     model_battery,
     random_cospan,
     random_hypergraph,
     random_judgment,
     random_term,
     random_term_pairs,
+    search_steps,
 )
 from cqgraph.axioms import (
     CpComp,
@@ -281,8 +283,11 @@ def test_stress_budgeted_clique_growth():
         assert found == []
         assert elapsed < 5, f"K{n} refutation took {elapsed:.1f}s"
         timings.append((n, elapsed))
-    # the same search under a small budget cancels instead of answering
+    # a search that needs more steps than its budget cancels instead of
+    # answering; the tails leave K7 no interchangeable vertices to prune
+    tailed = clique_graph(7, tails=range(1, 8))
+    assert search_steps(clique(8), tailed) == 82_229
     with pytest.raises(BudgetExhausted):
-        find_morphisms(clique(10), clique(9), limit=1, budget=10_000)
+        find_morphisms(clique(8), tailed, limit=1, budget=10_000)
     trace = ", ".join(f"K{n}:{t * 1000:.0f}ms" for n, t in timings)
     print(f"\nSTRESS: clique refutations under 5s each ({trace})")

@@ -229,6 +229,20 @@ def test_parse_errors_inside_nesting():
         Exists(Conj(Exists(RelAtom("R", (1, 2))), RelAtom("S", (1,))))
 
 
+def test_deep_derivations_compare_hash_and_print():
+    # K8's derivation is about a thousand rules deep
+    sig = Signature({"R": (2, 0)})
+    d, e = (derive(parse_ccq(clique(8, False), sig)) for _ in range(2))
+    assert d == e and hash(d) == hash(e) and repr(d) == repr(e)
+    assert d != derive(parse_ccq(clique(8, True), sig))
+    # a tag is compared and printed like the dataclass defaults would
+    wide = AddVar(AddVar(RelIntro("R", 1)))
+    assert SwapVars(wide, 0) != SwapVars(wide, 1)
+    assert hash(SwapVars(wide, 1)) == hash(SwapVars(AddVar(AddVar(RelIntro("R", 1))), 1))
+    assert repr(SwapVars(AddVar(RelIntro("R", 1)), 0)) == \
+        "SwapVars(child=AddVar(child=RelIntro(symbol='R', arity=1)), k=0)"
+
+
 def test_replay_of_the_deep_clique_derivation():
     # K8 with x0 free: a derivation about a thousand rules deep
     sig = Signature({"R": (2, 0)})

@@ -3,8 +3,11 @@ import re
 
 import pytest
 
-from conftest import clique
+from conftest import clique, inclusion_steps
+from cqgraph.ccq import parse_ccq
 from cqgraph.cli import main
+from cqgraph.sigmodel import Signature
+from cqgraph.translate import theta
 
 SIG_CCQ = '{"R": [2, 0]}'
 SIG_DIAG = '{"R": [1, 1], "S": [2, 1], "P": [2, 0], "D": [1, 0]}'
@@ -203,11 +206,13 @@ def test_axioms_verify_all_pass(workdir, capsys):
 
 
 def test_budget_flag_reaches_search(workdir, capsys):
-    (workdir / "bones.gcq").write_text(
-        "signature: diag.json\n" + " (+) ".join(["(spawn ; discard)"] * 8) + "\n")
-    (workdir / "loops.gcq").write_text(
-        "signature: diag.json\n" + " (+) ".join(["(spawn ; R ; discard)"] * 8) + "\n")
-    code = main(["check", str(workdir / "bones.gcq"), str(workdir / "loops.gcq"),
+    # K4 <= K5 does not hold, and the search needs 9 steps to say so
+    sig = Signature({"R": (2, 0)})
+    k4, k5 = (theta(parse_ccq(clique(n, False), sig)) for n in (4, 5))
+    assert inclusion_steps(k4, k5) == 9
+    (workdir / "k4.ccq").write_text(f"signature: sig.json\n{clique(4, False)}\n")
+    (workdir / "k5.ccq").write_text(f"signature: sig.json\n{clique(5, False)}\n")
+    code = main(["check", str(workdir / "k4.ccq"), str(workdir / "k5.ccq"),
                  "--budget", "5"])
     assert code == 2
     capsys.readouterr()

@@ -1,6 +1,13 @@
 import pytest
 
-from conftest import clique, model_battery, random_hypergraph, random_term, random_term_pairs
+from conftest import (
+    clique,
+    inclusion_steps,
+    model_battery,
+    random_hypergraph,
+    random_term,
+    random_term_pairs,
+)
 from cqgraph.ccq import parse_ccq
 from cqgraph.containment import (
     decide_equivalence,
@@ -25,7 +32,6 @@ from cqgraph.gcq import (
     parse_gcq,
     print_gcq,
     seq,
-    tensor,
 )
 from cqgraph.hypergraph import Hypergraph, compose_morphisms, validate_morphism
 from cqgraph.sigmodel import Signature
@@ -104,6 +110,8 @@ def test_deep_clique_term_prints_and_parses_back():
 def test_long_chain_is_included_in_itself():
     chain = seq(*([Gen("R", 1, 1)] * 1200))
     assert decide_inclusion(chain, chain).holds
+    # each box's image is read off the edge index: no n^2/2 scan over images
+    assert inclusion_steps(chain, chain) <= 2400
 
 
 def test_hypergraph_as_model():
@@ -233,9 +241,8 @@ def test_decisions_are_precongruent(rng):
 
 
 def test_budget_exhaustion_is_distinct_from_false():
-    loop = seq(Spawn(), Gen("R", 1, 1), Discard())
-    c = tensor(*[BONE] * 8)
-    d = tensor(*[loop] * 8)
+    c, d = (theta(parse_ccq(clique(n, False), CCQ_SIG)) for n in (4, 5))
+    assert inclusion_steps(c, d) == 9
     with pytest.raises(BudgetExhausted):
         decide_inclusion(c, d, budget=5)
     verdict = decide_inclusion(c, d)  # the unbudgeted run settles it

@@ -1,11 +1,16 @@
+import random
+import time
+from itertools import combinations
+
 import pytest
 
-from conftest import all_morphisms_oracle, random_hypergraph
+from conftest import all_morphisms_oracle, clique_graph, random_hypergraph, search_steps
 from cqgraph.errors import BudgetExhausted, ModelError, SignatureError
 from cqgraph.hypergraph import (
     HgMorphism,
     boundary_assignments,
     Hypergraph,
+    _Search,
     compose_morphisms,
     disjoint_union,
     find_morphisms,
@@ -181,6 +186,72 @@ def test_isomorphism_agrees_with_brute_force(rng):
             and set(g.edges) == set(h.edges)
             for f in all_morphisms_oracle(g, h))
         assert (is_isomorphic(g, h) is not None) == brute
+
+
+def symmetric_target(rng: random.Random) -> Hypergraph:
+    """A clique (some vertices looped), a vertex with a twin, or copies of one
+    graph side by side: targets rich in interchangeable vertices."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        n = rng.randint(1, 5)
+        return Hypergraph(n, {"R": [((i,), (k,)) for i in range(n) for k in range(n)
+                                    if i != k or rng.random() < 0.3]})
+    h = random_hypergraph(rng, SIG, max_v=3, max_edges=3)
+    if kind == 1:
+        return disjoint_union(disjoint_union(h, h)[0], h)[0]
+    if not h.vcount:
+        return h
+    a, twin = rng.randrange(h.vcount), h.vcount
+    return Hypergraph(h.vcount + 1, {
+        sym: list(rows) + [(tuple(twin if x == a else x for x in s),
+                            tuple(twin if x == a else x for x in t))
+                           for s, t in rows if a in s + t]
+        for sym, rows in h.edges.items()})
+
+
+def test_existence_search_finds_the_first_of_all_morphisms():
+    # the pruned existence search against the unpruned enumeration
+    rng = random.Random(6)
+    for _ in range(3000):
+        g = random_hypergraph(rng, SIG, max_v=4, max_edges=3)
+        h = symmetric_target(rng) if rng.random() < 0.5 else \
+            random_hypergraph(rng, SIG, max_v=5, max_edges=4)
+        pins = {v: rng.randrange(h.vcount)
+                for v in rng.sample(range(g.vcount), min(g.vcount, rng.randint(0, 2)))
+                } if h.vcount else {}
+        assert find_morphisms(g, h, pins, limit=1) == find_morphisms(g, h, pins)[:1]
+
+
+def test_swap_classes_are_the_transposition_automorphisms():
+    def is_automorphism(h, a, b):
+        sub = {a: b, b: a}
+        return all(sorted((tuple(sub.get(x, x) for x in s), tuple(sub.get(x, x) for x in t))
+                          for s, t in rows) == sorted(rows) for rows in h.edges.values())
+
+    rng = random.Random(7)
+    for _ in range(300):
+        h = symmetric_target(rng) if rng.random() < 0.5 else \
+            random_hypergraph(rng, SIG, max_v=5, max_edges=5)
+        classes = {a: {a} for a in range(h.vcount)}  # closure of the swaps
+        for a, b in combinations(range(h.vcount), 2):
+            if is_automorphism(h, a, b):
+                classes[a] |= classes[b]
+                for x in classes[a]:
+                    classes[x] = classes[a]
+        found = _Search(Hypergraph(0), h, None, 1, None, False).swap_classes()
+        assert [sorted(classes[a]) for a in range(h.vcount)] == found
+
+
+def test_search_step_counts():
+    # steps do not depend on the machine: a clique target leaves one
+    # image per swap class to try at each depth
+    assert search_steps(clique_graph(10), clique_graph(9)) <= 200
+    assert search_steps(clique_graph(15), clique_graph(14)) <= 200
+    # swap classes are compared within neighbourhood buckets, not pair by pair
+    path = Hypergraph(200, {"R": [((i,), (i + 1,)) for i in range(199)]})
+    start = time.perf_counter()
+    assert find_morphisms(path, path, limit=1)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_disjoint_union_counts():
