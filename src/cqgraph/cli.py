@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .axioms import axiom_catalog, verify_axiom_graphical, verify_axiom_semantic
-from .ccq import eval_ccq, parse_ccq
+from .ccq import CcqJudgment, eval_ccq, parse_ccq
 from .containment import decide_equivalence, decide_inclusion
 from .cospan import cospan_to_dot, term_to_cospan
 from .errors import CqError
@@ -52,28 +52,23 @@ def _load_query_file(path: str, sig_flag: str | None):
 
 
 def _parse_query(body: str, sig: Signature):
-    """Returns ('ccq', judgment) or ('gcq', term)."""
-    if "|-" in body:
-        return "ccq", parse_ccq(body, sig)
-    return "gcq", parse_gcq(body, sig)
+    """A judgment if the body holds ``|-``, a term otherwise."""
+    return parse_ccq(body, sig) if "|-" in body else parse_gcq(body, sig)
 
 
 def cmd_check(args) -> int:
     body_a, sig = _load_query_file(args.lhs, args.sig)
     body_b, sig_b = _load_query_file(args.rhs, args.sig)
     sig = sig.merged(sig_b)
-    kind_a, qa = _parse_query(body_a, sig)
-    kind_b, qb = _parse_query(body_b, sig)
-    ta = theta(qa) if kind_a == "ccq" else qa
-    tb = theta(qb) if kind_b == "ccq" else qb
+    qa, qb = _parse_query(body_a, sig), _parse_query(body_b, sig)
     if args.mode == "equivalence":
-        verdict = decide_equivalence(ta, tb, budget=args.budget)
+        verdict = decide_equivalence(qa, qb, budget=args.budget)
         holds = verdict.holds
         doc = {"holds": holds,
                "forward": verdict.forward.to_json_dict(),
                "backward": verdict.backward.to_json_dict()}
     else:
-        inc = decide_inclusion(ta, tb, budget=args.budget)
+        inc = decide_inclusion(qa, qb, budget=args.budget)
         holds = inc.holds
         doc = inc.to_json_dict()
     if args.format == "json":
@@ -91,9 +86,9 @@ def cmd_check(args) -> int:
 def cmd_eval(args) -> int:
     body, sig = _load_query_file(args.query, args.sig)
     model = load_model(_read(args.model), sig)
-    kind, q = _parse_query(body, sig)
+    q = _parse_query(body, sig)
     names = model.carrier
-    if kind == "ccq":
+    if isinstance(q, CcqJudgment):
         rows = sorted(eval_ccq(q, model))
         doc = [[names[x] for x in row] for row in rows]
         lines = [", ".join(row) for row in doc]
@@ -113,8 +108,10 @@ def cmd_eval(args) -> int:
 
 def cmd_translate(args) -> int:
     body, sig = _load_query_file(args.query, args.sig)
-    kind, q = _parse_query(body, sig)
-    if kind == "ccq":
+    q = _parse_query(body, sig)
+    if isinstance(q, CcqJudgment):
+        # formulas use only the coarity-0 symbols; draw models over those
+        sig = Signature((name, s) for name, s in sig.items() if s.m == 0)
         term = theta(q)
         print(print_gcq(term))
 
@@ -140,9 +137,7 @@ def cmd_translate(args) -> int:
 
 def cmd_export_dot(args) -> int:
     body, sig = _load_query_file(args.query, args.sig)
-    kind, q = _parse_query(body, sig)
-    term = theta(q) if kind == "ccq" else q
-    dot = cospan_to_dot(term_to_cospan(term))
+    dot = cospan_to_dot(term_to_cospan(_parse_query(body, sig)))
     if args.output:
         Path(args.output).write_text(dot + "\n", encoding="utf-8")
     else:

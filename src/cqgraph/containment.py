@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .ccq import CcqJudgment
 from .cospan import boundary_pins, term_to_cospan
 from .errors import SortError
 from .gcq import GcqTerm, eval_gcq, term_signature
@@ -47,36 +48,38 @@ class EquivalenceVerdict:
     backward: InclusionVerdict
 
 
-def hypergraph_as_model(g: Hypergraph, sig: Signature | None = None) -> RelModel:
+def _apex_signature(g: Hypergraph) -> Signature:
+    """The symbols with an edge in g, each at the sort of its tentacles."""
+    return Signature({sym: (len(rows[0][0]), len(rows[0][1]))
+                      for sym, rows in g.edges.items()})
+
+
+def hypergraph_as_model(g: Hypergraph, sig: Signature) -> RelModel:
     """Read a hypergraph as a relational model: vertices become the carrier,
     the tentacle tuples of each symbol become its relation (a set, so
     parallel duplicate edges collapse)."""
-    if sig is None:
-        sig = Signature({sym: (len(rows[0][0]), len(rows[0][1]))
-                         for sym, rows in g.edges.items()})
     carrier = [f"v{i}" for i in range(g.vcount)]
     rho = {sym: list(rows) for sym, rows in g.edges.items() if sym in sig}
     return RelModel(sig, carrier, rho)
 
 
-def decide_inclusion(c: GcqTerm, d: GcqTerm,
+def decide_inclusion(c: GcqTerm | CcqJudgment, d: GcqTerm | CcqJudgment,
                      budget: int | None = None) -> InclusionVerdict:
-    """Decide c <= d; on success the witness morphism is returned, on
-    failure the natural model of c is reported as a countermodel."""
-    if c.sort != d.sort:
-        raise SortError(f"cannot compare sorts {c.sort} and {d.sort}")
-    ca = term_to_cospan(c)
-    da = term_to_cospan(d)
+    """Decide c <= d for terms or judgments: a witness morphism when it
+    holds, the natural model of c as a countermodel when not."""
+    ca, da = term_to_cospan(c), term_to_cospan(d)
+    if ca.sort != da.sort:
+        raise SortError(f"cannot compare sorts {ca.sort} and {da.sort}")
     pins = boundary_pins(da, ca)
     if pins is not None:
         found = find_morphisms(da.apex, ca.apex, pins, limit=1, budget=budget)
         if found:
             return InclusionVerdict(True, witness=found[0])
-    sig = term_signature(c).merged(term_signature(d))
+    sig = _apex_signature(ca.apex).merged(_apex_signature(da.apex))
     return InclusionVerdict(False, countermodel=hypergraph_as_model(ca.apex, sig))
 
 
-def decide_equivalence(c: GcqTerm, d: GcqTerm,
+def decide_equivalence(c: GcqTerm | CcqJudgment, d: GcqTerm | CcqJudgment,
                        budget: int | None = None) -> EquivalenceVerdict:
     forward = decide_inclusion(c, d, budget=budget)
     backward = decide_inclusion(d, c, budget=budget)
@@ -93,8 +96,7 @@ def natural_model_check(c: GcqTerm, d: GcqTerm) -> bool:
         raise SortError(f"cannot compare sorts {c.sort} and {d.sort}")
     ca = term_to_cospan(c)
     sig = term_signature(c).merged(term_signature(d))
-    model = hypergraph_as_model(ca.apex, sig)
-    return (ca.iota, ca.omega) in eval_gcq(d, model)
+    return (ca.iota, ca.omega) in eval_gcq(d, hypergraph_as_model(ca.apex, sig))
 
 
 def span_semantics(t: GcqTerm, g: Hypergraph) -> dict:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .ccq import adjacent_swaps
+from .ccq import CcqJudgment, adjacent_swaps, natural_model
 from .errors import ModelError, SortError
 from .gcq import (
     Copy,
@@ -122,7 +122,7 @@ _WIRING = {
 }
 
 
-def term_to_cospan(t: GcqTerm) -> Cospan:
+def term_to_cospan(t: GcqTerm | CcqJudgment) -> Cospan:
     """Compile a term to its cospan of hypergraphs in one pass.
 
     Leaves get fresh wires left to right: a wiring constant its discrete
@@ -130,7 +130,15 @@ def term_to_cospan(t: GcqTerm) -> Cospan:
     left boundary and the target tentacles on the right.  ``;`` glues the
     inner boundaries, ``(+)`` concatenates, and one quotient of all wires
     gives exactly the cospan that the reference algebra would.
+
+    A judgment ``n |- f`` compiles to its natural model with the free
+    variables on the left boundary: the cospan of ``theta`` of it, up to
+    isomorphism.  Its vertices are numbered by their first wire: the free
+    variables, then the ``Exists`` binders in pre-order.
     """
+    if isinstance(t, CcqJudgment):
+        g, free = natural_model(t)
+        return Cospan(t.context, 0, g, free, ())
     wires = 0
     glue: list[tuple[int, int]] = []
     edges: dict[str, list] = {}

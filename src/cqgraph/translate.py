@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from .ccq import (
     AddVar,
-    CcqDerivation,
     CcqFormula,
     CcqJudgment,
     Conj,
@@ -93,15 +92,11 @@ def theta(j: CcqJudgment) -> GcqTerm:
     """Translate a judgment to a term of sort (n, 0).
 
     Requires a relational reading of the symbols: each arity-k symbol is
-    used as a box of sort (k, 0).
+    used as a box of sort (k, 0).  Each rule's wiring is applied bottom-up
+    over the canonical derivation.
     """
-    return _theta(derive(j))
-
-
-def _theta(d: CcqDerivation) -> GcqTerm:
-    """Apply each rule's wiring bottom-up over the derivation."""
     done: list[GcqTerm] = []  # translations of finished subderivations
-    for e in postorder(d, subtrees):
+    for e in postorder(derive(j), subtrees):
         if isinstance(e, TopIntro):
             out = Id0()
         elif isinstance(e, EqIntro):

@@ -216,3 +216,37 @@ def test_budget_flag_reaches_search(workdir, capsys):
                  "--budget", "5"])
     assert code == 2
     capsys.readouterr()
+
+
+def test_translate_verify_with_symbols_of_positive_coarity(tmp_path, capsys):
+    # a formula uses only the coarity-0 symbols: S must not reach theta_model
+    (tmp_path / "mixed.json").write_text('{"R": [2, 0], "S": [1, 1]}')
+    (tmp_path / "q.ccq").write_text("signature: mixed.json\n2 |- R(x0, x1)\n")
+    code = main(["translate", str(tmp_path / "q.ccq"), "--verify"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out == "R\n"
+
+
+def path_formula(atoms: int) -> str:
+    """x0 R z0 R ... R x1 with every inner vertex bound."""
+    names = ["x0"] + [f"z{i}" for i in range(atoms - 1)] + ["x1"]
+    prefix = "".join(f"exists {v}. " for v in names[1:-1])
+    return "2 |- " + prefix + " /\\ ".join(f"R({a}, {b})" for a, b in zip(names, names[1:]))
+
+
+def test_formula_check_and_export_dot_build_no_derivation(workdir, capsys, monkeypatch):
+    def refuse(j):
+        raise AssertionError("a derivation was built")
+
+    monkeypatch.setattr("cqgraph.translate.derive", refuse)
+    (workdir / "p200.ccq").write_text(f"signature: sig.json\n{path_formula(200)}\n")
+    phi, psi, p200 = (str(workdir / name) for name in ("phi.ccq", "psi.ccq", "p200.ccq"))
+    for mode in ("inclusion", "equivalence"):
+        assert main(["check", p200, p200, "--mode", mode]) == 0
+        assert main(["check", psi, phi, "--mode", mode, "--format", "json"]) == 1
+    assert main(["check", phi, psi]) == 0
+    assert main(["export-dot", p200]) == 0
+    assert main(["export-dot", phi]) == 0
+    out = capsys.readouterr().out
+    assert out.count("HOLDS") == 3 and out.count("digraph") == 2
