@@ -167,23 +167,69 @@ class CcqJudgment:
 
 @dataclass(frozen=True)
 class CcqDerivation:
+    """A derivation tree of the eight rules.  Each node knows only its
+    ``context``, the size of its conclusion's context; ``conclusion``
+    builds the judgment from the whole tree."""
+
     children = ()  # the premises
 
     @property
     def conclusion(self) -> CcqJudgment:
-        return self._conclusion
+        """The judgment derived, built once.
+
+        Walking down, each node's context slots are mapped to variables of
+        the root formula, with the context ``depth`` its formula is read at
+        there; reading that walk backwards builds the formula.
+        """
+        order = []  # nodes that build formula, in pre-order; leaves as their atoms
+        todo = [(self, list(range(self.context)), self.context)]
+        while todo:
+            e, slots, depth = todo.pop()
+            if isinstance(e, TopIntro):
+                order.append(Top())
+            elif isinstance(e, EqIntro):
+                order.append(Eq(*slots))
+            elif isinstance(e, RelIntro):
+                order.append(RelAtom(e.symbol, tuple(slots)))
+            elif isinstance(e, ConjIntro):
+                order.append(e)
+                k = e.left.context
+                todo += ((e.left, slots[:k], depth), (e.right, slots[k:], depth))
+            elif isinstance(e, _Step):  # its slots serve its premise alone
+                if isinstance(e, ExistsIntro):
+                    order.append(e)
+                    slots.append(depth)  # an Exists read at depth binds index depth
+                    depth += 1
+                elif isinstance(e, SwapVars):
+                    k = e.k
+                    slots[k], slots[k + 1] = slots[k + 1], slots[k]
+                elif isinstance(e, MergeVars):
+                    slots.append(slots[-1])
+                elif isinstance(e, AddVar):
+                    slots.pop()
+                todo.append((e.child, slots, depth))
+            else:
+                raise TypeError(f"not a derivation: {e!r}")
+        done: list[CcqFormula] = []  # finished subformulas
+        for u in reversed(order):
+            if isinstance(u, ConjIntro):
+                rhs = done.pop()
+                done[-1] = Conj(done[-1], rhs)
+            elif isinstance(u, ExistsIntro):
+                done[-1] = Exists(done[-1])
+            else:
+                done.append(u)
+        return CcqJudgment(self.context, done.pop())
 
 
 @dataclass(frozen=True)
 class TopIntro(CcqDerivation):
-    def __post_init__(self):
-        object.__setattr__(self, "_conclusion", CcqJudgment(0, Top()))
+    context = 0
 
 
 @dataclass(frozen=True)
 class EqIntro(CcqDerivation):
-    def __post_init__(self):
-        object.__setattr__(self, "_conclusion", CcqJudgment(2, Eq(0, 1)))
+    context = 2
 
 
 @dataclass(frozen=True)
@@ -191,101 +237,71 @@ class RelIntro(CcqDerivation):
     symbol: str
     arity: int
 
-    def __post_init__(self):
-        concl = CcqJudgment(self.arity, RelAtom(self.symbol, tuple(range(self.arity))))
-        object.__setattr__(self, "_conclusion", concl)
+    context = property(attrgetter("arity"))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class ConjIntro(Branch, CcqDerivation):
+    """The left conclusion's context, then the right one's."""
+
     left: CcqDerivation
     right: CcqDerivation
 
     def __post_init__(self):
-        lj, rj = self.left.conclusion, self.right.conclusion
-        total = lj.context + rj.context
-        # free variables of the left part keep their indices and the right
-        # part's shift up; bound indices on both sides rebase to the wider
-        # context (the named-variable reading leaves them untouched)
-        lifted = rename(lj.formula, lj.context, total, {})
-        shifted = rename(rj.formula, rj.context, total,
-                         {i: lj.context + i for i in range(rj.context)})
-        concl = CcqJudgment(total, Conj(lifted, shifted))
-        object.__setattr__(self, "_conclusion", concl)
+        object.__setattr__(self, "context", self.left.context + self.right.context)
 
     children = property(attrgetter("left", "right"))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class ExistsIntro(Branch, CcqDerivation):
+class _Step(Branch, CcqDerivation):
+    """A rule with one premise."""
+
     child: CcqDerivation
 
-    def __post_init__(self):
-        j = self.child.conclusion
-        if j.context < 1:
-            raise ValueError("existential closure needs a variable to bind")
-        concl = CcqJudgment(j.context - 1, Exists(j.formula))
-        object.__setattr__(self, "_conclusion", concl)
-
-    @property
-    def children(self):
-        return (self.child,)
+    children = property(lambda self: (self.child,))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class SwapVars(Branch, CcqDerivation):
+class ExistsIntro(_Step):
+    """Bind the last free variable."""
+
+    def __post_init__(self):
+        if self.child.context < 1:
+            raise ValueError("existential closure needs a variable to bind")
+        object.__setattr__(self, "context", self.child.context - 1)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class SwapVars(_Step):
     """Swap free variables k and k+1 in the conclusion."""
 
-    child: CcqDerivation
     k: int
     tags = ("k",)  # unannotated: a class attribute, not a field
 
     def __post_init__(self):
-        j = self.child.conclusion
-        if not (0 <= self.k < j.context - 1):
-            raise ValueError(f"swap position {self.k} out of range for context {j.context}")
-        swapped = rename(j.formula, j.context, j.context,
-                         {self.k: self.k + 1, self.k + 1: self.k})
-        object.__setattr__(self, "_conclusion", CcqJudgment(j.context, swapped))
-
-    @property
-    def children(self):
-        return (self.child,)
+        n = self.child.context
+        if not (0 <= self.k < n - 1):
+            raise ValueError(f"swap position {self.k} out of range for context {n}")
+        object.__setattr__(self, "context", n)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class MergeVars(Branch, CcqDerivation):
+class MergeVars(_Step):
     """Identify the last two free variables, shrinking the context by one."""
 
-    child: CcqDerivation
-
     def __post_init__(self):
-        j = self.child.conclusion
-        if j.context < 2:
+        if self.child.context < 2:
             raise ValueError("merging needs at least two variables")
-        merged = rename(j.formula, j.context, j.context - 1,
-                        {j.context - 1: j.context - 2})
-        object.__setattr__(self, "_conclusion", CcqJudgment(j.context - 1, merged))
-
-    @property
-    def children(self):
-        return (self.child,)
+        object.__setattr__(self, "context", self.child.context - 1)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class AddVar(Branch, CcqDerivation):
+class AddVar(_Step):
     """Weaken: introduce a fresh last free variable."""
 
-    child: CcqDerivation
-
     def __post_init__(self):
-        j = self.child.conclusion
-        widened = rename(j.formula, j.context, j.context + 1, {})
-        object.__setattr__(self, "_conclusion", CcqJudgment(j.context + 1, widened))
-
-    @property
-    def children(self):
-        return (self.child,)
+        object.__setattr__(self, "context", self.child.context + 1)
 
 
 # -- constructing a derivation for any valid judgment ------------------------
@@ -314,57 +330,31 @@ def _apply_perm(d: CcqDerivation, perm: list[int]) -> CcqDerivation:
     return d
 
 
-def _merge_positions(d: CcqDerivation, a: int, b: int):
-    """Identify the variables at positions a and b.
-
-    Returns the new derivation and a translation old-position -> new.
-    The merged variable lands at min(a, b); everything else keeps its
-    relative order.
-    """
-    if a > b:
-        a, b = b, a
-    ctx = d.conclusion.context
-    others = [p for p in range(ctx) if p not in (a, b)]
-    to_end = [0] * ctx
-    for rank, p in enumerate(others):
-        to_end[p] = rank
-    to_end[a] = ctx - 2
-    to_end[b] = ctx - 1
-    d = _apply_perm(d, to_end)
-    d = MergeVars(d)
-    # survivor is now the last variable; put it back at slot a
-    back = [0] * (ctx - 1)
-    for rank, p in enumerate(others):
-        back[rank] = p if p < b else p - 1
-    back[ctx - 2] = a
-    d = _apply_perm(d, back)
-
-    def translate(p: int) -> int:
-        if p in (a, b):
-            return a
-        return p if p < b else p - 1
-
-    return d, translate
-
-
 def derive(j: CcqJudgment) -> CcqDerivation:
     """A derivation of j using only the eight rules; deterministic.
 
-    Grammar nodes are introduced in their canonical shape, variables are
-    aligned with swap/merge/weaken moves, conjunctions are combined and
-    existentials closed last.  Subformulas are derived over their own free
-    variables and weakened afterwards, which keeps derivations small.  One
-    fold over the tree of premises (see ``_premise``).
+    One fold over the formula.  Each subformula is derived over exactly
+    its free variables, in ascending order: an atom or a conjunction is
+    introduced in its canonical shape and its variables aligned by
+    ``_align``, an existential weakens its body when the bound variable
+    is unused and then closes it.  The root is weakened to j's context.
     """
-    done: list[tuple] = []  # (derivation, free variables) of finished premises
-    for k, f, fv in postorder(_premise(j.context, j.formula), _premises):
+    done: list[tuple] = []  # (derivation, its sorted free variables) of finished subformulas
+    for f, ctx in reversed(_walk(j.formula, j.context)):
         if isinstance(f, Conj):
-            right, left = done.pop(), done.pop()
-            d = _conj_derivation(k, left, right)
+            (dl, left), (dr, right) = done.pop(), done.pop()
+            d, fv = _align(ConjIntro(dl, dr), left + right)
         elif isinstance(f, Exists):
-            d = ExistsIntro(_spread(*done.pop(), k + 1))
-        else:
-            d = _atom_derivation(k, f)
+            d, fv = done.pop()
+            if fv and fv[-1] == ctx:  # the bound variable, the largest the body has
+                fv.pop()
+            else:
+                d = AddVar(d)
+            d = ExistsIntro(d)
+        else:  # top, an equation or an atom, over the variables it mentions
+            leaf = (TopIntro() if isinstance(f, Top) else EqIntro() if isinstance(f, Eq)
+                    else RelIntro(f.symbol, len(f.args)))
+            d, fv = _align(leaf, list(_vars(f)))
         done.append((d, fv))
     d = _spread(*done.pop(), j.context)
     if d.conclusion != j:
@@ -372,84 +362,44 @@ def derive(j: CcqJudgment) -> CcqDerivation:
     return d
 
 
-def _premise(n: int, f: CcqFormula) -> tuple:
-    """``(k, g, fv)``: f read at context n is g read at k = |fv| over
-    exactly its free variables fv (sorted), renamed onto 0..k-1."""
-    fv = sorted(free_vars(f, n))
-    if len(fv) < n:
-        f = rename(f, n, len(fv), {v: i for i, v in enumerate(fv)})
-    return len(fv), f, fv
+def _align(d: CcqDerivation, labels: list[int]) -> tuple:
+    """Merge the slots of d that carry the same variable, then sort them.
 
-
-def _premises(node: tuple) -> tuple:
-    """The premises a node of ``derive``'s tree is derived from: the two
-    conjuncts, or the body of an existential with its variable free."""
-    k, f, _ = node
-    if isinstance(f, Conj):
-        return _premise(k, f.lhs), _premise(k, f.rhs)
-    if isinstance(f, Exists):
-        return (_premise(k + 1, f.body),)
-    return ()
+    ``labels[p]`` is the variable at slot p (the list is consumed).
+    Scanning left to right, a slot is merged into the first earlier slot
+    with its variable: the two are swapped to the end (the others keep
+    their order), merged, and the survivor is swapped back.  Returns the
+    derivation, now over the distinct variables in ascending order, and
+    that list.
+    """
+    first: dict[int, int] = {}  # variable -> the slot it kept
+    s = 0
+    while s < len(labels):
+        a = first.setdefault(labels[s], s)
+        if a == s:
+            s += 1
+            continue
+        n = len(labels)
+        others = [p for p in range(n) if p != a and p != s]
+        to_end = [0] * n
+        for rank, p in enumerate(others + [a, s]):
+            to_end[p] = rank
+        d = MergeVars(_apply_perm(d, to_end))
+        d = _apply_perm(d, [p if p < s else p - 1 for p in others] + [a])
+        del labels[s]  # slots before s keep their places
+    fv = sorted(labels)
+    rank = {v: i for i, v in enumerate(fv)}
+    return _apply_perm(d, [rank[v] for v in labels]), fv
 
 
 def _spread(d: CcqDerivation, fv: list[int], n: int) -> CcqDerivation:
     """Weaken a derivation over |fv| variables to n and send its variable
     i back to position fv[i]."""
-    while d.conclusion.context < n:
+    while d.context < n:
         d = AddVar(d)
     perm = list(fv)
     perm.extend(sorted(set(range(n)) - set(fv)))
     return _apply_perm(d, perm)
-
-
-def _conj_derivation(n: int, left: tuple, right: tuple) -> CcqDerivation:
-    """Derive n |- l /\\ r from the premises of the two conjuncts by
-    merging their shared free variables."""
-    (dl, fvl), (dr, fvr) = left, right
-    d = ConjIntro(dl, dr)
-    pos = {}
-    for i, v in enumerate(fvl):
-        pos[("l", v)] = i
-    for i, v in enumerate(fvr):
-        pos[("r", v)] = len(fvl) + i
-    for v in sorted(set(fvl) & set(fvr)):
-        d, tr = _merge_positions(d, pos[("l", v)], pos[("r", v)])
-        pos = {key: tr(p) for key, p in pos.items()}
-    perm = [0] * n
-    for (side, v), p in pos.items():
-        perm[p] = v
-    return _apply_perm(d, perm)
-
-
-def _atom_derivation(n: int, f: CcqFormula) -> CcqDerivation:
-    """Derive n |- f for an atomic f in which every variable below n is free."""
-    if isinstance(f, Top):
-        return TopIntro()  # n == 0 after compaction
-    if isinstance(f, Eq):
-        if f.i == f.j:
-            return MergeVars(EqIntro())  # 1 |- x0 = x0
-        if (f.i, f.j) == (0, 1):
-            return EqIntro()
-        return SwapVars(EqIntro(), 0)  # 2 |- x1 = x0
-    if isinstance(f, RelAtom):
-        k = len(f.args)
-        if f.args == tuple(range(k)):
-            return RelIntro(f.symbol, k)
-        d = RelIntro(f.symbol, k)
-        pos = list(range(k))  # current position of argument slot s
-        if n < k:  # repeated arguments: identify later slots with the first
-            first: dict[int, int] = {}
-            for s, v in enumerate(f.args):
-                if v in first:
-                    d, tr = _merge_positions(d, pos[first[v]], pos[s])
-                    pos = [tr(p) for p in pos]
-                else:
-                    first[v] = s
-        perm = [0] * n
-        for s, v in enumerate(f.args):
-            perm[pos[s]] = v
-        return _apply_perm(d, perm)
-    raise TypeError(f"not a formula: {f!r}")
 
 
 # -- semantics ---------------------------------------------------------------

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 
 from .ccq import CcqJudgment
-from .cospan import boundary_pins, term_to_cospan
+from .cospan import Cospan, boundary_pins, term_to_cospan
 from .errors import SortError
 from .gcq import GcqTerm, eval_gcq, term_signature
 from .hypergraph import HgMorphism, Hypergraph, find_morphisms
@@ -67,7 +67,19 @@ def decide_inclusion(c: GcqTerm | CcqJudgment, d: GcqTerm | CcqJudgment,
                      budget: int | None = None) -> InclusionVerdict:
     """Decide c <= d for terms or judgments: a witness morphism when it
     holds, the natural model of c as a countermodel when not."""
+    return _decide(term_to_cospan(c), term_to_cospan(d), budget)
+
+
+def decide_equivalence(c: GcqTerm | CcqJudgment, d: GcqTerm | CcqJudgment,
+                       budget: int | None = None) -> EquivalenceVerdict:
     ca, da = term_to_cospan(c), term_to_cospan(d)
+    forward = _decide(ca, da, budget)
+    backward = _decide(da, ca, budget)
+    return EquivalenceVerdict(forward.holds and backward.holds, forward, backward)
+
+
+def _decide(ca: Cospan, da: Cospan, budget: int | None) -> InclusionVerdict:
+    """Decide inclusion between the compiled sides."""
     if ca.sort != da.sort:
         raise SortError(f"cannot compare sorts {ca.sort} and {da.sort}")
     pins = boundary_pins(da, ca)
@@ -77,13 +89,6 @@ def decide_inclusion(c: GcqTerm | CcqJudgment, d: GcqTerm | CcqJudgment,
             return InclusionVerdict(True, witness=found[0])
     sig = _apex_signature(ca.apex).merged(_apex_signature(da.apex))
     return InclusionVerdict(False, countermodel=hypergraph_as_model(ca.apex, sig))
-
-
-def decide_equivalence(c: GcqTerm | CcqJudgment, d: GcqTerm | CcqJudgment,
-                       budget: int | None = None) -> EquivalenceVerdict:
-    forward = decide_inclusion(c, d, budget=budget)
-    backward = decide_inclusion(d, c, budget=budget)
-    return EquivalenceVerdict(forward.holds and backward.holds, forward, backward)
 
 
 def natural_model_check(c: GcqTerm, d: GcqTerm) -> bool:

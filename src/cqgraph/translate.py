@@ -13,6 +13,7 @@ syntactically, so all round-trip guarantees here are semantic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .ccq import (
     AddVar,
@@ -32,7 +33,6 @@ from .ccq import (
     TopIntro,
     derive,
     format_formula,
-    rename,
 )
 from .errors import SignatureError
 from .gcq import (
@@ -107,13 +107,13 @@ def theta(j: CcqJudgment) -> GcqTerm:
             right = done.pop()
             out = _tens(done.pop(), right)
         elif isinstance(e, ExistsIntro):
-            out = _seq(_tens(identity(e.conclusion.context), Spawn()), done.pop())
+            out = _seq(_tens(identity(e.context), Spawn()), done.pop())
         elif isinstance(e, AddVar):
-            out = _seq(_tens(identity(e.child.conclusion.context), Discard()), done.pop())
+            out = _seq(_tens(identity(e.child.context), Discard()), done.pop())
         elif isinstance(e, MergeVars):
-            out = _seq(_tens(identity(e.child.conclusion.context - 2), Copy()), done.pop())
+            out = _seq(_tens(identity(e.child.context - 2), Copy()), done.pop())
         elif isinstance(e, SwapVars):
-            n = e.conclusion.context
+            n = e.context
             layer = _tens(_tens(identity(e.k), Swap()), identity(n - e.k - 2))
             out = _seq(layer, done.pop())
         else:
@@ -122,53 +122,56 @@ def theta(j: CcqJudgment) -> GcqTerm:
     return done.pop()
 
 
+# the equations between boundary wires (inputs first) that each wiring
+# constant states
+_EQUATIONS = {Copy: ((0, 1), (0, 2)), Discard: (), Merge: ((0, 2), (1, 2)), Spawn: (),
+              Id0: (), Id1: ((0, 1),), Swap: ((0, 3), (1, 2))}
+
+
 def lambda_term(t: GcqTerm) -> TwoSidedJudgment:
-    """Translate a term of sort (n, m) to a two-sided judgment n,m |- f."""
-    done: list[TwoSidedJudgment] = []  # translations of finished subterms
-    for u in postorder(t, subtrees):
-        if isinstance(u, Tensor):
-            b, a = done.pop(), done.pop()
-            l1, r1, l2, r2 = a.left, a.right, b.left, b.right
-            total = l1 + l2 + r1 + r2
-            fa = rename(a.formula, l1 + r1, total,
-                        {l1 + i: l1 + l2 + i for i in range(r1)})
-            fb = rename(b.formula, l2 + r2, total,
-                        {**{i: l1 + i for i in range(l2)},
-                         **{l2 + i: l1 + l2 + r1 + i for i in range(r2)}})
-            out = TwoSidedJudgment(l1 + l2, r1 + r2, Conj(fa, fb))
-        elif isinstance(u, Seq):
-            b, a = done.pop(), done.pop()
-            k, mid, n = a.left, a.right, b.right
-            total = k + n + mid  # middle variables become the topmost indices
-            fa = rename(a.formula, k + mid, total,
-                        {k + i: k + n + i for i in range(mid)})
-            fb = rename(b.formula, mid + n, total,
-                        {**{i: k + n + i for i in range(mid)},
-                         **{mid + i: k + i for i in range(n)}})
-            body: CcqFormula = Conj(fa, fb)
-            for _ in range(mid):
-                body = Exists(body)
-            out = TwoSidedJudgment(k, n, body)
-        elif isinstance(u, Copy):
-            out = TwoSidedJudgment(1, 2, Conj(Eq(0, 1), Eq(0, 2)))
-        elif isinstance(u, Discard):
-            out = TwoSidedJudgment(1, 0, Top())
-        elif isinstance(u, Merge):
-            out = TwoSidedJudgment(2, 1, Conj(Eq(0, 2), Eq(1, 2)))
-        elif isinstance(u, Spawn):
-            out = TwoSidedJudgment(0, 1, Top())
-        elif isinstance(u, Id0):
-            out = TwoSidedJudgment(0, 0, Top())
-        elif isinstance(u, Id1):
-            out = TwoSidedJudgment(1, 1, Eq(0, 1))
-        elif isinstance(u, Swap):
-            out = TwoSidedJudgment(2, 2, Conj(Eq(0, 3), Eq(1, 2)))
+    """Translate a term of sort (n, m) to a two-sided judgment n,m |- f.
+
+    Walking down, each node's boundary wires are mapped to variables of
+    the result, with the context ``depth`` its formula is read at: the
+    middle wires of a ``;`` are bound there, as depth..depth+mid-1.
+    Reading that walk backwards builds the formula.
+    """
+    n, m = t.sort
+    order = []  # nodes that build formula, in pre-order; leaves as their atoms
+    todo = [(t, list(range(n + m)), n + m)]
+    while todo:
+        u, wires, depth = todo.pop()
+        if isinstance(u, Seq):
+            k, mid = u.lhs.sort
+            middle = list(range(depth, depth + mid))
+            order.append(u)
+            todo += ((u.lhs, wires[:k] + middle, depth + mid),
+                     (u.rhs, middle + wires[k:], depth + mid))
+        elif isinstance(u, Tensor):
+            l1, r1 = u.lhs.sort
+            y = l1 + u.rhs.sort.n  # where the outputs start
+            order.append(u)
+            todo += ((u.lhs, wires[:l1] + wires[y:y + r1], depth),
+                     (u.rhs, wires[l1:y] + wires[y + r1:], depth))
         elif isinstance(u, Gen):
-            out = TwoSidedJudgment(u.n, u.m, RelAtom(u.name, tuple(range(u.n + u.m))))
+            order.append(RelAtom(u.name, tuple(wires)))
+        elif type(u) in _EQUATIONS:
+            eqs = [Eq(wires[a], wires[b]) for a, b in _EQUATIONS[type(u)]]
+            order.append(reduce(Conj, eqs) if eqs else Top())
         else:
             raise TypeError(f"not a term: {u!r}")
-        done.append(out)
-    return done.pop()
+    done: list[CcqFormula] = []  # finished subformulas
+    for u in reversed(order):
+        if isinstance(u, (Seq, Tensor)):
+            rhs = done.pop()
+            body = Conj(done.pop(), rhs)
+            if isinstance(u, Seq):
+                for _ in range(u.lhs.sort.m):
+                    body = Exists(body)
+            done.append(body)
+        else:
+            done.append(u)
+    return TwoSidedJudgment(n, m, done.pop())
 
 
 def relational_signature(sig: Signature) -> Signature:
@@ -181,11 +184,11 @@ def theta_model(model: RelModel) -> RelModel:
 
     An arity-k symbol interpreted by k-tuples becomes a sort-(k,0) symbol
     interpreted by (k-tuple, empty-tuple) pairs; with the shared model
-    representation this is the identity on the data.
+    representation the model itself is that reading.
     """
     if not model.signature.is_relational():
         raise SignatureError("theta_model needs a relational (coarity-0) signature")
-    return RelModel(model.signature, model.carrier, model.rho)
+    return model
 
 
 def lambda_model(model: RelModel) -> RelModel:

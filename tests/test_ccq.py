@@ -7,22 +7,28 @@ from cqgraph.ccq import (
     AddVar,
     CcqJudgment,
     Conj,
+    ConjIntro,
     Eq,
     EqIntro,
     Exists,
+    ExistsIntro,
+    MergeVars,
     RelAtom,
     RelIntro,
     SwapVars,
     Top,
+    TopIntro,
     derive,
     eval_ccq,
     free_vars,
     parse_ccq,
     print_ccq,
+    rename,
     replay_eval,
     substitute,
 )
 from cqgraph.errors import ParseError, SignatureError
+from cqgraph.gcq import postorder, subtrees
 from cqgraph.sigmodel import RelModel, Signature, random_model
 
 SIG = Signature({"R": (2, 0), "S": (1, 0)})
@@ -252,3 +258,92 @@ def test_replay_of_the_deep_clique_derivation():
     for size, density in [(0, 0.9), (1, 0.9), (2, 0.9), (2, 0.5), (3, 0.3)]:
         model = random_model(sig, size, rng, density=density)
         assert replay_eval(d, model) == eval_ccq(j, model)
+
+
+def reference_conclusion(d) -> CcqJudgment:
+    """The conclusion rule by rule, as each rule renames its premises'."""
+    done: list[tuple] = []  # (context, formula) of finished subderivations
+    for e in postorder(d, subtrees):
+        if isinstance(e, TopIntro):
+            out = (0, Top())
+        elif isinstance(e, EqIntro):
+            out = (2, Eq(0, 1))
+        elif isinstance(e, RelIntro):
+            out = (e.arity, RelAtom(e.symbol, tuple(range(e.arity))))
+        elif isinstance(e, ConjIntro):
+            (nr, fr), (nl, fl) = done.pop(), done.pop()
+            total = nl + nr
+            out = (total, Conj(rename(fl, nl, total, {}),
+                               rename(fr, nr, total, {i: nl + i for i in range(nr)})))
+        elif isinstance(e, ExistsIntro):
+            n, f = done.pop()
+            out = (n - 1, Exists(f))
+        elif isinstance(e, SwapVars):
+            n, f = done.pop()
+            out = (n, rename(f, n, n, {e.k: e.k + 1, e.k + 1: e.k}))
+        elif isinstance(e, MergeVars):
+            n, f = done.pop()
+            out = (n - 1, rename(f, n, n - 1, {n - 1: n - 2}))
+        else:
+            n, f = done.pop()
+            out = (n + 1, rename(f, n, n + 1, {}))
+        done.append(out)
+    return CcqJudgment(*done.pop())
+
+
+def random_derivation(rng: random.Random, steps: int, max_ctx: int = 8):
+    """``steps`` rules applied at random, each to the previous result (a
+    conjunction pairs it with an earlier result or a fresh leaf)."""
+    def leaf():
+        return rng.choice([TopIntro(), EqIntro(), RelIntro("Z", 0), RelIntro("P", 1),
+                           RelIntro("R", 2), RelIntro("T", 3)])
+
+    pool = [leaf()]
+    for _ in range(steps):
+        d, other = pool[-1], rng.choice(pool + [leaf()])
+        rules = ["exists", "add"] if d.context < max_ctx else ["exists"]
+        if d.context + other.context <= max_ctx:
+            rules += ["conj", "conj"]
+        if d.context >= 2:
+            rules += ["swap", "swap", "merge"]
+        rule = rng.choice(rules)
+        if rule == "conj":
+            d = ConjIntro(d, other) if rng.random() < 0.5 else ConjIntro(other, d)
+        elif rule == "exists":
+            d = ExistsIntro(d if d.context else AddVar(d))
+        elif rule == "add":
+            d = AddVar(d)
+        elif rule == "swap":
+            d = SwapVars(d, rng.randrange(d.context - 1))
+        else:
+            d = MergeVars(d)
+        pool.append(d)
+    return pool[-1]
+
+
+def test_conclusion_matches_the_rule_by_rule_reference():
+    rng = random.Random(4242)
+    sig = Signature({"Z": (0, 0), "P": (1, 0), "R": (2, 0), "T": (3, 0)})
+    models = model_battery(sig, rng, sizes=(1, 2))
+    for trial in range(600):
+        d = random_derivation(rng, rng.randint(1, 16))
+        j = d.conclusion
+        assert j == reference_conclusion(d)
+        assert d.context == j.context
+        if trial % 10 == 0:
+            for model in models:
+                assert replay_eval(d, model) == eval_ccq(j, model)
+    for j in (random_judgment(rng, SIG, max_ctx=4, max_depth=6) for _ in range(100)):
+        assert reference_conclusion(derive(j)) == j
+
+
+def test_rule_errors_keep_their_messages():
+    for build, message in [
+        (lambda: ExistsIntro(TopIntro()), "existential closure needs a variable to bind"),
+        (lambda: SwapVars(EqIntro(), 1), "swap position 1 out of range for context 2"),
+        (lambda: SwapVars(RelIntro("P", 1), 0), "swap position 0 out of range for context 1"),
+        (lambda: MergeVars(RelIntro("P", 1)), "merging needs at least two variables"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message

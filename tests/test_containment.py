@@ -84,6 +84,26 @@ def test_equivalence_examples():
     assert not decide_equivalence(BONE, Id0()).holds
 
 
+def test_equivalence_compiles_each_side_once(monkeypatch):
+    compiled = []
+
+    def counting(t):
+        compiled.append(t)
+        return term_to_cospan(t)
+
+    monkeypatch.setattr("cqgraph.containment.term_to_cospan", counting)
+    c = Seq(Gen("R", 1, 1), Copy())
+    for lhs, rhs, holds in [(c, c, True), (BONE, Id0(), False),
+                            (parse_ccq(clique(4, False), CCQ_SIG),
+                             parse_ccq(clique(4, True), CCQ_SIG), True)]:
+        compiled.clear()
+        verdict = decide_equivalence(lhs, rhs)
+        assert compiled == [lhs, rhs]
+        assert verdict.holds == holds
+        assert verdict.forward == decide_inclusion(lhs, rhs)
+        assert verdict.backward == decide_inclusion(rhs, lhs)
+
+
 def test_sort_mismatch_is_an_error():
     with pytest.raises(SortError):
         decide_inclusion(Id1(), Id0())

@@ -1,4 +1,4 @@
-from conftest import model_battery, random_judgment, random_term
+from conftest import clique, model_battery, random_judgment, random_term
 from cqgraph.ccq import (
     CcqJudgment,
     Conj,
@@ -6,6 +6,7 @@ from cqgraph.ccq import (
     Exists,
     RelAtom,
     Top,
+    derive,
     eval_ccq,
     parse_ccq,
     parse_ccq_two_sided,
@@ -169,3 +170,32 @@ def test_lambda_of_a_long_chain_prints_and_parses_back():
     assert (tsj.left, tsj.right) == (1, 1)
     flat = relational_signature(DIAG_SIG)
     assert parse_ccq_two_sided(str(tsj), flat) == (1, 1, tsj.formula)
+
+
+def test_translations_build_each_formula_once(monkeypatch, rng):
+    # no rule node, derivation step or term node renames a whole formula
+    def refuse(*args):
+        raise AssertionError("a formula was rewritten")
+
+    monkeypatch.setattr("cqgraph.ccq.rename", refuse)
+    monkeypatch.setattr("cqgraph.ccq.free_vars", refuse)
+    monkeypatch.setattr("cqgraph.translate.rename", refuse, raising=False)
+    k8 = Signature({"R": (2, 0)})
+    cases = [parse_ccq(clique(8, reverse), k8) for reverse in (False, True)]
+    cases += [random_judgment(rng, SIG, max_ctx=4, max_depth=6) for _ in range(60)]
+    for j in cases:
+        assert derive(j).conclusion == j
+        assert theta(j).sort == Sort(j.context, 0)
+    tsj = lambda_term(seq(*([Gen("R", 1, 1)] * 1200)))
+    assert (tsj.left, tsj.right) == (1, 1)
+    names = ["x0"] + [f"z{i}" for i in range(999)] + ["x1"]
+    path = parse_ccq("2 |- " + "".join(f"exists {v}. " for v in names[1:-1])
+                     + " /\\ ".join(f"R({a}, {b})" for a, b in zip(names, names[1:])), k8)
+    d = derive(path)
+    assert len(postorder(d, subtrees)) == 7993
+    assert d.conclusion == path
+
+
+def test_theta_model_hands_back_the_model():
+    model = RelModel(SIG, ["a", "b"], {"R": [((0, 1), ())]})
+    assert theta_model(model) is model
