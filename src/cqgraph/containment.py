@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 from .ccq import CcqJudgment
 from .cospan import Cospan, boundary_pins, term_to_cospan
-from .errors import SortError
+from .errors import ModelError, SortError
 from .gcq import GcqTerm, eval_gcq, term_signature
 from .hypergraph import HgMorphism, Hypergraph, find_morphisms
-from .sigmodel import RelModel, Signature, dump_model
+from .sigmodel import RelModel, Signature, _trusted, dump_model
 
 
 @dataclass
@@ -57,10 +57,13 @@ def _apex_signature(g: Hypergraph) -> Signature:
 def hypergraph_as_model(g: Hypergraph, sig: Signature) -> RelModel:
     """Read a hypergraph as a relational model: vertices become the carrier,
     the tentacle tuples of each symbol become its relation (a set, so
-    parallel duplicate edges collapse)."""
-    carrier = [f"v{i}" for i in range(g.vcount)]
-    rho = {sym: list(rows) for sym, rows in g.edges.items() if sym in sig}
-    return RelModel(sig, carrier, rho)
+    parallel duplicate edges collapse).  A checked g gives each symbol one
+    sort, so its first edge is checked against ``sig``."""
+    for sym, rows in g.edges.items():
+        if sym in sig and (len(rows[0][0]), len(rows[0][1])) != sig.sort(sym):
+            raise ModelError(f"tuple for {sym!r} does not match sort {sig.sort(sym)}")
+    return _trusted(RelModel, signature=sig, carrier=tuple(f"v{i}" for i in range(g.vcount)),
+                    rho={name: frozenset(g.edges.get(name, ())) for name in sig})
 
 
 def decide_inclusion(c: GcqTerm | CcqJudgment, d: GcqTerm | CcqJudgment,

@@ -42,9 +42,10 @@ from .hypergraph import (
     hypergraph_to_doc,
     hypergraph_to_dot,
     is_isomorphic,
+    pushout,
     quotient,
 )
-from .sigmodel import Sort
+from .sigmodel import Sort, _trusted
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ class Cospan:
         if len(self.iota) != self.n or len(self.omega) != self.m:
             raise ModelError("boundary maps must cover the ordinals")
         for v in self.iota + self.omega:
-            if not (0 <= v < self.apex.vcount):
+            if type(v) is not int or not 0 <= v < self.apex.vcount:
                 raise ModelError("boundary map leaves the apex")
 
     @property
@@ -69,45 +70,26 @@ class Cospan:
         return Sort(self.n, self.m)
 
 
-def pushout(f: tuple, g: tuple, a: Hypergraph, b: Hypergraph):
-    """Pushout of the discrete span a <-f- k -g-> b.
-
-    ``f`` and ``g`` are vertex maps from the same ordinal k.  Returns the
-    apex hypergraph together with the two quotient vertex maps a -> P and
-    b -> P.  Vertices are quotiented; edge lists are concatenated (a's
-    first) with tentacles re-indexed through the quotient.
-    """
-    if len(f) != len(g):
-        raise ModelError("pushout legs must share their source ordinal")
-    off = a.vcount
-    edges = {sym: list(rows) for sym, rows in a.edges.items()}
-    for sym, rows in b.edges.items():
-        edges.setdefault(sym, []).extend(
-            (tuple(off + v for v in s), tuple(off + v for v in t)) for s, t in rows)
-    apex, number = quotient(off + b.vcount, ((x, off + y) for x, y in zip(f, g)), edges)
-    return apex, tuple(number[:off]), tuple(number[off:])
-
-
 def compose_cospans(a: Cospan, b: Cospan) -> Cospan:
     """Glue a and b along their shared boundary: apex is the pushout."""
     if a.m != b.n:
         raise SortError(f"cannot compose cospans {a.sort} ; {b.sort}")
     apex, qa, qb = pushout(a.omega, b.iota, a.apex, b.apex)
-    return Cospan(a.n, b.m, apex,
-                  tuple(qa[v] for v in a.iota),
-                  tuple(qb[v] for v in b.omega))
+    return _trusted(Cospan, n=a.n, m=b.m, apex=apex,
+                    iota=tuple(qa[v] for v in a.iota), omega=tuple(qb[v] for v in b.omega))
 
 
 def tensor_cospans(a: Cospan, b: Cospan) -> Cospan:
     """Lay a and b side by side: apex is the pushout over the empty ordinal."""
     apex, qa, qb = pushout((), (), a.apex, b.apex)
-    return Cospan(a.n + b.n, a.m + b.m, apex,
-                  tuple(qa[v] for v in a.iota) + tuple(qb[v] for v in b.iota),
-                  tuple(qa[v] for v in a.omega) + tuple(qb[v] for v in b.omega))
+    return _trusted(Cospan, n=a.n + b.n, m=a.m + b.m, apex=apex,
+                    iota=tuple(qa[v] for v in a.iota) + tuple(qb[v] for v in b.iota),
+                    omega=tuple(qa[v] for v in a.omega) + tuple(qb[v] for v in b.omega))
 
 
 def identity_cospan(n: int) -> Cospan:
-    return Cospan(n, n, Hypergraph(n), tuple(range(n)), tuple(range(n)))
+    wires = tuple(range(n))
+    return _trusted(Cospan, n=n, m=n, apex=Hypergraph(n), iota=wires, omega=wires)
 
 
 # (vertices, iota, omega) of the discrete cospan of each wiring constant
@@ -138,7 +120,7 @@ def term_to_cospan(t: GcqTerm | CcqJudgment) -> Cospan:
     """
     if isinstance(t, CcqJudgment):
         g, free = natural_model(t)
-        return Cospan(t.context, 0, g, free, ())
+        return _trusted(Cospan, n=t.context, m=0, apex=g, iota=free, omega=())
     wires = 0
     glue: list[tuple[int, int]] = []
     edges: dict[str, list] = {}
@@ -166,8 +148,8 @@ def term_to_cospan(t: GcqTerm | CcqJudgment) -> Cospan:
             raise TypeError(f"not a term: {u!r}")
     apex, number = quotient(wires, glue, edges)
     iota, omega = done.pop()
-    return Cospan(t.sort.n, t.sort.m, apex,
-                  tuple(number[v] for v in iota), tuple(number[v] for v in omega))
+    return _trusted(Cospan, n=t.sort.n, m=t.sort.m, apex=apex,
+                    iota=tuple(number[v] for v in iota), omega=tuple(number[v] for v in omega))
 
 
 def boundary_pins(frm: Cospan, to: Cospan) -> dict | None:
@@ -270,7 +252,15 @@ def cospan_to_json(c: Cospan) -> str:
 
 
 def cospan_from_json(text: str) -> Cospan:
-    doc = json.loads(text)
+    """Read back ``cospan_to_json``'s layout; malformed input raises ModelError."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ModelError(f"malformed cospan JSON: {exc}") from None
+    if not isinstance(doc, dict) or not {"n", "m", "apex", "iota", "omega"} <= doc.keys():
+        raise ModelError('cospan JSON must be an object with "n", "m", "apex", "iota", "omega"')
+    if not (isinstance(doc["iota"], list) and isinstance(doc["omega"], list)):
+        raise ModelError("boundary maps must be lists")
     return Cospan(doc["n"], doc["m"], hypergraph_from_doc(doc["apex"]),
                   tuple(doc["iota"]), tuple(doc["omega"]))
 

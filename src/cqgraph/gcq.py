@@ -23,10 +23,9 @@ from .sigmodel import (
     RelModel,
     Signature,
     Sort,
-    identity_relation,
+    _trusted,
     relation_compose,
     relation_tensor,
-    unit_relation,
 )
 
 
@@ -166,6 +165,10 @@ class Gen(GcqTerm):
     name: str
     n: int
     m: int
+
+    def __post_init__(self):
+        if self.n < 0 or self.m < 0:
+            raise SortError(f"negative sort for box {self.name!r}")
 
     @property
     def sort(self) -> Sort:
@@ -323,27 +326,19 @@ def eval_gcq(t: GcqTerm, model: RelModel) -> Relation:
     return done.pop()
 
 
+# the pairs of each wiring constant over the carrier xs
+_CONSTANT_PAIRS = {
+    Copy: lambda xs: (((x,), (x, x)) for x in xs),
+    Discard: lambda xs: (((x,), ()) for x in xs),
+    Merge: lambda xs: (((x, x), (x,)) for x in xs),
+    Spawn: lambda xs: (((), (x,)) for x in xs),
+    Id0: lambda xs: [((), ())],
+    Id1: lambda xs: (((x,), (x,)) for x in xs),
+    Swap: lambda xs: (((x, y), (y, x)) for x in xs for y in xs),
+}
+
+
 def _leaf_relation(t: GcqTerm, model: RelModel) -> Relation:
-    size = model.size
-    if isinstance(t, Copy):
-        return Relation(Sort(1, 2), size,
-                        frozenset(((x,), (x, x)) for x in range(size)))
-    if isinstance(t, Discard):
-        return Relation(Sort(1, 0), size,
-                        frozenset(((x,), ()) for x in range(size)))
-    if isinstance(t, Merge):
-        return Relation(Sort(2, 1), size,
-                        frozenset(((x, x), (x,)) for x in range(size)))
-    if isinstance(t, Spawn):
-        return Relation(Sort(0, 1), size,
-                        frozenset(((), (x,)) for x in range(size)))
-    if isinstance(t, Id0):
-        return unit_relation(size)
-    if isinstance(t, Id1):
-        return identity_relation(size, 1)
-    if isinstance(t, Swap):
-        return Relation(Sort(2, 2), size,
-                        frozenset(((x, y), (y, x)) for x in range(size) for y in range(size)))
     if isinstance(t, Gen):
         if t.name not in model.signature:
             raise SignatureError(f"model does not interpret symbol {t.name!r}")
@@ -352,7 +347,10 @@ def _leaf_relation(t: GcqTerm, model: RelModel) -> Relation:
             raise SignatureError(
                 f"model interprets {t.name!r} at sort {rel.sort}, term uses {t.sort}")
         return rel
-    raise TypeError(f"not a term: {t!r}")
+    if type(t) not in _CONSTANT_PAIRS:
+        raise TypeError(f"not a term: {t!r}")
+    pairs = frozenset(_CONSTANT_PAIRS[type(t)](range(model.size)))
+    return _trusted(Relation, sort=t.sort, carrier_size=model.size, pairs=pairs)
 
 
 # ---------------------------------------------------------------------------

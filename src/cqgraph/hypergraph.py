@@ -29,27 +29,37 @@ from itertools import product
 from operator import itemgetter
 
 from .errors import BudgetExhausted, ModelError, SignatureError
-from .sigmodel import RelModel
+from .sigmodel import RelModel, _trusted
 
 
 Edge = tuple  # (source vertex tuple, target vertex tuple)
 
 
 class Hypergraph:
-    """Immutable-by-convention hypergraph over dense vertex ids."""
+    """Immutable-by-convention hypergraph over dense vertex ids.
+
+    Each symbol's edges share one sort; malformed input raises ``ModelError``.
+    """
 
     def __init__(self, vcount: int, edges: dict[str, list[Edge]] | None = None):
-        if vcount < 0:
-            raise ValueError("vcount must be a natural")
+        if type(vcount) is not int or vcount < 0:
+            raise ModelError("vcount must be a natural")
+        edges = edges or {}
+        if not isinstance(edges, dict):
+            raise ModelError("edges must map symbols to edge lists")
         self.vcount = vcount
         table: dict[str, tuple[Edge, ...]] = {}
-        for sym in sorted(edges or {}):
-            rows = tuple((tuple(s), tuple(t)) for s, t in edges[sym])
+        for sym in sorted(edges):
+            try:
+                rows = tuple((tuple(s), tuple(t)) for s, t in edges[sym])
+            except (TypeError, ValueError):
+                raise ModelError(f"each edge of {sym!r} must be a (sources, targets) pair") from None
             for s, t in rows:
-                if any(not (0 <= v < vcount) for v in s + t):
-                    raise ValueError(f"edge of {sym!r} mentions a vertex out of range")
+                if any(type(v) is not int or not 0 <= v < vcount for v in s + t):
+                    raise ModelError(f"edge of {sym!r} mentions a vertex out of range")
             if rows:
                 table[sym] = rows
+        _check_one_sort(table)
         self.edges = table
 
     def edge_count(self) -> int:
@@ -416,27 +426,24 @@ def is_isomorphic(g: Hypergraph, h: Hypergraph,
 
 def disjoint_union(g: Hypergraph, h: Hypergraph):
     """Coproduct g + h with its two injections; h's vertices are offset."""
-    off = g.vcount
-    edges: dict[str, list[Edge]] = {sym: list(rows) for sym, rows in g.edges.items()}
-    for sym, rows in h.edges.items():
-        edges.setdefault(sym, [])
-        edges[sym].extend((tuple(v + off for v in s), tuple(v + off for v in t))
-                          for s, t in rows)
-    out = Hypergraph(g.vcount + h.vcount, edges)
-    inl = HgMorphism(tuple(range(g.vcount)),
-                     {sym: tuple(range(len(rows))) for sym, rows in g.edges.items()})
-    inr_emaps = {}
-    for sym, rows in h.edges.items():
-        base = len(g.edges.get(sym, ()))
-        inr_emaps[sym] = tuple(base + i for i in range(len(rows)))
-    inr = HgMorphism(tuple(off + v for v in range(h.vcount)), inr_emaps)
-    return out, inl, inr
+    out, _, shifted = pushout((), (), g, h)
+    inr = HgMorphism(shifted, {sym: tuple(range(len(g.edges.get(sym, ())), len(out.edges[sym])))
+                               for sym in h.edges})
+    return out, identity_morphism(g), inr
+
+
+def _check_one_sort(edges: dict) -> None:
+    """Raise ``ModelError`` unless each symbol's edges share one sort."""
+    for sym, rows in edges.items():
+        if len({(len(s), len(t)) for s, t in rows}) > 1:
+            raise ModelError(f"edges of {sym!r} have two sorts")
 
 
 def quotient(size: int, glue, edges: dict):
     """The hypergraph of ``edges`` (symbol -> hyperedges over wires) with
     wires ``0..size-1`` glued along ``glue``, and the wire -> vertex map;
-    classes are numbered in ascending order of their smallest wire."""
+    classes are numbered in ascending order of their smallest wire.  A
+    symbol with edges of two sorts raises ``ModelError``."""
     parent = list(range(size))
 
     def find(x: int) -> int:
@@ -450,10 +457,29 @@ def quotient(size: int, glue, edges: dict):
     # a root is the first wire of its class that the scan meets
     dense: dict[int, int] = {}
     number = [dense.setdefault(find(w), len(dense)) for w in range(size)]
-    graph = Hypergraph(len(dense), {
-        sym: [(tuple(number[v] for v in s), tuple(number[v] for v in t)) for s, t in rows]
-        for sym, rows in edges.items()})
-    return graph, number
+    table = {sym: tuple((tuple(number[v] for v in s), tuple(number[v] for v in t))
+                        for s, t in edges[sym]) for sym in sorted(edges) if edges[sym]}
+    _check_one_sort(table)
+    return _trusted(Hypergraph, vcount=len(dense), edges=table), number
+
+
+def pushout(f: tuple, g: tuple, a: Hypergraph, b: Hypergraph):
+    """Pushout of the discrete span a <-f- k -g-> b.
+
+    ``f`` and ``g`` are vertex maps from the same ordinal k.  Returns the
+    apex hypergraph together with the two quotient vertex maps a -> P and
+    b -> P.  Vertices are quotiented; edge lists are concatenated (a's
+    first) with tentacles re-indexed through the quotient.
+    """
+    if len(f) != len(g):
+        raise ModelError("pushout legs must share their source ordinal")
+    off = a.vcount
+    edges = {sym: list(rows) for sym, rows in a.edges.items()}
+    for sym, rows in b.edges.items():
+        edges.setdefault(sym, []).extend(
+            (tuple(off + v for v in s), tuple(off + v for v in t)) for s, t in rows)
+    apex, number = quotient(off + b.vcount, ((x, off + y) for x, y in zip(f, g)), edges)
+    return apex, tuple(number[:off]), tuple(number[off:])
 
 
 def _picker(idx):
@@ -538,8 +564,10 @@ def hypergraph_to_doc(g: Hypergraph) -> dict:
 
 
 def hypergraph_from_doc(doc: dict) -> Hypergraph:
-    return Hypergraph(doc["vcount"], {sym: [(tuple(s), tuple(t)) for s, t in rows]
-                                      for sym, rows in doc.get("edges", {}).items()})
+    """Read back ``hypergraph_to_doc``'s layout; malformed input raises ModelError."""
+    if not isinstance(doc, dict):
+        raise ModelError('a hypergraph must be an object {"vcount": ..., "edges": ...}')
+    return Hypergraph(doc.get("vcount"), doc.get("edges"))
 
 
 def hypergraph_to_json(g: Hypergraph) -> str:

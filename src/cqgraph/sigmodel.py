@@ -105,7 +105,7 @@ def load_signature(text: str) -> Signature:
     table = {}
     for name, sort in doc.items():
         if (not isinstance(sort, list) or len(sort) != 2
-                or not all(isinstance(x, int) for x in sort)):
+                or not all(type(x) is int for x in sort)):  # JSON true/false are bools
             raise SignatureError(f"sort of {name!r} must be a pair of naturals")
         table[name] = (sort[0], sort[1])
     return Signature(table)
@@ -113,6 +113,21 @@ def load_signature(text: str) -> Signature:
 
 def dump_signature(sig: Signature) -> str:
     return json.dumps({name: [s.n, s.m] for name, s in sig.items()}, indent=None)
+
+
+def _trusted(cls, **fields):
+    """A ``cls`` holding ``fields`` as given, skipping its constructor's checks.
+
+    Callers pass what the checked constructor would store, so that no
+    ``==``, hash or output tells the two apart.  ``Relation``: a ``Sort``
+    and a frozenset of (tuple, tuple) pairs of it over the carrier.
+    ``RelModel``: a tuple of unique ids, and for each symbol in signature
+    order a frozenset of pairs at its sort.  ``Hypergraph``: sorted symbols,
+    each with a non-empty tuple of in-range edges of one sort.  ``Cospan``:
+    in-range tuple boundaries of lengths ``n`` and ``m``."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -147,19 +162,19 @@ class Relation:
 
 def identity_relation(size: int, n: int = 1) -> Relation:
     pairs = frozenset((t, t) for t in product(range(size), repeat=n))
-    return Relation(Sort(n, n), size, pairs)
+    return _trusted(Relation, sort=Sort(n, n), carrier_size=size, pairs=pairs)
 
 
 def unit_relation(size: int) -> Relation:
     """The sort-(0,0) relation {(•,•)}, the tensor unit."""
-    return Relation(Sort(0, 0), size, frozenset({((), ())}))
+    return _trusted(Relation, sort=Sort(0, 0), carrier_size=size, pairs=frozenset({((), ())}))
 
 
 def full_relation(size: int, n: int, m: int) -> Relation:
     pairs = frozenset(
         (a, b) for a in product(range(size), repeat=n) for b in product(range(size), repeat=m)
     )
-    return Relation(Sort(n, m), size, pairs)
+    return _trusted(Relation, sort=Sort(n, m), carrier_size=size, pairs=pairs)
 
 
 def relation_compose(r: Relation, s: Relation) -> Relation:
@@ -175,7 +190,8 @@ def relation_compose(r: Relation, s: Relation) -> Relation:
     for a, mid in r.pairs:
         for out in by_mid.get(mid, ()):
             pairs.add((a, out))
-    return Relation(Sort(r.sort.n, s.sort.m), r.carrier_size, frozenset(pairs))
+    return _trusted(Relation, sort=Sort(r.sort.n, s.sort.m), carrier_size=r.carrier_size,
+                    pairs=frozenset(pairs))
 
 
 def relation_tensor(r: Relation, s: Relation) -> Relation:
@@ -185,7 +201,8 @@ def relation_tensor(r: Relation, s: Relation) -> Relation:
     pairs = frozenset(
         (a + c, b + d) for a, b in r.pairs for c, d in s.pairs
     )
-    return Relation(Sort(r.sort.n + s.sort.n, r.sort.m + s.sort.m), r.carrier_size, pairs)
+    return _trusted(Relation, sort=Sort(r.sort.n + s.sort.n, r.sort.m + s.sort.m),
+                    carrier_size=r.carrier_size, pairs=pairs)
 
 
 class RelModel:
@@ -224,7 +241,7 @@ class RelModel:
 
     def relation(self, name: str) -> Relation:
         sort = self.signature.sort(name)
-        return Relation(sort, self.size, self.rho[name])
+        return _trusted(Relation, sort=sort, carrier_size=self.size, pairs=self.rho[name])
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, RelModel) and self.signature == other.signature
@@ -246,18 +263,22 @@ def load_model(text: str, sig: Signature) -> RelModel:
     if not isinstance(carrier, list) or not all(isinstance(x, str) for x in carrier):
         raise ModelError("carrier must be a list of string ids")
     index = {name: i for i, name in enumerate(carrier)}
+    relations = doc.get("relations") or {}
+    if not isinstance(relations, dict):
+        raise ModelError("relations must be an object mapping symbols to tuple lists")
     rho: dict[str, list] = {}
-    for name, rows in (doc.get("relations") or {}).items():
+    for name, rows in relations.items():
+        if not isinstance(rows, list):
+            raise ModelError(f"the tuples of {name!r} must be a list")
         pairs = []
         for row in rows:
-            if not isinstance(row, list) or len(row) != 2:
+            if not (isinstance(row, list) and len(row) == 2
+                    and isinstance(row[0], list) and isinstance(row[1], list)):
                 raise ModelError(f"each tuple of {name!r} must be a pair [ins, outs]")
-            try:
-                a = tuple(index[x] for x in row[0])
-                b = tuple(index[x] for x in row[1])
-            except KeyError as exc:
-                raise ModelError(f"element {exc.args[0]!r} not in carrier") from None
-            pairs.append((a, b))
+            for x in row[0] + row[1]:
+                if not isinstance(x, str) or x not in index:
+                    raise ModelError(f"element {x!r} not in carrier")
+            pairs.append((tuple(index[x] for x in row[0]), tuple(index[x] for x in row[1])))
         rho[name] = pairs
     return RelModel(sig, carrier, rho)
 

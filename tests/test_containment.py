@@ -17,7 +17,7 @@ from cqgraph.containment import (
     span_semantics,
 )
 from cqgraph.cospan import term_to_cospan
-from cqgraph.errors import BudgetExhausted, SortError
+from cqgraph.errors import BudgetExhausted, ModelError, SortError
 from cqgraph.gcq import (
     Copy,
     Discard,
@@ -102,6 +102,11 @@ def test_equivalence_compiles_each_side_once(monkeypatch):
         assert verdict.holds == holds
         assert verdict.forward == decide_inclusion(lhs, rhs)
         assert verdict.backward == decide_inclusion(rhs, lhs)
+
+
+def test_model_of_a_hypergraph_checks_the_signature():
+    with pytest.raises(ModelError):
+        hypergraph_as_model(Hypergraph(2, {"R": [((0,), (1,))]}), Signature({"R": (2, 0)}))
 
 
 def test_sort_mismatch_is_an_error():

@@ -14,7 +14,7 @@ from cqgraph.cospan import (
     tensor_cospans,
     term_to_cospan,
 )
-from cqgraph.errors import SortError
+from cqgraph.errors import ModelError, SortError
 from cqgraph.gcq import (
     Copy,
     Discard,
@@ -283,6 +283,32 @@ def test_json_layout():
     assert cospan_to_json(c) == (
         '{"n": 1, "m": 2, "apex": {"vcount": 2, "edges": {"R": [[[0, 1], []]], '
         '"S": [[[1], [0]]]}}, "iota": [0], "omega": [1, 1]}')
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 1, "m": 0, "apex": {"vcount": 1, "edges": {}}, "iota": [0]}',  # no "m"
+    '{"n": 0, "m": 0, "apex": {"vcount": "1", "edges": {}}, "iota": [], "omega": []}',
+    '{"n": 0, "m": 0, "apex": {"vcount": -1, "edges": {}}, "iota": [], "omega": []}',
+    '{"n": 0, "m": 0, "apex": {"vcount": 1, "edges": {"R": [[[0], [1]]]}}, '
+    '"iota": [], "omega": []}',  # a tentacle out of range
+    '{"n": 1, "m": 0, "apex": {"vcount": 1, "edges": {}}, "iota": [1], "omega": []}',
+    '{"n": 1, "m": 0, "apex": {"vcount": 1, "edges": {}}, "iota": ["0"], "omega": []}',
+    '{"n": 1, "m": 0, "apex": {"vcount": 1, "edges": {}}, "iota": 0, "omega": []}',
+    '[]',
+    '{"n": 1',
+])
+def test_cospan_from_json_rejects_bad_input(text):
+    with pytest.raises(ModelError):
+        cospan_from_json(text)
+
+
+def test_compile_rejects_a_symbol_at_two_sorts():
+    with pytest.raises(ModelError):
+        term_to_cospan(Tensor(Gen("R", 1, 1), Gen("R", 2, 0)))
+    with pytest.raises(ModelError):
+        compose_cospans(term_to_cospan(Gen("R", 1, 1)), term_to_cospan(Seq(Gen("R", 1, 0), Spawn())))
+    with pytest.raises(SortError):
+        Gen("R", -1, 0)
 
 
 def test_join_over_compiled_cospan_is_relational_evaluation(rng):

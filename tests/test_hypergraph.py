@@ -14,11 +14,13 @@ from cqgraph.hypergraph import (
     compose_morphisms,
     disjoint_union,
     find_morphisms,
+    hypergraph_from_doc,
     hypergraph_from_json,
     hypergraph_to_dot,
     hypergraph_to_json,
     identity_morphism,
     is_isomorphic,
+    quotient,
     validate_morphism,
 )
 from cqgraph.sigmodel import RelModel, Signature
@@ -293,6 +295,35 @@ def test_composition_of_morphisms_is_valid(rng):
 def test_json_round_trip():
     g = triangle()
     assert hypergraph_from_json(hypergraph_to_json(g)) == g
+
+
+@pytest.mark.parametrize("vcount, edges", [
+    ("2", {}),  # vcount not a natural
+    (-1, {}),
+    (2, {"R": [((0,), (2,))]}),  # a tentacle out of range
+    (2, {"R": [(("0",), (1,))]}),  # a tentacle not a vertex id
+    (2, {"R": [((0,), (1,)), ((0, 1), ())]}),  # one symbol at two sorts
+    (2, {"R": [((0,),)]}),  # an edge not a pair
+    (2, {"R": 5}),
+])
+def test_hypergraph_rejects_bad_input(vcount, edges):
+    with pytest.raises(ModelError):
+        Hypergraph(vcount, edges)
+    with pytest.raises(ModelError):
+        hypergraph_from_doc({"vcount": vcount, "edges": edges})
+
+
+def test_hypergraph_from_doc_rejects_bad_layout():
+    for doc in ([], {"edges": {}}, {"vcount": 1, "edges": [1]}):
+        with pytest.raises(ModelError):
+            hypergraph_from_doc(doc)
+
+
+def test_quotient_and_union_reject_a_symbol_at_two_sorts():
+    with pytest.raises(ModelError):
+        quotient(3, [(0, 1)], {"R": [((0,), (1,)), ((0, 1), (2,))]})
+    with pytest.raises(ModelError):
+        disjoint_union(single_edge(), Hypergraph(2, {"R": [((0, 1), ())]}))
 
 
 def test_dot_output_shape():

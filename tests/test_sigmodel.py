@@ -79,6 +79,24 @@ def test_load_model_unknown_symbol_and_arity_mismatch():
         load_model('{"carrier": ["a"], "relations": {"R": [[["a"],[]]]}}', sig)
 
 
+def test_load_signature_rejects_boolean_arities():
+    with pytest.raises(SignatureError):
+        load_signature('{"P": [true, false]}')
+
+
+@pytest.mark.parametrize("relations", [
+    '[1]',  # relations not an object
+    '{"R": 5}',  # a relation not a list
+    '{"R": [[1, ["a"]]]}',  # a tuple side not a list
+    '{"P": [["ab", []]]}',  # a string is not a tuple of ids
+    '{"P": [[[["a"]], []]]}',  # an element not a string id
+])
+def test_load_model_rejects_malformed_structure(relations):
+    sig = load_signature('{"R": [1, 1], "P": [2, 0]}')
+    with pytest.raises(ModelError):
+        load_model('{"carrier": ["a", "b"], "relations": %s}' % relations, sig)
+
+
 def test_model_dump_is_canonical():
     sig = load_signature('{"R": [1, 1]}')
     m1 = load_model('{"carrier": ["a","b"], "relations": {"R": [[["b"],["a"]], [["a"],["b"]]]}}', sig)
