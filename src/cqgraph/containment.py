@@ -22,7 +22,7 @@ from .cospan import Cospan, boundary_pins, term_to_cospan
 from .errors import ModelError, SortError
 from .gcq import GcqTerm, eval_gcq, term_signature
 from .hypergraph import HgMorphism, Hypergraph, find_morphisms
-from .sigmodel import RelModel, Signature, _trusted, dump_model
+from .sigmodel import RelModel, Signature, Sort, _trusted, dump_model
 
 
 @dataclass
@@ -49,9 +49,10 @@ class EquivalenceVerdict:
 
 
 def _apex_signature(g: Hypergraph) -> Signature:
-    """The symbols with an edge in g, each at the sort of its tentacles."""
-    return Signature({sym: (len(rows[0][0]), len(rows[0][1]))
-                      for sym, rows in g.edges.items()})
+    """The symbols with an edge in g, each at the sort of its tentacles (a
+    checked g lists its symbols sorted, each with edges of one sort)."""
+    return _trusted(Signature, _table={sym: Sort(len(rows[0][0]), len(rows[0][1]))
+                                       for sym, rows in g.edges.items()})
 
 
 def hypergraph_as_model(g: Hypergraph, sig: Signature) -> RelModel:

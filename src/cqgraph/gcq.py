@@ -296,14 +296,13 @@ def generator_count(t: GcqTerm) -> int:
 
 def term_signature(t: GcqTerm) -> Signature:
     """The signature spanned by the boxes occurring in t."""
-    table: dict[str, tuple[int, int]] = {}
+    table: dict[str, Sort] = {}
     for u in postorder(t, subtrees):
-        if isinstance(u, Gen):
-            prev = table.get(u.name)
-            if prev is not None and prev != (u.n, u.m):
-                raise SignatureError(f"symbol {u.name!r} used at two sorts")
-            table[u.name] = (u.n, u.m)
-    return Signature(table)
+        if isinstance(u, Gen) and table.setdefault(u.name, u.sort) != u.sort:
+            raise SignatureError(f"symbol {u.name!r} used at two sorts")
+    if "" in table:
+        raise SignatureError("symbol names must be non-empty")
+    return _trusted(Signature, _table={name: table[name] for name in sorted(table)})
 
 
 def eval_gcq(t: GcqTerm, model: RelModel) -> Relation:

@@ -7,9 +7,9 @@ symbol's sort.  Edge lists may contain duplicates: parallel edges with
 identical tentacles are distinct edges, and morphisms carry explicit edge
 maps for exactly that reason.
 
-Morphism search is a backtracking enumeration over vertex images, drawn
-from an index of h's edges where an edge constrains them, pruning through
-edges as soon as all their tentacles are assigned.
+Morphism search is a backtracking enumeration over vertex images.  A
+vertex tries only the images that every edge it completes allows, read as
+one bitset from indexes of h's edges, so no edge is tested after the fact.
 The answer list is deterministic: vertex maps come out in lexicographic
 order and edge images ascend within each vertex map.  Isomorphism search is
 the same search with an injective vertex map, whose edges may land only on
@@ -146,12 +146,12 @@ def compose_morphisms(f: HgMorphism, k: HgMorphism) -> HgMorphism:
 class _Search:
     """Backtracking state shared by morphism and isomorphism search.
 
-    Both searches assign vertex images and test every edge once its
-    tentacles are assigned: the image tentacle tuple must be one of the
-    edge's ``targets``.  An edge class is the set of edges with one symbol
-    and one tentacle tuple.  A plain search may send an edge onto any class
-    of its symbol.  An injective search sends vertices to distinct images
-    and an edge of a class K only onto a class with exactly |K| edges.
+    Both searches assign vertex images, and an edge holds when its image
+    tentacle tuple is one of the edge's ``targets``.  An edge class is the
+    set of edges with one symbol and one tentacle tuple.  A plain search may
+    send an edge onto any class of its symbol.  An injective search sends
+    vertices to distinct images and an edge of a class K only onto a class
+    with exactly |K| edges.
 
     Given equal vertex counts and equal edge counts per symbol, which
     ``is_isomorphic`` checks first, those two rules accept exactly the
@@ -162,13 +162,20 @@ class _Search:
     uncovered.  Needed: an isomorphism restricts to a bijection K -> f(K).
 
     Two rules narrow the images tried at v without changing the answers.
-    (a) An edge checkable at v admits, ascending, only the images an index
-    of its targets lists for its other tentacles' images; any other fails
-    it, so the maps and their order are those of a loop over all of h.
+    (a) An edge is checkable at v, its largest unpinned tentacle: vertices
+    are assigned in index order, so its other tentacles have images by then.
+    An index of its targets keyed by those images gives, as a bitset, the
+    images of v that put the edge in ``targets``, and v tries, ascending,
+    only the intersection over every edge checkable at v.  An image outside
+    one edge's set fails that edge whatever follows, so dropping it loses
+    no map and keeps the others in their order, that of a loop over all of
+    h; inside it every checkable edge holds, so none is tested after the
+    assignment.  A step is one image tried, so one that passes every edge
+    checkable at its vertex, or one edge map emitted.
     (b) An existence search (limit 1, not injective) tries, of the vertices
     of h with no preimage yet, only the smallest of each swap class: a ~ b
     iff the transposition (a b) is an automorphism of h.  It fixes every
-    image so far, so it carries a map through b, and the edge of (a), to
+    image so far, so it carries a map through b, and the edges of (a), to
     ones through a: sound.  That copy is lexicographically smaller, so the
     first map found, the witness, never goes through b.  Only an image
     after a failed one with no other preimage is pruned: classes wait.
@@ -205,8 +212,8 @@ class _Search:
                 targets.setdefault((sym, len(ids) if injective else None), set()).add(s + t)
         targets = {key: frozenset(flat) for key, flat in targets.items()}
 
-        # an edge becomes checkable at its last unpinned tentacle vertex;
-        # precomputing that makes the hot loop a flat-set membership test
+        # an edge becomes checkable at its largest unpinned tentacle vertex,
+        # where rule (a) keeps only the images that pass it
         self.fresh_at: list[list] = [[] for _ in range(g.vcount)]
         self.ready: list = []
         for sym, rows in g.edges.items():
@@ -219,7 +226,8 @@ class _Search:
                     self.fresh_at[max(unpinned)].append(ref)
                 else:
                     self.ready.append(ref)
-        self.by_rest: dict[tuple, dict] = {}  # rule (a): (id of targets, positions) -> index
+        self.by_rest: dict[tuple, dict] = {}  # rule (a): (id of targets, positions of v) -> index
+        self.probes: list = [None] * g.vcount  # rule (a) at each vertex, once it is reached
 
     def tick(self):
         self.steps += 1
@@ -280,20 +288,35 @@ class _Search:
         return self.results
 
     def images(self, v: int):
-        """Rule (a): the images an edge checkable at v allows there, given
+        """Rule (a): the images every edge checkable at v allows there, given
         its other tentacles' images, ascending; else every vertex of h."""
-        if not self.fresh_at[v]:
-            return range(self.h.vcount)
-        verts, fset = self.fresh_at[v][0]
-        at = tuple(k for k, x in enumerate(verts) if x == v)
-        rest = [k for k, x in enumerate(verts) if x != v]
+        probes = self.probes[v]
+        if probes is None:
+            probes = self.probes[v] = [self.probe(verts, fset, v) for verts, fset in self.fresh_at[v]]
+        allowed, vmap = -1, self.vmap
+        for get, key in probes:
+            allowed &= get(key(vmap), 0)
+        return range(self.h.vcount) if allowed < 0 else _bits(allowed)
+
+    def probe(self, verts: tuple, fset: frozenset, v: int):
+        """An edge checkable at v as the ``get`` of its index and the getter
+        of its key, the images of its other tentacles: the key maps to the
+        bitset of images x such that v -> x puts the edge in ``fset``."""
+        k = verts.index(v)
+        if verts.count(v) == 1:
+            at, others = (k,), verts[:k] + verts[k + 1:]
+        else:  # a repeated tentacle: its places share one image
+            at = tuple(k for k, x in enumerate(verts) if x == v)
+            others = tuple(x for x in verts if x != v)
         index = self.by_rest.get((id(fset), at))
-        if index is None:  # flats sorted: within a key, ascending at v
+        if index is None:
             index = self.by_rest[id(fset), at] = {}
-            for flat in sorted(fset):
-                if all(flat[k] == flat[at[0]] for k in at):
-                    index.setdefault(tuple(flat[k] for k in rest), []).append(flat[at[0]])
-        return index.get(tuple(self.vmap[verts[k]] for k in rest), ())
+            key = _getter([k for k in range(len(verts)) if k not in at])
+            for flat in fset:
+                x = flat[at[0]]
+                if all(flat[k] == x for k in at):
+                    index[key(flat)] = index.get(key(flat), 0) | 1 << x
+        return index.get, _getter(others)
 
     def swap_classes(self) -> list[list[int]]:
         """Rule (b): each vertex's swap class in h, ascending.  Swappable a, b
@@ -336,7 +359,7 @@ class _Search:
         free = [v for v in range(self.g.vcount) if vmap[v] is None]
         if not free:
             return self.emit()
-        budget, fresh_at, injective = self.budget, self.fresh_at, self.injective
+        budget, injective = self.budget, self.injective
         # rule (b)'s swap classes: None until they are needed
         twins = None if self.limit == 1 and not injective else ()
         stack = [iter(self.images(free[0]))]
@@ -363,8 +386,6 @@ class _Search:
                 raise BudgetExhausted(f"morphism search exceeded {budget} steps")
             vmap[v] = img
             hits[img] += 1
-            if any(tuple(vmap[x] for x in verts) not in fset for verts, fset in fresh_at[v]):
-                continue  # rejected: undone at the top of the loop
             if depth + 1 < len(free):
                 stack.append(iter(self.images(free[depth + 1])))
             elif self.emit():
@@ -480,6 +501,20 @@ def pushout(f: tuple, g: tuple, a: Hypergraph, b: Hypergraph):
             (tuple(off + v for v in s), tuple(off + v for v in t)) for s, t in rows)
     apex, number = quotient(off + b.vcount, ((x, off + y) for x, y in zip(f, g)), edges)
     return apex, tuple(number[:off]), tuple(number[off:])
+
+
+def _getter(idx):
+    """A function taking a sequence to its item at ``idx``, for one index,
+    or to the tuple of its items there."""
+    return itemgetter(*idx) if idx else (lambda row: ())
+
+
+def _bits(mask: int):
+    """The positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _picker(idx):

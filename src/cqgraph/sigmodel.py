@@ -57,10 +57,9 @@ class Signature:
         """Union of two signatures; clashing sorts for one name are an error."""
         table = dict(self._table)
         for name, sort in other.items():
-            if name in table and table[name] != sort:
+            if table.setdefault(name, sort) != sort:
                 raise SignatureError(f"symbol {name!r} used at two sorts")
-            table[name] = sort
-        return Signature(table)
+        return _trusted(Signature, _table={name: table[name] for name in sorted(table)})
 
     def items(self) -> Iterator[tuple[str, Sort]]:
         return iter(self._table.items())
@@ -119,7 +118,9 @@ def _trusted(cls, **fields):
     """A ``cls`` holding ``fields`` as given, skipping its constructor's checks.
 
     Callers pass what the checked constructor would store, so that no
-    ``==``, hash or output tells the two apart.  ``Relation``: a ``Sort``
+    ``==``, hash or output tells the two apart.  ``Signature``: ``_table``,
+    non-empty names in sorted order, each to a ``Sort`` of naturals.
+    ``Relation``: a ``Sort``
     and a frozenset of (tuple, tuple) pairs of it over the carrier.
     ``RelModel``: a tuple of unique ids, and for each symbol in signature
     order a frozenset of pairs at its sort.  ``Hypergraph``: sorted symbols,

@@ -9,7 +9,7 @@ assignments, and morphism counts by filtering all raw function pairs.
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -302,3 +302,67 @@ def all_morphisms_oracle(g: Hypergraph, h: Hypergraph) -> list[HgMorphism]:
             if validate_morphism(cand, g, h):
                 out.append(cand)
     return out
+
+
+def reference_search(g: Hypergraph, h: Hypergraph, pins=None, limit=None):
+    """The morphisms g -> h extending pins, up to limit, and the steps taken,
+    by plain backtracking: each unpinned vertex of g in index order tries
+    every vertex of h in ascending order, and after each assignment every
+    edge whose tentacles are all assigned is tested.  A step is an image
+    tried or a morphism emitted.  Edge maps come out as ``find_morphisms``
+    lists them: per vertex map, the product of each edge's ascending ids."""
+    pins = pins or {}
+    vmap = [pins.get(v) for v in range(g.vcount)]
+    free = [v for v in range(g.vcount) if v not in pins]
+    rows = [(sym, s + t) for sym, table in g.edges.items() for s, t in table]
+    targets = {sym: [s + t for s, t in table] for sym, table in h.edges.items()}
+    found: list[HgMorphism] = []
+    steps = 0
+
+    def holds() -> bool:
+        return all(tuple(vmap[x] for x in flat) in targets.get(sym, ())
+                   for sym, flat in rows if None not in (vmap[x] for x in flat))
+
+    def extend(depth: int) -> bool:  # True once the limit is reached
+        nonlocal steps
+        if depth == len(free):
+            ids = [[i for i, flat in enumerate(targets[sym]) if flat == tuple(vmap[x] for x in row)]
+                   for sym, row in rows]
+            for combo in product(*ids):
+                steps += 1
+                emaps, pos = {}, 0
+                for sym, table in g.edges.items():
+                    emaps[sym] = combo[pos:pos + len(table)]
+                    pos += len(table)
+                found.append(HgMorphism(tuple(vmap), emaps))
+                if limit is not None and len(found) >= limit:
+                    return True
+            return False
+        v = free[depth]
+        for img in range(h.vcount):
+            steps += 1
+            vmap[v] = img
+            if holds() and extend(depth + 1):
+                return True
+        vmap[v] = None
+        return False
+
+    if holds():
+        extend(0)
+    return found, steps
+
+
+def reference_isomorphism(g: Hypergraph, h: Hypergraph, pins=None):
+    """The first vertex bijection g -> h (lexicographically) that extends pins
+    and maps g's edges onto h's as multisets, per symbol; or None."""
+    pins = pins or {}
+    if g.vcount != h.vcount or set(g.edges) != set(h.edges):
+        return None
+    want = {sym: sorted(rows) for sym, rows in h.edges.items()}
+    for vmap in permutations(range(h.vcount)):
+        if all(vmap[v] == img for v, img in pins.items()) and all(
+                sorted((tuple(vmap[x] for x in s), tuple(vmap[x] for x in t))
+                       for s, t in rows) == want[sym]
+                for sym, rows in g.edges.items()):
+            return vmap
+    return None

@@ -206,14 +206,14 @@ def test_axioms_verify_all_pass(workdir, capsys):
 
 
 def test_budget_flag_reaches_search(workdir, capsys):
-    # K4 <= K5 does not hold, and the search needs 9 steps to say so
+    # K4 <= K5 does not hold, and the search needs 3 steps to say so
     sig = Signature({"R": (2, 0)})
     k4, k5 = (theta(parse_ccq(clique(n, False), sig)) for n in (4, 5))
-    assert inclusion_steps(k4, k5) == 9
+    assert inclusion_steps(k4, k5) == 3
     (workdir / "k4.ccq").write_text(f"signature: sig.json\n{clique(4, False)}\n")
     (workdir / "k5.ccq").write_text(f"signature: sig.json\n{clique(5, False)}\n")
     code = main(["check", str(workdir / "k4.ccq"), str(workdir / "k5.ccq"),
-                 "--budget", "5"])
+                 "--budget", "2"])
     assert code == 2
     capsys.readouterr()
 

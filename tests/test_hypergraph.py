@@ -1,10 +1,18 @@
 import random
 import time
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from conftest import all_morphisms_oracle, clique_graph, random_hypergraph, search_steps
+from conftest import (
+    all_morphisms_oracle,
+    clique_graph,
+    random_hypergraph,
+    reference_isomorphism,
+    reference_search,
+    search_steps,
+)
 from cqgraph.errors import BudgetExhausted, ModelError, SignatureError
 from cqgraph.hypergraph import (
     HgMorphism,
@@ -135,16 +143,19 @@ def test_not_isomorphic_parallel_edges():
     assert is_isomorphic(one, two) is None
 
 
+def relabelled(rng: random.Random, g: Hypergraph):
+    """A copy of g under a random vertex permutation, and the permutation."""
+    perm = list(range(g.vcount))
+    rng.shuffle(perm)
+    return Hypergraph(g.vcount, {sym: [(tuple(perm[v] for v in s), tuple(perm[v] for v in t))
+                                       for s, t in rows]
+                                 for sym, rows in g.edges.items()}), perm
+
+
 def test_isomorphic_symmetric_with_invertible_witness(rng):
     for _ in range(30):
         g = random_hypergraph(rng, SIG, max_v=3, max_edges=2)
-        # relabel vertices by a random permutation
-        perm = list(range(g.vcount))
-        rng.shuffle(perm)
-        h = Hypergraph(g.vcount,
-                       {sym: [(tuple(perm[v] for v in s), tuple(perm[v] for v in t))
-                              for s, t in rows]
-                        for sym, rows in g.edges.items()})
+        h, _ = relabelled(rng, g)
         f = is_isomorphic(g, h)
         assert f is not None
         back = is_isomorphic(h, g)
@@ -244,11 +255,62 @@ def test_swap_classes_are_the_transposition_automorphisms():
         assert [sorted(classes[a]) for a in range(h.vcount)] == found
 
 
+def with_loops(rng: random.Random, g: Hypergraph) -> Hypergraph:
+    """g plus, at random, an ``R(v, v)`` and an ``S(v, v; w)`` edge."""
+    if not g.vcount:
+        return g
+    edges = {sym: list(rows) for sym, rows in g.edges.items()}
+    v, w = rng.randrange(g.vcount), rng.randrange(g.vcount)
+    if rng.random() < 0.5:
+        edges.setdefault("R", []).append(((v,), (v,)))
+    if rng.random() < 0.5:
+        edges.setdefault("S", []).append(((v, v), (w,)))
+    return Hypergraph(g.vcount, edges)
+
+
+def test_search_matches_the_reference_search():
+    # the candidate-filtered search against plain backtracking: same answer
+    # lists in the same order, the same first witness, never more steps
+    rng = random.Random(10)
+    seen = Counter()
+    for _ in range(400):
+        g = with_loops(rng, random_hypergraph(rng, SIG, max_v=4, max_edges=3))
+        h = with_loops(rng, symmetric_target(rng) if rng.random() < 0.3 else
+                       random_hypergraph(rng, SIG, max_v=4, max_edges=5))
+        pins = {v: rng.randrange(h.vcount)
+                for v in rng.sample(range(g.vcount), min(g.vcount, rng.randint(0, 2)))
+                } if h.vcount else {}
+        seen.update(pins=bool(pins), S="S" in g.edges,
+                    loop=any(len(set(s + t)) < len(s + t) for rows in g.edges.values()
+                             for s, t in rows))
+        for limit in (None, 1):
+            expected, most = reference_search(g, h, pins, limit)
+            search = _Search(g, h, pins, limit, None, injective=False)
+            assert search.run() == expected
+            assert search.steps <= most
+            seen["found"] += bool(expected)
+        k, perm = relabelled(rng, h)
+        one = {u: perm[u] for u in rng.sample(range(h.vcount), min(h.vcount, 1))}
+        tries = [(g, h, pins)] + [(h, k, {}), (h, k, one)] * (h.vcount <= 6)
+        for a, b, at in tries:  # the reference tries every bijection
+            f, vmap = is_isomorphic(a, b, at or None), reference_isomorphism(a, b, at)
+            assert (f is None) == (vmap is None)
+            if f is not None:
+                assert f.vmap == vmap and validate_morphism(f, a, b)
+                seen["iso"] += 1
+    assert min(seen[key] for key in ("pins", "S", "loop", "found", "iso")) >= 40, seen
+
+
 def test_search_step_counts():
     # steps do not depend on the machine: a clique target leaves one
     # image per swap class to try at each depth
     assert search_steps(clique_graph(10), clique_graph(9)) <= 200
     assert search_steps(clique_graph(15), clique_graph(14)) <= 200
+    # with no interchangeable vertex of the target, each vertex tries only
+    # the images that every edge checkable there allows
+    tailed = [search_steps(clique_graph(n), clique_graph(n - 1, tails=range(1, n)))
+              for n in range(4, 9)]
+    assert tailed == [21, 74, 340, 1_977, 13_727]
     # swap classes are compared within neighbourhood buckets, not pair by pair
     path = Hypergraph(200, {"R": [((i,), (i + 1,)) for i in range(199)]})
     start = time.perf_counter()

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqgraph.errors import ModelError, SignatureError
+from cqgraph.gcq import Gen, Tensor, term_signature
 from cqgraph.sigmodel import (
     Relation,
     Signature,
@@ -49,6 +50,17 @@ def test_load_signature_malformed():
         load_signature("[1, 2]")
     with pytest.raises(SignatureError):
         load_signature("{nope")
+
+
+def test_signatures_read_off_terms_keep_their_errors():
+    with pytest.raises(SignatureError, match="used at two sorts"):
+        Signature({"R": (1, 1)}).merged(Signature({"R": (2, 0)}))
+    with pytest.raises(SignatureError, match="used at two sorts"):
+        term_signature(Tensor(Gen("R", 1, 1), Gen("R", 2, 1)))
+    with pytest.raises(SignatureError, match="non-empty"):
+        term_signature(Gen("", 1, 1))
+    merged = term_signature(Tensor(Gen("S", 1, 0), Gen("R", 1, 1))).merged(Signature({"P": (0, 2)}))
+    assert list(merged.items()) == [("P", Sort(0, 2)), ("R", Sort(1, 1)), ("S", Sort(1, 0))]
 
 
 def test_load_model_basic():

@@ -1,7 +1,9 @@
 """What the algebra builds without re-checking passes its checked constructor.
 
 ``eval_gcq``'s relations, compiled apexes and cospans, the reference cospan
-algebra and ``hypergraph_as_model`` build their values through
+algebra, ``hypergraph_as_model`` and the signatures read off terms and
+apexes (``term_signature``, ``_apex_signature``, ``merged``) build their
+values through
 ``sigmodel._trusted``.  Each value must come back unchanged, down to the
 types of its fields, from the public constructor that checks it.
 """
@@ -12,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_judgment, random_term
-from cqgraph.containment import hypergraph_as_model
+from cqgraph.containment import _apex_signature, hypergraph_as_model
 from cqgraph.cospan import Cospan, compose_cospans, identity_cospan, tensor_cospans, term_to_cospan
-from cqgraph.gcq import Seq, Tensor, eval_gcq, postorder, subtrees
+from cqgraph.gcq import Seq, Tensor, eval_gcq, postorder, subtrees, term_signature
 from cqgraph.hypergraph import Hypergraph, disjoint_union
 from cqgraph.sigmodel import Relation, RelModel, Signature, random_model
 
@@ -71,6 +73,10 @@ def test_trusted_values_pass_their_constructors(seed):
     same(model, checked)
     for name in SIG:
         same(checked.relation(name), model.relation(name))
+    signatures = [term_signature(t), _apex_signature(apex), SIG]
+    signatures += [a.merged(b) for a in signatures for b in signatures]
+    for sig in signatures:
+        same(Signature(dict(sig.items())), sig)
 
     judgment = term_to_cospan(random_judgment(rng, CCQ_SIG))
     assert_checked_cospan(judgment)
