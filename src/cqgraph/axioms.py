@@ -28,17 +28,15 @@ from .gcq import (
     Discard,
     Gen,
     GcqTerm,
-    Id0,
     Id1,
     Merge,
     Seq,
     Spawn,
-    Swap,
     Tensor,
     eval_gcq,
     n_copy,
     n_discard,
-    n_swap,
+    parse_gcq,
     postorder,
     seq,
     subtrees,
@@ -64,61 +62,55 @@ class AxiomEntry:
             raise SignatureError(f"axiom {self.name}: sides have different sorts")
 
 
+def _laws(kind: str, *rows: tuple[str, str, str]) -> list[AxiomEntry]:
+    """Entries of one kind from (name, lhs, rhs) rows in the term syntax."""
+    wiring = Signature()
+    return [AxiomEntry(name, parse_gcq(lhs, wiring), parse_gcq(rhs, wiring), kind)
+            for name, lhs, rhs in rows]
+
+
 def _smc_entries() -> list[AxiomEntry]:
-    id2 = Tensor(Id1(), Id1())
-    return [
+    return _laws(
+        EQUALITY,
         # associativity and unitality of composition
-        AxiomEntry("smc-i",
-                   Seq(Seq(Copy(), Swap()), Merge()),
-                   Seq(Copy(), Seq(Swap(), Merge())), EQUALITY),
-        AxiomEntry("smc-ii", Seq(Id1(), Copy()), Seq(Copy(), id2), EQUALITY),
+        ("smc-i", "copy ; swap ; merge", "copy ; (swap ; merge)"),
+        ("smc-ii", "id ; copy", "copy ; id (+) id"),
         # associativity and unitality of tensor
-        AxiomEntry("smc-iii",
-                   Tensor(Tensor(Copy(), Discard()), Swap()),
-                   Tensor(Copy(), Tensor(Discard(), Swap())), EQUALITY),
-        AxiomEntry("smc-iv", Tensor(Id0(), Merge()), Tensor(Merge(), Id0()), EQUALITY),
+        ("smc-iii", "copy (+) discard (+) swap", "copy (+) (discard (+) swap)"),
+        ("smc-iv", "id0 (+) merge", "merge (+) id0"),
         # interchange of ; and (+)
-        AxiomEntry("smc-v",
-                   Tensor(Seq(Copy(), Swap()), Seq(Merge(), Discard())),
-                   Seq(Tensor(Copy(), Merge()), Tensor(Swap(), Discard())), EQUALITY),
-        # naturality of the crossing, on both sides
-        AxiomEntry("smc-vi",
-                   Seq(Tensor(Merge(), Id1()), Swap()),
-                   Seq(n_swap(2, 1), Tensor(Id1(), Merge())), EQUALITY),
-        AxiomEntry("smc-vii",
-                   Seq(Tensor(Id1(), Copy()), n_swap(1, 2)),
-                   Seq(Swap(), Tensor(Copy(), Id1())), EQUALITY),
+        ("smc-v", "(copy ; swap) (+) (merge ; discard)", "copy (+) merge ; swap (+) discard"),
+        # naturality of the crossing, on both sides (the 2-over-1 and
+        # 1-over-2 block crossings spelled out as swaps)
+        ("smc-vi", "merge (+) id ; swap", "id (+) swap ; swap (+) id ; id (+) merge"),
+        ("smc-vii", "id (+) copy ; (swap (+) id ; id (+) swap)", "swap ; copy (+) id"),
         # the crossing is involutive
-        AxiomEntry("smc-viii", Seq(Swap(), Swap()), id2, EQUALITY),
-    ]
+        ("smc-viii", "swap ; swap", "id (+) id"),
+    )
 
 
 def _frobenius_entries() -> list[AxiomEntry]:
-    return [
-        AxiomEntry("A",
-                   Seq(Tensor(Merge(), Id1()), Merge()),
-                   Seq(Tensor(Id1(), Merge()), Merge()), EQUALITY),
-        AxiomEntry("C", Seq(Swap(), Merge()), Merge(), EQUALITY),
-        AxiomEntry("U", Seq(Tensor(Spawn(), Id1()), Merge()), Id1(), EQUALITY),
-        AxiomEntry("Aop",
-                   Seq(Copy(), Tensor(Copy(), Id1())),
-                   Seq(Copy(), Tensor(Id1(), Copy())), EQUALITY),
-        AxiomEntry("Cop", Seq(Copy(), Swap()), Copy(), EQUALITY),
-        AxiomEntry("Uop", Seq(Copy(), Tensor(Discard(), Id1())), Id1(), EQUALITY),
-        AxiomEntry("S", Seq(Copy(), Merge()), Id1(), EQUALITY),
-        AxiomEntry("F",
-                   Seq(Tensor(Id1(), Copy()), Tensor(Merge(), Id1())),
-                   Seq(Merge(), Copy()), EQUALITY),
-    ]
+    return _laws(
+        EQUALITY,
+        ("A", "merge (+) id ; merge", "id (+) merge ; merge"),
+        ("C", "swap ; merge", "merge"),
+        ("U", "spawn (+) id ; merge", "id"),
+        ("Aop", "copy ; copy (+) id", "copy ; id (+) copy"),
+        ("Cop", "copy ; swap", "copy"),
+        ("Uop", "copy ; discard (+) id", "id"),
+        ("S", "copy ; merge", "id"),
+        ("F", "id (+) copy ; merge (+) id", "merge ; copy"),
+    )
 
 
 def _adjointness_entries() -> list[AxiomEntry]:
-    return [
-        AxiomEntry("UC", Seq(Spawn(), Discard()), Id0(), LEFT_LEQ_RIGHT),
-        AxiomEntry("CU", Id1(), Seq(Discard(), Spawn()), LEFT_LEQ_RIGHT),
-        AxiomEntry("MC", Seq(Merge(), Copy()), Tensor(Id1(), Id1()), LEFT_LEQ_RIGHT),
-        AxiomEntry("CM", Id1(), Seq(Copy(), Merge()), LEFT_LEQ_RIGHT),
-    ]
+    return _laws(
+        LEFT_LEQ_RIGHT,
+        ("UC", "spawn ; discard", "id0"),
+        ("CU", "id", "discard ; spawn"),
+        ("MC", "merge ; copy", "id (+) id"),
+        ("CM", "id", "copy ; merge"),
+    )
 
 
 def _lax_entries(sig: Signature) -> list[AxiomEntry]:
@@ -169,16 +161,10 @@ def verify_axiom_semantic(entry: AxiomEntry, trials: int = 100,
     """
     full_sig = _axiom_signature(entry, sig)
     rng = random.Random(seed)
-    canned = [
-        RelModel(full_sig, []),
-        RelModel(full_sig, ["e0"]),
-        RelModel(full_sig, ["e0", "e1"]),
-    ]
+    canned = [RelModel(full_sig, [f"e{i}" for i in range(size)]) for size in range(3)]
     for k in range(trials):
-        if k < len(canned):
-            model = canned[k]
-        else:
-            model = random_model(full_sig, rng.randint(0, max_carrier), rng)
+        model = canned[k] if k < len(canned) else \
+            random_model(full_sig, rng.randint(0, max_carrier), rng)
         lhs = eval_gcq(entry.lhs, model)
         rhs = eval_gcq(entry.rhs, model)
         if not lhs.pairs <= rhs.pairs:

@@ -484,7 +484,7 @@ def replay_eval(d: CcqDerivation, model: RelModel) -> frozenset:
 # header "n,m |-" adds y0..y{m-1} (stored at indices n..n+m-1).  Quantifier
 # names are arbitrary identifiers; shadowing is rejected.
 
-_CCQ_TOKEN = re.compile(r"\s*(\|-|/\\|[(),.=]|[A-Za-z_][A-Za-z0-9_]*|\d+)")
+_CCQ_TOKEN = re.compile(r"\s*(?:(\|-|/\\|[(),.=]|[A-Za-z_][A-Za-z0-9_]*|\d+)|(\S))")
 
 
 def parse_ccq(text: str, sig: Signature) -> CcqJudgment:

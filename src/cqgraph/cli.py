@@ -22,9 +22,9 @@ from pathlib import Path
 from .axioms import axiom_catalog, verify_axiom_graphical, verify_axiom_semantic
 from .ccq import CcqJudgment, eval_ccq, parse_ccq
 from .containment import decide_equivalence, decide_inclusion
-from .cospan import cospan_to_dot, term_to_cospan
+from .cospan import compile_nodes, cospan_to_dot, term_to_cospan
 from .errors import CqError
-from .gcq import eval_gcq, parse_gcq, print_gcq
+from .gcq import build_term, eval_gcq, parse_gcq, print_gcq
 from .hypergraph import boundary_assignments
 from .sigmodel import Signature, dump_model, load_model, load_signature, random_model
 from .translate import lambda_model, lambda_term, theta, theta_model
@@ -51,9 +51,10 @@ def _load_query_file(path: str, sig_flag: str | None):
     return body, sig
 
 
-def _parse_query(body: str, sig: Signature):
-    """A judgment if the body holds ``|-``, a term otherwise."""
-    return parse_ccq(body, sig) if "|-" in body else parse_gcq(body, sig)
+def _parse_query(body: str, sig: Signature, into=compile_nodes):
+    """A judgment if the body holds ``|-``; otherwise a term, folded by
+    ``into``: by default compiled straight to its cospan, no tree built."""
+    return parse_ccq(body, sig) if "|-" in body else parse_gcq(body, sig, into=into)
 
 
 def cmd_check(args) -> int:
@@ -93,9 +94,8 @@ def cmd_eval(args) -> int:
         doc = [[names[x] for x in row] for row in rows]
         lines = [", ".join(row) for row in doc]
     else:
-        cosp = term_to_cospan(q)
-        rows = sorted(boundary_assignments(cosp.apex, cosp.iota + cosp.omega, model))
-        doc = [[[names[x] for x in row[:cosp.n]], [names[x] for x in row[cosp.n:]]]
+        rows = sorted(boundary_assignments(q.apex, q.iota + q.omega, model))
+        doc = [[[names[x] for x in row[:q.n]], [names[x] for x in row[q.n:]]]
                for row in rows]
         lines = [f"({', '.join(a)}) -> ({', '.join(b)})" for a, b in doc]
     if args.format == "text":
@@ -108,7 +108,7 @@ def cmd_eval(args) -> int:
 
 def cmd_translate(args) -> int:
     body, sig = _load_query_file(args.query, args.sig)
-    q = _parse_query(body, sig)
+    q = _parse_query(body, sig, build_term)
     if isinstance(q, CcqJudgment):
         # formulas use only the coarity-0 symbols; draw models over those
         sig = Signature((name, s) for name, s in sig.items() if s.m == 0)
@@ -176,7 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sig")
     p.add_argument("--mode", choices=["inclusion", "equivalence"], default="inclusion")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None,
+                   help="cancel the search (exit 2) after this many steps; a step is one "
+                        "vertex image that passes every edge checkable at its vertex, or "
+                        "one edge map emitted")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("eval", help="evaluate a query over a model")

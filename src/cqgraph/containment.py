@@ -67,15 +67,16 @@ def hypergraph_as_model(g: Hypergraph, sig: Signature) -> RelModel:
                     rho={name: frozenset(g.edges.get(name, ())) for name in sig})
 
 
-def decide_inclusion(c: GcqTerm | CcqJudgment, d: GcqTerm | CcqJudgment,
-                     budget: int | None = None) -> InclusionVerdict:
-    """Decide c <= d for terms or judgments: a witness morphism when it
-    holds, the natural model of c as a countermodel when not."""
+Query = GcqTerm | CcqJudgment | Cospan  # anything term_to_cospan compiles
+
+
+def decide_inclusion(c: Query, d: Query, budget: int | None = None) -> InclusionVerdict:
+    """Decide c <= d for terms, judgments or their cospans: a witness
+    morphism when it holds, the natural model of c as a countermodel when not."""
     return _decide(term_to_cospan(c), term_to_cospan(d), budget)
 
 
-def decide_equivalence(c: GcqTerm | CcqJudgment, d: GcqTerm | CcqJudgment,
-                       budget: int | None = None) -> EquivalenceVerdict:
+def decide_equivalence(c: Query, d: Query, budget: int | None = None) -> EquivalenceVerdict:
     ca, da = term_to_cospan(c), term_to_cospan(d)
     forward = _decide(ca, da, budget)
     backward = _decide(da, ca, budget)

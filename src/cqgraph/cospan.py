@@ -6,9 +6,11 @@ maps from the finite ordinals ``n`` and ``m`` into its vertices.
 Composition glues two cospans along the shared boundary by quotienting
 vertices (a pushout over discrete boundaries, computed with union-find);
 tensor is disjoint union.  This algebra is the reference for
-``term_to_cospan``, which compiles a whole term as one colimit: one pass
-over the tree, then one quotient of all its wires.  ``cospan_to_term``
-writes any cospan back as a term whose compilation is isomorphic to it.
+``compile_nodes``, which compiles a whole term as one colimit: one pass
+over its nodes in postorder, from a tree (``term_to_cospan``) or straight
+from the parser (``parse_gcq(text, sig, into=compile_nodes)``), then one
+quotient of all its wires.  ``cospan_to_term`` writes any cospan back as a
+term whose compilation is isomorphic to it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .gcq import (
     Spawn,
     Swap,
     Tensor,
+    composition_error,
     identity,
     postorder,
     seq,
@@ -92,63 +95,75 @@ def identity_cospan(n: int) -> Cospan:
     return _trusted(Cospan, n=n, m=n, apex=Hypergraph(n), iota=wires, omega=wires)
 
 
-# (vertices, iota, omega) of the discrete cospan of each wiring constant
+# the wires of each wiring constant, and its boundaries over the first wire w
 _WIRING = {
-    Copy: (1, (0,), (0, 0)),
-    Merge: (1, (0, 0), (0,)),
-    Discard: (1, (0,), ()),
-    Spawn: (1, (), (0,)),
-    Id0: (0, (), ()),
-    Id1: (1, (0,), (0,)),
-    Swap: (2, (0, 1), (1, 0)),
+    Copy: (1, lambda w: ([w], [w, w])),
+    Merge: (1, lambda w: ([w, w], [w])),
+    Discard: (1, lambda w: ([w], [])),
+    Spawn: (1, lambda w: ([], [w])),
+    Id0: (0, lambda w: ([], [])),
+    Id1: (1, lambda w: ([w], [w])),
+    Swap: (2, lambda w: ([w, w + 1], [w + 1, w])),
 }
 
 
-def term_to_cospan(t: GcqTerm | CcqJudgment) -> Cospan:
-    """Compile a term to its cospan of hypergraphs in one pass.
-
-    Leaves get fresh wires left to right: a wiring constant its discrete
-    cospan, a box one hyperedge with the source tentacles in order on the
-    left boundary and the target tentacles on the right.  ``;`` glues the
-    inner boundaries, ``(+)`` concatenates, and one quotient of all wires
-    gives exactly the cospan that the reference algebra would.
+def term_to_cospan(t: GcqTerm | CcqJudgment | Cospan) -> Cospan:
+    """Compile a term to its cospan of hypergraphs, its nodes in postorder
+    through ``compile_nodes``; a cospan is returned as it is.
 
     A judgment ``n |- f`` compiles to its natural model with the free
     variables on the left boundary: the cospan of ``theta`` of it, up to
     isomorphism.  Its vertices are numbered by their first wire: the free
     variables, then the ``Exists`` binders in pre-order.
     """
+    if isinstance(t, Cospan):
+        return t
     if isinstance(t, CcqJudgment):
         g, free = natural_model(t)
         return _trusted(Cospan, n=t.context, m=0, apex=g, iota=free, omega=())
+    return compile_nodes(postorder(t, subtrees))
+
+
+def compile_nodes(nodes) -> Cospan:
+    """The cospan of a term from its nodes in postorder, inner ones as
+    themselves or, from ``gcq.parse_nodes``, as their class.  One pass:
+    leaves get fresh wires left to right, a wiring constant its discrete
+    cospan, a box one hyperedge with the source tentacles in order on the
+    left boundary and the target tentacles on the right.  ``;`` checks the
+    widths and glues the inner boundaries, ``(+)`` concatenates, and one
+    quotient of all wires gives exactly the cospan of the reference algebra.
+    """
     wires = 0
     glue: list[tuple[int, int]] = []
     edges: dict[str, list] = {}
     done: list[tuple[list, list]] = []  # (iota, omega) of finished subterms
-    for u in postorder(t, subtrees):
-        if isinstance(u, Seq):
+    for u in nodes:
+        kind = u if u is Seq or u is Tensor else type(u)
+        if kind is Seq:
             rhs, lhs = done.pop(), done.pop()
+            if len(lhs[1]) != len(rhs[0]):
+                raise composition_error(Sort(*map(len, lhs)), Sort(*map(len, rhs)))
             glue.extend(zip(lhs[1], rhs[0]))
             done.append((lhs[0], rhs[1]))
-        elif isinstance(u, Tensor):
+        elif kind is Tensor:
             rhs, lhs = done.pop(), done[-1]
             lhs[0].extend(rhs[0])
             lhs[1].extend(rhs[1])
-        elif isinstance(u, Gen):
+        elif kind is Gen:
             src = range(wires, wires + u.n)
             tgt = range(wires + u.n, wires + u.n + u.m)
             edges.setdefault(u.name, []).append((src, tgt))
             done.append((list(src), list(tgt)))
             wires += u.n + u.m
-        elif type(u) in _WIRING:
-            size, iota, omega = _WIRING[type(u)]
-            done.append(([wires + v for v in iota], [wires + v for v in omega]))
+        elif kind in _WIRING:
+            size, boundaries = _WIRING[kind]
+            done.append(boundaries(wires))
             wires += size
         else:
             raise TypeError(f"not a term: {u!r}")
     apex, number = quotient(wires, glue, edges)
     iota, omega = done.pop()
-    return _trusted(Cospan, n=t.sort.n, m=t.sort.m, apex=apex,
+    return _trusted(Cospan, n=len(iota), m=len(omega), apex=apex,
                     iota=tuple(number[v] for v in iota), omega=tuple(number[v] for v in omega))
 
 
@@ -207,19 +222,12 @@ def _discrete_term(f: tuple, g: tuple, vcount: int) -> GcqTerm:
     Inputs are routed to their vertex, merged per vertex, fanned back out,
     and routed to the outputs: perm ; merges ; copies ; perm.
     """
-    p, q = len(f), len(g)
-    order_in = sorted(range(p), key=lambda i: (f[i], i))
-    perm_in = [0] * p
-    for pos, wire in enumerate(order_in):
-        perm_in[wire] = pos
-    merges = tensor(*(_merge_fan(sum(1 for x in f if x == v)) for v in range(vcount))) \
-        if vcount else Id0()
-    copies = tensor(*(_copy_fan(sum(1 for x in g if x == v)) for v in range(vcount))) \
-        if vcount else Id0()
-    order_out = sorted(range(q), key=lambda j: (g[j], j))
-    perm_out = [0] * q
-    for pos, wire in enumerate(order_out):
-        perm_out[pos] = wire  # wire at grouped position pos must reach slot wire
+    order_in = sorted(range(len(f)), key=lambda i: (f[i], i))
+    perm_in = sorted(range(len(f)), key=order_in.__getitem__)  # input i goes to perm_in[i]
+    merges = tensor(*(_merge_fan(f.count(v)) for v in range(vcount)))
+    copies = tensor(*(_copy_fan(g.count(v)) for v in range(vcount)))
+    # the wire at grouped position pos must reach output slot perm_out[pos]
+    perm_out = sorted(range(len(g)), key=lambda j: (g[j], j))
     return seq(_perm_term(perm_in), merges, copies, _perm_term(perm_out))
 
 
@@ -241,7 +249,7 @@ def cospan_to_term(c: Cospan) -> GcqTerm:
             src_leg.extend(srcs)
             tgt_leg.extend(tgts)
     left = _discrete_term(c.iota, tuple(range(v)) + tuple(src_leg), v)
-    middle = tensor(identity(v), *boxes) if boxes else identity(v)
+    middle = tensor(identity(v), *boxes)
     right = _discrete_term(tuple(range(v)) + tuple(tgt_leg), c.omega, v)
     return seq(left, middle, right)
 

@@ -8,13 +8,17 @@ up to the diagrammatic laws lives in :mod:`cqgraph.containment`.
 
 Every pass over a tree is a flat loop over ``postorder``, an explicit
 stack, so terms (and the formulas and derivations of the other modules)
-of any depth are handled under the default recursion limit.
+of any depth are handled under the default recursion limit.  The parser
+yields a term's nodes in that order, straight from one ``findall`` of its
+tokens; ``build_term`` folds them into the tree, and
+``cospan.compile_nodes`` into the cospan, with no tree built.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 from operator import attrgetter
 
 from .errors import ParseError, SignatureError, SortError
@@ -183,11 +187,10 @@ class Seq(Branch, GcqTerm):
     children = property(attrgetter("lhs", "rhs"))
 
     def __post_init__(self):
-        if self.lhs.sort.m != self.rhs.sort.n:
-            raise SortError(
-                f"cannot compose {self.lhs.sort} ; {self.rhs.sort}: "
-                f"{self.lhs.sort.m} != {self.rhs.sort.n}")
-        object.__setattr__(self, "_sort", Sort(self.lhs.sort.n, self.rhs.sort.m))
+        a, b = self.lhs.sort, self.rhs.sort
+        if a.m != b.n:
+            raise composition_error(a, b)
+        object.__setattr__(self, "_sort", Sort(a.n, b.m))
 
     @property
     def sort(self) -> Sort:
@@ -210,28 +213,23 @@ class Tensor(Branch, GcqTerm):
         return self._sort
 
 
+def composition_error(a: Sort, b: Sort) -> SortError:
+    """The error for ``a ; b`` when a's right width is not b's left width."""
+    return SortError(f"cannot compose {a} ; {b}: {a.m} != {b.n}")
+
+
 def seq(*terms: GcqTerm) -> GcqTerm:
     """Left-associated sequential composition of one or more terms."""
-    out = terms[0]
-    for t in terms[1:]:
-        out = Seq(out, t)
-    return out
+    return reduce(Seq, terms)
 
 
 def tensor(*terms: GcqTerm) -> GcqTerm:
     """Left-associated parallel composition; empty product is id0."""
-    if not terms:
-        return Id0()
-    out = terms[0]
-    for t in terms[1:]:
-        out = Tensor(out, t)
-    return out
+    return reduce(Tensor, terms) if terms else Id0()
 
 
 def identity(n: int) -> GcqTerm:
     """A bundle of n parallel wires."""
-    if n == 0:
-        return Id0()
     return tensor(*(Id1() for _ in range(n)))
 
 
@@ -371,71 +369,87 @@ _KEYWORDS = {
     "swap": Swap,
 }
 
-_TOKEN = re.compile(r"\s*(\(\+\)|[();]|[A-Za-z_][A-Za-z0-9_]*)")
+# one token, or (the second group) a character that starts none
+_TOKEN = re.compile(r"\s*(?:(\(\+\)|[();]|[A-Za-z_][A-Za-z0-9_]*)|(\S))")
 
 
 def tokenize(token: re.Pattern, text: str) -> list[str]:
-    """The first groups of ``token`` matched back to back over text; a
-    character no match covers is a ParseError."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = token.match(text, pos)
-        if not match:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}")
-            break
-        tokens.append(match.group(1))
-        pos = match.end()
+    """The first groups of ``token`` over text, in one ``findall``; a
+    character no token covers matches the second group, a ParseError."""
+    pairs = token.findall(text)
+    tokens = [tok for tok, _ in pairs]
+    if "" in tokens:
+        raise ParseError(f"unexpected character {pairs[tokens.index('')][1]!r}")
     return tokens
 
 
-def parse_gcq(text: str, sig: Signature) -> GcqTerm:
-    """Parse a term; box names are resolved and sort-checked against sig.
-
-    One loop over the tokens: ``composite`` and ``tensored`` are the ``;``
-    and ``(+)`` chains built so far at the current depth, and each open
-    parenthesis saves the pair around it on a stack, so input of any depth
-    parses.
+def parse_nodes(text: str, sig: Signature):
+    """The nodes of the term text spells, in postorder and one at a time, so
+    errors come in text order whatever folds them: a leaf as a term, with
+    its box name resolved in sig, an inner node as its class, ``Seq`` or
+    ``Tensor``.  One loop over the tokens: ``composite`` and ``tensored``
+    say whether a ``;`` and a ``(+)`` chain are open at the current depth,
+    and each open parenthesis saves that pair on a stack, so any depth parses.
     """
     tokens = tokenize(_TOKEN, text) + [None]  # None marks the end
     frames: list[tuple] = []  # (composite, tensored) around each open parenthesis
-    composite = tensored = None
+    composite = tensored = False
+    leaves = {name: cls() for name, cls in _KEYWORDS.items()}  # immutable, so one per name
     pos = 0
     while True:
         tok = tokens[pos]
         pos += 1
         if tok == "(":
             frames.append((composite, tensored))
-            composite = tensored = None
+            composite = tensored = False
             continue
-        if tok is None:
-            raise ParseError("unexpected end of input")
-        if tok in _KEYWORDS:
-            atom = _KEYWORDS[tok]()
-        elif tok in (";", ")", "(+)"):
-            raise ParseError(f"unexpected token {tok!r}")
-        else:
+        atom = leaves.get(tok)
+        if atom is None:
+            if tok is None:
+                raise ParseError("unexpected end of input")
+            if tok in (";", ")", "(+)"):
+                raise ParseError(f"unexpected token {tok!r}")
             sort = sig.sort(tok)
-            atom = Gen(tok, sort.n, sort.m)
+            atom = leaves[tok] = Gen(tok, sort.n, sort.m)
+        yield atom
         while True:  # fold the finished atom in, closing parentheses as they come
-            tensored = atom if tensored is None else Tensor(tensored, atom)
+            if tensored:
+                yield Tensor
+            tensored = True
             tok = tokens[pos]
             pos += 1
             if tok == "(+)":
                 break
-            composite = tensored if composite is None else Seq(composite, tensored)
-            tensored = None
+            if composite:
+                yield Seq
+            composite, tensored = True, False
             if tok == ";":
                 break
             if not frames:
                 if tok is not None:
                     raise ParseError(f"trailing input near {tok!r}")
-                return composite
+                return
             if tok != ")":
                 raise ParseError(f"expected ')', found {tok!r}")
-            atom = composite
-            composite, tensored = frames.pop()
+            composite, tensored = frames.pop()  # the group is the atom of the outer chain
+
+
+def build_term(nodes) -> GcqTerm:
+    """The tree of a term from its nodes in postorder, as ``parse_nodes`` gives them."""
+    done: list[GcqTerm] = []  # finished subterms
+    for u in nodes:
+        if u is Seq or u is Tensor:
+            rhs = done.pop()
+            done[-1] = u(done[-1], rhs)
+        else:
+            done.append(u)
+    return done.pop()
+
+
+def parse_gcq(text: str, sig: Signature, into=build_term):
+    """Parse a term against sig and fold its nodes ``into`` the tree, or,
+    with ``cospan.compile_nodes``, straight into its cospan: no tree built."""
+    return into(parse_nodes(text, sig))
 
 
 def print_gcq(t: GcqTerm) -> str:

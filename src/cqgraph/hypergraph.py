@@ -116,16 +116,8 @@ def validate_morphism(f: HgMorphism, g: Hypergraph, h: Hypergraph) -> bool:
         target_rows = h.edges.get(sym, ())
         if any(not (0 <= e < len(target_rows)) for e in emap):
             raise ModelError(f"edge map for {sym!r} leaves the target graph")
-    for sym, rows in g.edges.items():
-        emap = f.emaps.get(sym, ())
-        target_rows = h.edges.get(sym, ())
-        for i, (src, tgt) in enumerate(rows):
-            img_src, img_tgt = target_rows[emap[i]]
-            if tuple(f.vmap[v] for v in src) != img_src:
-                return False
-            if tuple(f.vmap[v] for v in tgt) != img_tgt:
-                return False
-    return True
+    return all(h.edges[sym][e] == (tuple(f.vmap[v] for v in s), tuple(f.vmap[v] for v in t))
+               for sym, rows in g.edges.items() for (s, t), e in zip(rows, f.emaps[sym]))
 
 
 def identity_morphism(g: Hypergraph) -> HgMorphism:
@@ -407,15 +399,12 @@ def find_morphisms(g: Hypergraph, h: Hypergraph,
 
 
 def _degree_signature(g: Hypergraph):
-    sigs: list[dict] = [dict() for _ in range(g.vcount)]
+    sigs: list[Counter] = [Counter() for _ in range(g.vcount)]
     for sym, rows in g.edges.items():
-        for src, tgt in rows:
-            for pos, v in enumerate(src):
-                key = (sym, "s", pos)
-                sigs[v][key] = sigs[v].get(key, 0) + 1
-            for pos, v in enumerate(tgt):
-                key = (sym, "t", pos)
-                sigs[v][key] = sigs[v].get(key, 0) + 1
+        for row in rows:
+            for side, verts in zip("st", row):
+                for pos, v in enumerate(verts):
+                    sigs[v][sym, side, pos] += 1
     return [frozenset(s.items()) for s in sigs]
 
 
@@ -465,7 +454,7 @@ def quotient(size: int, glue, edges: dict):
     wires ``0..size-1`` glued along ``glue``, and the wire -> vertex map;
     classes are numbered in ascending order of their smallest wire.  A
     symbol with edges of two sorts raises ``ModelError``."""
-    parent = list(range(size))
+    parent = list(range(size))  # a smaller wire of the class, or the wire itself at its root
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -475,9 +464,11 @@ def quotient(size: int, glue, edges: dict):
     for x, y in glue:
         rx, ry = find(x), find(y)
         parent[max(rx, ry)] = min(rx, ry)  # the smallest wire is the root
+    for w, p in enumerate(parent):  # a parent comes first, so its entry is its root by now
+        parent[w] = parent[p]
     # a root is the first wire of its class that the scan meets
     dense: dict[int, int] = {}
-    number = [dense.setdefault(find(w), len(dense)) for w in range(size)]
+    number = [dense.setdefault(root, len(dense)) for root in parent]
     table = {sym: tuple((tuple(number[v] for v in s), tuple(number[v] for v in t))
                         for s, t in edges[sym]) for sym in sorted(edges) if edges[sym]}
     _check_one_sort(table)

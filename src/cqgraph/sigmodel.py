@@ -286,12 +286,8 @@ def load_model(text: str, sig: Signature) -> RelModel:
 
 def dump_model(model: RelModel) -> str:
     names = model.carrier
-    relations = {}
-    for sym in sorted(model.rho):
-        rows = sorted(model.rho[sym])
-        relations[sym] = [
-            [[names[x] for x in a], [names[x] for x in b]] for a, b in rows
-        ]
+    relations = {sym: [[[names[x] for x in a], [names[x] for x in b]] for a, b in sorted(rows)]
+                 for sym, rows in sorted(model.rho.items())}
     return json.dumps({"carrier": list(names), "relations": relations})
 
 

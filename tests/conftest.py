@@ -9,11 +9,13 @@ assignments, and morphism counts by filtering all raw function pairs.
 from __future__ import annotations
 
 import random
+import re
 from itertools import permutations, product
 
 import pytest
 
 from cqgraph.ccq import CcqFormula, CcqJudgment, Conj, Eq, Exists, RelAtom, Top
+from cqgraph.errors import ParseError
 from cqgraph.gcq import (
     Copy,
     Discard,
@@ -366,3 +368,59 @@ def reference_isomorphism(g: Hypergraph, h: Hypergraph, pins=None):
                 for sym, rows in g.edges.items()):
             return vmap
     return None
+
+
+# -- the tokenizer as it was, and mutated query texts --------------------------
+
+REFERENCE_TOKEN = {  # each grammar's tokens, one group, no catch-all
+    "gcq": re.compile(r"\s*(\(\+\)|[();]|[A-Za-z_][A-Za-z0-9_]*)"),
+    "ccq": re.compile(r"\s*(\|-|/\\|[(),.=]|[A-Za-z_][A-Za-z0-9_]*|\d+)"),
+}
+
+
+def reference_tokenize(token: re.Pattern, text: str) -> list[str]:
+    """The first groups of ``token`` matched back to back over text, one
+    ``re.match`` per token; a character no match covers is a ParseError."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = token.match(text, pos)
+        if not match:
+            if text[pos:].strip():
+                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}")
+            break
+        tokens.append(match.group(1))
+        pos = match.end()
+    return tokens
+
+
+# odd characters for a mutation: operator fragments, digits, non-ASCII
+# letters and digits, and whitespace that is not a plain space
+STRAY = "+-*@#!?.,=|/\\1907é\u0663\u00a0\t\n\x1c\u2028"
+
+
+def mutate(rng: random.Random, text: str, vocab: list[str]) -> str:
+    """text with one to three seeded edits: a token deleted, duplicated,
+    swapped with another or replaced from ``vocab``, a stray character or
+    a parenthesis put in, or a parenthesis taken out."""
+    tokens = re.findall(r"\(\+\)|\|-|/\\|\w+|\S", text)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(tokens) + 1)
+        kind = rng.randrange(7)
+        if kind == 0 and tokens:
+            del tokens[min(at, len(tokens) - 1)]
+        elif kind == 1 and tokens:
+            tokens.insert(at, rng.choice(tokens))
+        elif kind == 2 and len(tokens) > 1:
+            i, j = rng.sample(range(len(tokens)), 2)
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        elif kind == 3:
+            tokens.insert(at, rng.choice(STRAY))
+        elif kind == 4:
+            tokens.insert(at, rng.choice("()"))
+        elif kind == 5 and {"(", ")"} & set(tokens):
+            del tokens[rng.choice([k for k, tok in enumerate(tokens) if tok in ("(", ")")])]
+        elif tokens:
+            tokens[min(at, len(tokens) - 1)] = rng.choice(vocab)
+    glue = rng.choice([" ", "", "  "])
+    return glue.join(tokens)

@@ -6,7 +6,11 @@ import pytest
 from conftest import clique, inclusion_steps
 from cqgraph.ccq import parse_ccq
 from cqgraph.cli import main
-from cqgraph.sigmodel import Signature
+from cqgraph.containment import decide_equivalence, decide_inclusion
+from cqgraph.cospan import cospan_to_dot, term_to_cospan
+from cqgraph.gcq import parse_gcq, print_gcq
+from cqgraph.hypergraph import boundary_assignments
+from cqgraph.sigmodel import Signature, load_model
 from cqgraph.translate import theta
 
 SIG_CCQ = '{"R": [2, 0]}'
@@ -250,3 +254,56 @@ def test_formula_check_and_export_dot_build_no_derivation(workdir, capsys, monke
     assert main(["export-dot", phi]) == 0
     out = capsys.readouterr().out
     assert out.count("HOLDS") == 3 and out.count("digraph") == 2
+
+
+def test_printed_terms_check_export_and_eval_like_the_library(tmp_path, capsys):
+    """check, export-dot and eval compile a printed term straight from its
+    tokens; they print what the library makes of its parsed tree."""
+    sig = Signature({"R": (2, 0)})
+    model_text = ('{"carrier": ["a", "b", "c"], "relations": {"R": '
+                  '[[["a","b"],[]], [["b","c"],[]], [["c","a"],[]], [["a","a"],[]]]}}')
+    (tmp_path / "sig.json").write_text(SIG_CCQ)
+    (tmp_path / "m.json").write_text(model_text)
+    model = load_model(model_text, sig)
+    queries = {"phi": PHI, "psi": PSI, "k3": clique(3, False), "k4": clique(4, True),
+               "path": path_formula(6)}
+    files, cospans = {}, {}
+    for name, formula in queries.items():
+        text = print_gcq(theta(parse_ccq(formula, sig)))
+        files[name] = tmp_path / f"{name}.gcq"
+        files[name].write_text(f"signature: sig.json\n{text}\n")
+        cospans[name] = term_to_cospan(parse_gcq(text, sig))
+
+    def run(*argv):
+        code = main([str(a) for a in argv])
+        return code, capsys.readouterr().out
+
+    for a, b in (("phi", "psi"), ("psi", "phi"), ("k3", "k4"), ("k4", "k3"), ("phi", "phi")):
+        inc = decide_inclusion(cospans[a], cospans[b])
+        assert run("check", files[a], files[b], "--format", "json") == \
+            (1 - inc.holds, json.dumps(inc.to_json_dict()) + "\n")
+        eqv = decide_equivalence(cospans[a], cospans[b])
+        doc = {"holds": eqv.holds, "forward": eqv.forward.to_json_dict(),
+               "backward": eqv.backward.to_json_dict()}
+        assert run("check", files[a], files[b], "--mode", "equivalence", "--format", "json") == \
+            (1 - eqv.holds, json.dumps(doc) + "\n")
+    names = model.carrier
+    for name, c in cospans.items():
+        assert run("export-dot", files[name]) == (0, cospan_to_dot(c) + "\n")
+        rows = sorted(boundary_assignments(c.apex, c.iota + c.omega, model))
+        doc = [[[names[x] for x in row[:c.n]], [names[x] for x in row[c.n:]]] for row in rows]
+        assert run("eval", files[name], tmp_path / "m.json") == (0, json.dumps(doc) + "\n")
+
+
+def test_check_reports_a_width_mismatch_like_the_term_constructor(workdir, capsys):
+    assert main(["check", str(workdir / "broken.gcq"), str(workdir / "unit.gcq")]) == 2
+    assert capsys.readouterr().err == \
+        "error: cannot compose Sort(n=2, m=1) ; Sort(n=2, m=1): 1 != 2\n"
+
+
+def test_budget_help_says_what_a_step_is(capsys):
+    with pytest.raises(SystemExit):
+        main(["check", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "a step is one vertex image that passes every edge checkable at its vertex, " \
+           "or one edge map emitted" in help_text

@@ -1,8 +1,22 @@
+import random
+from collections import Counter
+
 import pytest
 
-from conftest import model_battery, random_term, relation_oracle
-from cqgraph.errors import ParseError, SignatureError, SortError
+from conftest import (
+    REFERENCE_TOKEN,
+    model_battery,
+    mutate,
+    random_judgment,
+    random_term,
+    reference_tokenize,
+    relation_oracle,
+)
+from cqgraph.ccq import _CCQ_TOKEN, parse_ccq, print_ccq
+from cqgraph.cospan import compile_nodes, term_to_cospan
+from cqgraph.errors import CqError, ParseError, SignatureError, SortError
 from cqgraph.gcq import (
+    _TOKEN,
     Copy,
     Discard,
     Gen,
@@ -23,8 +37,10 @@ from cqgraph.gcq import (
     parse_gcq,
     print_gcq,
     seq,
+    tokenize,
 )
 from cqgraph.sigmodel import RelModel, Signature, Sort, relation_compose, relation_tensor
+from cqgraph.translate import theta
 
 SIG = Signature({"R": (2, 0), "S": (1, 1)})
 
@@ -221,3 +237,84 @@ def test_wide_sugar_builds_without_recursion():
     assert n_spawn(1500).sort == Sort(0, 1500)
     assert n_copy(40).sort == Sort(40, 80)
     assert n_merge(40).sort == Sort(80, 40)
+
+
+GCQ_VOCAB = ["copy", "merge", "discard", "spawn", "id", "id0", "swap", "R", "S", "T",
+             ";", "(+)", "(", ")"]
+CCQ_VOCAB = ["x0", "x1", "y0", "z0", "exists", "top", "=", "/\\", "(", ")", ",", ".",
+             "|-", "R", "S", "2"]
+
+
+def _outcome(parse, *args):
+    """What a parse gives: ("ok", value) or ("error", type, message)."""
+    try:
+        return ("ok", parse(*args))
+    except CqError as exc:
+        return ("error", type(exc), str(exc))
+
+
+def _printed_terms(rng: random.Random) -> list[str]:
+    """Printed random terms over SIG and printed theta terms over R."""
+    rel = Signature({"R": (2, 0)})
+    return ([print_gcq(random_term(rng, SIG, max_nodes=12)) for _ in range(40)]
+            + [print_gcq(theta(random_judgment(rng, rel, max_depth=4))) for _ in range(20)])
+
+
+def test_both_folds_of_the_parser_agree_on_mutated_terms():
+    """Parsing straight into the cospan gives the cospan of the parsed tree,
+    or the same error, on about 2,000 mutated printed terms."""
+    rng = random.Random(11)
+    texts = _printed_terms(rng)
+    seen = Counter()
+    for _ in range(2000):
+        text = mutate(rng, rng.choice(texts), GCQ_VOCAB)
+        direct = _outcome(parse_gcq, text, SIG, compile_nodes)
+        via_tree = _outcome(lambda: term_to_cospan(parse_gcq(text, SIG)))
+        assert direct == via_tree, text
+        seen[direct[0] if direct[0] == "ok" else direct[1]] += 1
+    # every kind of outcome turns up, and none of them rarely
+    assert min(seen[kind] for kind in ("ok", ParseError, SortError, SignatureError)) >= 100
+
+
+def test_a_cospan_passes_through_the_compiler():
+    c = parse_gcq("copy ; (S (+) id) ; merge", SIG, compile_nodes)
+    assert term_to_cospan(c) is c
+    assert c == term_to_cospan(parse_gcq("copy ; (S (+) id) ; merge", SIG))
+
+
+def test_width_mismatch_reads_the_same_from_both_folds():
+    for text in ("merge ; merge", "copy ; (S (+) id) ; (swap (+) id)", "(R ; copy) (+) id"):
+        with pytest.raises(SortError) as tree:
+            parse_gcq(text, SIG)
+        with pytest.raises(SortError) as direct:
+            parse_gcq(text, SIG, compile_nodes)
+        assert str(tree.value) == str(direct.value)
+    with pytest.raises(SortError, match=r"^cannot compose Sort\(n=2, m=1\) ; "
+                                        r"Sort\(n=2, m=1\): 1 != 2$"):
+        parse_gcq("merge ; merge", SIG, compile_nodes)
+
+
+@pytest.mark.parametrize("grammar", ["gcq", "ccq"])
+def test_tokenize_matches_the_reference_loop(grammar):
+    """One findall gives the tokens of the re.match loop, or its error."""
+    rng = random.Random(23)
+    if grammar == "gcq":
+        token, vocab, texts = _TOKEN, GCQ_VOCAB, _printed_terms(rng)
+    else:
+        rel = Signature({"R": (2, 0), "S": (1, 0)})
+        token, vocab = _CCQ_TOKEN, CCQ_VOCAB
+        texts = [print_ccq(random_judgment(rng, rel)) for _ in range(60)]
+    seen = Counter()
+    for _ in range(1500):
+        text = mutate(rng, rng.choice(texts), vocab)
+        got = _outcome(tokenize, token, text)
+        assert got == _outcome(reference_tokenize, REFERENCE_TOKEN[grammar], text), repr(text)
+        seen[got[0]] += 1
+    assert min(seen["ok"], seen["error"]) >= 100
+
+
+def test_parsers_see_the_catch_all_character():
+    with pytest.raises(ParseError, match="unexpected character '\\+'"):
+        parse_gcq("copy ; (+ id", SIG)
+    with pytest.raises(ParseError, match="unexpected character '@'"):
+        parse_ccq("1 |- R(x0, @)", Signature({"R": (2, 0)}))
