@@ -14,6 +14,7 @@ Exit 2 reports on stderr; stdout keeps only what was printed before it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -165,6 +166,7 @@ def cmd_axioms_verify(args) -> int:
     return 0 if all_passed else 1
 
 
+@functools.cache  # parsing leaves the parser as it was, so in-process callers share one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cqgraph",
                                      description="conjunctive query toolbox")

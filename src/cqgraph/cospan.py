@@ -16,6 +16,7 @@ term whose compilation is isomorphic to it.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 
 from .ccq import CcqJudgment, adjacent_swaps, natural_model
@@ -146,9 +147,8 @@ def compile_nodes(nodes) -> Cospan:
             glue.extend(zip(lhs[1], rhs[0]))
             done.append((lhs[0], rhs[1]))
         elif kind is Tensor:
-            rhs, lhs = done.pop(), done[-1]
-            lhs[0].extend(rhs[0])
-            lhs[1].extend(rhs[1])
+            (ri, ro), (li, lo) = done.pop(), done[-1]
+            done[-1] = (_concat(li, ri), _concat(lo, ro))
         elif kind is Gen:
             src = range(wires, wires + u.n)
             tgt = range(wires + u.n, wires + u.n + u.m)
@@ -165,6 +165,19 @@ def compile_nodes(nodes) -> Cospan:
     iota, omega = done.pop()
     return _trusted(Cospan, n=len(iota), m=len(omega), apex=apex,
                     iota=tuple(number[v] for v in iota), omega=tuple(number[v] for v in omega))
+
+
+def _concat(left, right):
+    """The boundary left + right, grown from the longer of the two: a list
+    is extended on the right, a deque on the left, so a ``(+)`` chain of
+    either nesting compiles in linear time."""
+    if len(left) >= len(right):
+        left.extend(right)
+        return left
+    if type(right) is not deque:
+        right = deque(right)
+    right.extendleft(reversed(left))
+    return right
 
 
 def boundary_pins(frm: Cospan, to: Cospan) -> dict | None:

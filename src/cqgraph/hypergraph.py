@@ -166,11 +166,16 @@ class _Search:
     checkable at its vertex, or one edge map emitted.
     (b) An existence search (limit 1, not injective) tries, of the vertices
     of h with no preimage yet, only the smallest of each swap class: a ~ b
-    iff the transposition (a b) is an automorphism of h.  It fixes every
-    image so far, so it carries a map through b, and the edges of (a), to
-    ones through a: sound.  That copy is lexicographically smaller, so the
-    first map found, the witness, never goes through b.  Only an image
-    after a failed one with no other preimage is pruned: classes wait.
+    iff the transposition (a b) is an automorphism of h|g, h restricted to
+    the symbols g uses.  Sound: a and b have no preimage yet, so (a b) fixes
+    every image so far, and g has no edge of any other symbol, so (a b)
+    sends each morphism g -> h through b, edge maps and all, to one through
+    a.  That copy is lexicographically smaller, so the first map found, the
+    witness, is still the least morphism and never goes through b; its edge
+    maps come from ``emit``.  An automorphism of h is one of h|g, so each
+    class is a union of classes over all of h, and the tree searched is a
+    subtree of the one those would leave.  Only an image after a failed one
+    with no other preimage is pruned: classes wait.
     """
 
     def __init__(self, g: Hypergraph, h: Hypergraph, pins, limit, budget, injective):
@@ -191,11 +196,13 @@ class _Search:
             self.hits[img] += 1
         self.infeasible = injective and any(n > 1 for n in self.hits)  # two pins on one image
 
-        # image lookup: symbol -> tentacle tuple pair -> ascending edge ids;
-        # targets: (symbol, class size or None) -> flat tentacle tuples of h
+        # h|g: h's edges of the symbols g uses, as no other edge constrains
+        # a morphism; image lookup: symbol -> tentacle tuple pair -> ascending
+        # edge ids; targets: (symbol, class size or None) -> flat tentacle tuples
+        self.hg = {sym: rows for sym, rows in h.edges.items() if sym in g.edges}
         self.h_index: dict[str, dict] = {}
         targets: dict[tuple, set] = {}
-        for sym, rows in h.edges.items():
+        for sym, rows in self.hg.items():
             index: dict = {}
             for i, row in enumerate(rows):
                 index.setdefault(row, []).append(i)
@@ -311,14 +318,15 @@ class _Search:
         return index.get, _getter(others)
 
     def swap_classes(self) -> list[list[int]]:
-        """Rule (b): each vertex's swap class in h, ascending.  Swappable a, b
+        """Rule (b): each vertex's swap class in h|g, ascending; an edge below
+        is one of h's edges of the symbols g uses.  Swappable a, b
         share N(a) - {a} (not adjacent) or N(a) + {a} (adjacent), and (a b) is
         an automorphism iff it permutes the edges at a or b.  (a c)(c b)(a c)
         = (a b), so ~ is an equivalence.  No class mixes the kinds: a ~ b
         apart and b ~ c adjacent give a ~ c adjacent, and then b, in
         N(c) + {c} = N(a) + {a}, is adjacent to a.  So a class lies in one
         bucket, where one test per class met finds it."""
-        rows = [(sym, s + t) for sym, table in self.h.edges.items() for s, t in table]
+        rows = [(sym, s + t) for sym, table in self.hg.items() for s, t in table]
         at: list[set] = [set() for _ in range(self.h.vcount)]  # the edges at each vertex
         for e, (_, flat) in enumerate(rows):
             for x in flat:

@@ -156,15 +156,19 @@ def clique(n: int, reverse: bool) -> str:
     return "1 |- " + prefix + " /\\ ".join(f"R({name[a]}, {name[b]})" for a, b in edges)
 
 
-def clique_graph(n: int, tails=()) -> Hypergraph:
-    """K_n under E, plus a path of ``tails[i]`` F-edges hanging off vertex i:
-    tails of distinct lengths leave no transposition automorphism."""
-    edges = {"E": [((i,), (k,)) for i in range(n) for k in range(n) if i != k], "F": []}
+def clique_graph(n: int, tails=(), tail_symbol: str = "F") -> Hypergraph:
+    """K_n under E, plus a path of ``tails[i]`` ``tail_symbol``-edges hanging
+    off vertex i: tails of distinct lengths leave the graph no transposition
+    automorphism.  Under E they leave none of its E-edges either, so a search
+    from an E-only graph has no symmetry to prune; under F, K_n's E-edges
+    keep all of theirs."""
+    edges = {"E": [((i,), (k,)) for i in range(n) for k in range(n) if i != k]}
+    tail = edges.setdefault(tail_symbol, [])
     vcount = n
     for i, length in enumerate(tails):
         prev = i
         for _ in range(length):
-            edges["F"].append(((prev,), (vcount,)))
+            tail.append(((prev,), (vcount,)))
             prev, vcount = vcount, vcount + 1
     return Hypergraph(vcount, edges)
 

@@ -284,8 +284,8 @@ def test_stress_budgeted_clique_growth():
         assert elapsed < 5, f"K{n} refutation took {elapsed:.1f}s"
         timings.append((n, elapsed))
     # a search that needs more steps than its budget cancels instead of
-    # answering; the tails leave K7 no interchangeable vertices to prune
-    tailed = clique_graph(7, tails=range(1, 8))
+    # answering; E-tails leave K7 no interchangeable vertices to prune
+    tailed = clique_graph(7, tails=range(1, 8), tail_symbol="E")
     assert search_steps(clique(8), tailed) == 13_727
     with pytest.raises(BudgetExhausted):
         find_morphisms(clique(8), tailed, limit=1, budget=10_000)

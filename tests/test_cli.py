@@ -1,8 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cqgraph
 from conftest import clique, inclusion_steps
 from cqgraph.ccq import parse_ccq
 from cqgraph.cli import main
@@ -307,3 +312,24 @@ def test_budget_help_says_what_a_step_is(capsys):
     help_text = " ".join(capsys.readouterr().out.split())
     assert "a step is one vertex image that passes every edge checkable at its vertex, " \
            "or one edge map emitted" in help_text
+
+
+def test_check_and_translate_print_the_same_under_any_hash_seed(tmp_path):
+    # K5 with F-edges the K4 side lacks: the search's swap classes are built
+    # over R alone, and the witness and the translation stay byte-identical
+    (tmp_path / "sig.json").write_text('{"R": [2, 0], "F": [2, 0]}')
+    (tmp_path / "k5.ccq").write_text(
+        f"signature: sig.json\n{clique(5, False)} /\\ F(z1, z2) /\\ F(z2, z3)\n")
+    (tmp_path / "k4.ccq").write_text(f"signature: sig.json\n{clique(4, True)}\n")
+    k5, k4 = str(tmp_path / "k5.ccq"), str(tmp_path / "k4.ccq")
+    src = str(Path(cqgraph.__file__).parents[1])
+    outputs = {}
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        outputs[seed] = [subprocess.run([sys.executable, "-m", "cqgraph.cli", *argv], env=env,
+                                        capture_output=True, check=True).stdout
+                         for argv in (["check", k5, k4, "--format", "json"], ["translate", k5])]
+    assert outputs["0"] == outputs["1"]
+    verdict = json.loads(outputs["0"][0])
+    assert verdict["holds"] and verdict["witness"]["vmap"] == [0, 1, 2, 3]

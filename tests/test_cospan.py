@@ -1,3 +1,6 @@
+import time
+from functools import reduce
+
 import pytest
 
 from conftest import model_battery, random_cospan, random_term
@@ -300,6 +303,35 @@ def test_json_layout():
 def test_cospan_from_json_rejects_bad_input(text):
     with pytest.raises(ModelError):
         cospan_from_json(text)
+
+
+def test_tensor_chains_compile_alike_in_either_nesting():
+    # a (+) boundary grows from its longer side, so a right-nested chain
+    # gives the same cospan as a left-nested one, in about the same time
+    leaves = [Copy(), Gen("S", 1, 1), Spawn(), Merge(), Discard(), Swap()]
+    for width in range(1, 13):
+        parts = [leaves[k * 5 % len(leaves)] for k in range(width)]
+        expected = reduce(tensor_cospans, map(term_to_cospan, parts))
+        assert term_to_cospan(reduce(Tensor, parts)) == expected
+        assert term_to_cospan(reduce(lambda t, u: Tensor(u, t), reversed(parts))) == expected
+
+    def chain(right: bool):
+        t = Spawn()
+        for _ in range(31_999):
+            t = Tensor(Spawn(), t) if right else Tensor(t, Spawn())
+        return t
+
+    compiled, best = {}, {}
+    for right in (False, True):
+        t = chain(right)
+        for _ in range(3):
+            start = time.perf_counter()
+            compiled[right] = term_to_cospan(t)
+            elapsed = time.perf_counter() - start
+            best[right] = min(best.get(right, elapsed), elapsed)
+    assert compiled[True] == compiled[False]
+    assert compiled[True].sort == (0, 32_000)
+    assert best[True] < 4 * best[False], best
 
 
 def test_compile_rejects_a_symbol_at_two_sorts():

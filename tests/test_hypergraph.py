@@ -236,23 +236,32 @@ def test_existence_search_finds_the_first_of_all_morphisms():
 
 
 def test_swap_classes_are_the_transposition_automorphisms():
-    def is_automorphism(h, a, b):
+    # of h restricted to the symbols g uses: h's other edges never
+    # constrain a morphism from g
+    def is_automorphism(h, a, b, symbols):
         sub = {a: b, b: a}
         return all(sorted((tuple(sub.get(x, x) for x in s), tuple(sub.get(x, x) for x in t))
-                          for s, t in rows) == sorted(rows) for rows in h.edges.values())
+                          for s, t in rows) == sorted(rows)
+                   for sym, rows in h.edges.items() if sym in symbols)
 
     rng = random.Random(7)
+    seen = Counter()
     for _ in range(300):
+        g = random_hypergraph(rng, SIG, max_v=3, max_edges=2)
         h = symmetric_target(rng) if rng.random() < 0.5 else \
             random_hypergraph(rng, SIG, max_v=5, max_edges=5)
         classes = {a: {a} for a in range(h.vcount)}  # closure of the swaps
         for a, b in combinations(range(h.vcount), 2):
-            if is_automorphism(h, a, b):
+            if is_automorphism(h, a, b, g.edges):
                 classes[a] |= classes[b]
                 for x in classes[a]:
                     classes[x] = classes[a]
-        found = _Search(Hypergraph(0), h, None, 1, None, False).swap_classes()
+        found = _Search(g, h, None, 1, None, False).swap_classes()
         assert [sorted(classes[a]) for a in range(h.vcount)] == found
+        seen["restricted"] += bool(set(h.edges) - set(g.edges))
+        seen["merged"] += any(not is_automorphism(h, a, b, h.edges)
+                              for a in range(h.vcount) for b in found[a])
+    assert min(seen["restricted"], seen["merged"]) >= 40, seen
 
 
 def with_loops(rng: random.Random, g: Hypergraph) -> Hypergraph:
@@ -282,7 +291,8 @@ def test_search_matches_the_reference_search():
                 } if h.vcount else {}
         seen.update(pins=bool(pins), S="S" in g.edges,
                     loop=any(len(set(s + t)) < len(s + t) for rows in g.edges.values()
-                             for s, t in rows))
+                             for s, t in rows),
+                    unused=bool(set(h.edges) - set(g.edges)))
         for limit in (None, 1):
             expected, most = reference_search(g, h, pins, limit)
             search = _Search(g, h, pins, limit, None, injective=False)
@@ -298,7 +308,7 @@ def test_search_matches_the_reference_search():
             if f is not None:
                 assert f.vmap == vmap and validate_morphism(f, a, b)
                 seen["iso"] += 1
-    assert min(seen[key] for key in ("pins", "S", "loop", "found", "iso")) >= 40, seen
+    assert min(seen[key] for key in ("pins", "S", "loop", "found", "iso", "unused")) >= 40, seen
 
 
 def test_search_step_counts():
@@ -306,9 +316,15 @@ def test_search_step_counts():
     # image per swap class to try at each depth
     assert search_steps(clique_graph(10), clique_graph(9)) <= 200
     assert search_steps(clique_graph(15), clique_graph(14)) <= 200
-    # with no interchangeable vertex of the target, each vertex tries only
-    # the images that every edge checkable there allows
+    # K_n has no F-edge, so F-tails hide no symmetry from rule (b): one
+    # image per swap class at each depth
     tailed = [search_steps(clique_graph(n), clique_graph(n - 1, tails=range(1, n)))
+              for n in range(4, 9)]
+    assert tailed == [4, 5, 6, 7, 8]
+    # E-tails leave no interchangeable vertex of the target, so each vertex
+    # tries only the images that every edge checkable there allows
+    tailed = [search_steps(clique_graph(n),
+                           clique_graph(n - 1, tails=range(1, n), tail_symbol="E"))
               for n in range(4, 9)]
     assert tailed == [21, 74, 340, 1_977, 13_727]
     # swap classes are compared within neighbourhood buckets, not pair by pair
