@@ -78,10 +78,12 @@ def cmd_check(args) -> int:
     else:
         rel = "equivalent to" if args.mode == "equivalence" else "included in"
         print(f"{'HOLDS' if holds else 'FAILS'}: lhs {rel} rhs")
-        if not holds and doc.get("countermodel"):
-            print("countermodel:", json.dumps(doc["countermodel"]))
-        if holds and doc.get("witness"):
-            print("witness:", json.dumps(doc["witness"]))
+        sides = ([("forward ", doc["forward"]), ("backward ", doc["backward"])]
+                 if args.mode == "equivalence" else [("", doc)])
+        for prefix, side in sides:
+            for key in ("witness", "countermodel"):  # a verdict has exactly one
+                if key in side:
+                    print(f"{prefix}{key}:", json.dumps(side[key]))
     return 0 if holds else 1
 
 

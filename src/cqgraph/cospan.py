@@ -8,15 +8,15 @@ vertices (a pushout over discrete boundaries, computed with union-find);
 tensor is disjoint union.  This algebra is the reference for
 ``compile_nodes``, which compiles a whole term as one colimit: one pass
 over its nodes in postorder, from a tree (``term_to_cospan``) or straight
-from the parser (``parse_gcq(text, sig, into=compile_nodes)``), then one
-quotient of all its wires.  ``cospan_to_term`` writes any cospan back as a
-term whose compilation is isomorphic to it.
+from the parser (``parse_gcq(text, sig, into=compile_nodes)``), keeping
+their boundaries on two flat stacks, then one quotient of all its wires.
+``cospan_to_term`` writes any cospan back as a term whose compilation is
+isomorphic to it.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 
 from .ccq import CcqJudgment, adjacent_swaps, natural_model
@@ -96,14 +96,13 @@ def identity_cospan(n: int) -> Cospan:
     return _trusted(Cospan, n=n, m=n, apex=Hypergraph(n), iota=wires, omega=wires)
 
 
-# the wires of each wiring constant, and its boundaries over the first wire w
+# the wires of each wiring constant but ``id``, and its boundaries over the first wire w
 _WIRING = {
     Copy: (1, lambda w: ([w], [w, w])),
     Merge: (1, lambda w: ([w, w], [w])),
     Discard: (1, lambda w: ([w], [])),
     Spawn: (1, lambda w: ([], [w])),
     Id0: (0, lambda w: ([], [])),
-    Id1: (1, lambda w: ([w], [w])),
     Swap: (2, lambda w: ([w, w + 1], [w + 1, w])),
 }
 
@@ -127,57 +126,70 @@ def term_to_cospan(t: GcqTerm | CcqJudgment | Cospan) -> Cospan:
 
 def compile_nodes(nodes) -> Cospan:
     """The cospan of a term from its nodes in postorder, inner ones as
-    themselves or, from ``gcq.parse_nodes``, as their class.  One pass:
-    leaves get fresh wires left to right, a wiring constant its discrete
-    cospan, a box one hyperedge with the source tentacles in order on the
-    left boundary and the target tentacles on the right.  ``;`` checks the
-    widths and glues the inner boundaries, ``(+)`` concatenates, and one
-    quotient of all wires gives exactly the cospan of the reference algebra.
+    themselves or, from ``gcq.parse_nodes``, as their class.  One pass gives
+    the leaves fresh wires left to right, a box one hyperedge from its left
+    boundary to its right one, and one quotient of all wires gives exactly
+    the cospan of the reference algebra.
+
+    The boundaries of finished subterms lie on two flat stacks; a subterm
+    is its start on ``left`` and the starts of its region and of its live
+    boundary on ``right``.  ``(+)`` moves nothing on ``left``, and ``;``
+    glues, then truncates the inner boundary off its top.  On ``right``,
+    ``;`` leaves the glued wires as a gap, and ``(+)`` closes one by moving
+    the shorter of its operands' boundaries.  So ``;`` costs O(1 + wires
+    glued) and ``(+)`` O(1) plus a small-to-large move: a wire moves only
+    into a boundary at least twice as wide, which keeps its width through
+    ``;``, so each of n wires moves at most log n times (a gap slot is
+    freed once), and the pass is O(n log n) in either nesting of either operator.
     """
     wires = 0
     glue: list[tuple[int, int]] = []
     edges: dict[str, list] = {}
-    done: list[tuple[list, list]] = []  # (iota, omega) of finished subterms
+    left, right = [], []  # the boundaries of finished subterms, in postorder
+    done: list[tuple[int, int, int]] = []  # per finished subterm: (left start, region, live start)
     for u in nodes:
         kind = u if u is Seq or u is Tensor else type(u)
+        if kind is Tensor:
+            _, r2, b2 = done.pop()
+            if r2 < b2:  # the right operand's boundary sits after a gap: close it
+                l1, r1, b1 = done[-1]
+                width = r2 - b1
+                if width < len(right) - b2:
+                    right[b2 - width:b2] = right[b1:r2]
+                    done[-1] = (l1, r1, b2 - width)
+                else:
+                    del right[r2:b2]
+            continue
         if kind is Seq:
-            rhs, lhs = done.pop(), done.pop()
-            if len(lhs[1]) != len(rhs[0]):
-                raise composition_error(Sort(*map(len, lhs)), Sort(*map(len, rhs)))
-            glue.extend(zip(lhs[1], rhs[0]))
-            done.append((lhs[0], rhs[1]))
-        elif kind is Tensor:
-            (ri, ro), (li, lo) = done.pop(), done[-1]
-            done[-1] = (_concat(li, ri), _concat(lo, ro))
-        elif kind is Gen:
-            src = range(wires, wires + u.n)
-            tgt = range(wires + u.n, wires + u.n + u.m)
-            edges.setdefault(u.name, []).append((src, tgt))
-            done.append((list(src), list(tgt)))
-            wires += u.n + u.m
+            (l2, r2, b2), (l1, r1, b1) = done.pop(), done[-1]
+            if r2 - b1 != len(left) - l2:
+                raise composition_error(Sort(l2 - l1, r2 - b1), Sort(len(left) - l2, len(right) - b2))
+            glue += zip(right[b1:r2], left[l2:])
+            del left[l2:]
+            done[-1] = (l1, r1, b2)
+            continue
+        done.append((len(left), len(right), len(right)))
+        if kind is Id1:
+            left.append(wires)
+            right.append(wires)
+            wires += 1
+            continue
+        if kind is Gen:
+            size = u.n + u.m
+            iota, omega = range(wires, wires + u.n), range(wires + u.n, wires + size)
+            edges.setdefault(u.name, []).append((iota, omega))
         elif kind in _WIRING:
             size, boundaries = _WIRING[kind]
-            done.append(boundaries(wires))
-            wires += size
+            iota, omega = boundaries(wires)
         else:
             raise TypeError(f"not a term: {u!r}")
+        left += iota
+        right += omega
+        wires += size
     apex, number = quotient(wires, glue, edges)
-    iota, omega = done.pop()
-    return _trusted(Cospan, n=len(iota), m=len(omega), apex=apex,
-                    iota=tuple(number[v] for v in iota), omega=tuple(number[v] for v in omega))
-
-
-def _concat(left, right):
-    """The boundary left + right, grown from the longer of the two: a list
-    is extended on the right, a deque on the left, so a ``(+)`` chain of
-    either nesting compiles in linear time."""
-    if len(left) >= len(right):
-        left.extend(right)
-        return left
-    if type(right) is not deque:
-        right = deque(right)
-    right.extendleft(reversed(left))
-    return right
+    l1, _, b1 = done.pop()
+    iota, omega = (tuple(map(number.__getitem__, side)) for side in (left[l1:], right[b1:]))
+    return _trusted(Cospan, n=len(iota), m=len(omega), apex=apex, iota=iota, omega=omega)
 
 
 def boundary_pins(frm: Cospan, to: Cospan) -> dict | None:

@@ -462,25 +462,26 @@ def quotient(size: int, glue, edges: dict):
     wires ``0..size-1`` glued along ``glue``, and the wire -> vertex map;
     classes are numbered in ascending order of their smallest wire.  A
     symbol with edges of two sorts raises ``ModelError``."""
-    parent = list(range(size))  # a smaller wire of the class, or the wire itself at its root
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]  # path halving
-        return x
-
+    parent = list(range(size))  # parent[w] <= w: a smaller wire of w's class, or w at its root
     for x, y in glue:
-        rx, ry = find(x), find(y)
-        parent[max(rx, ry)] = min(rx, ry)  # the smallest wire is the root
-    for w, p in enumerate(parent):  # a parent comes first, so its entry is its root by now
-        parent[w] = parent[p]
-    # a root is the first wire of its class that the scan meets
-    dense: dict[int, int] = {}
-    number = [dense.setdefault(root, len(dense)) for root in parent]
-    table = {sym: tuple((tuple(number[v] for v in s), tuple(number[v] for v in t))
-                        for s, t in edges[sym]) for sym in sorted(edges) if edges[sym]}
+        while x != (p := parent[x]):  # path halving
+            parent[x] = x = parent[p]
+        while y != (p := parent[y]):
+            parent[y] = y = parent[p]
+        if x < y:  # the smallest wire is the root
+            parent[y] = x
+        else:
+            parent[x] = y
+    # one scan numbers the roots in order; as parent[w] <= w, p is numbered by then
+    number, count = parent, 0
+    for w, p in enumerate(parent):
+        number[w] = number[p] if p < w else count
+        count += p == w
+    at = number.__getitem__
+    table = {sym: tuple((tuple(map(at, s)), tuple(map(at, t))) for s, t in edges[sym])
+             for sym in sorted(edges) if edges[sym]}
     _check_one_sort(table)
-    return _trusted(Hypergraph, vcount=len(dense), edges=table), number
+    return _trusted(Hypergraph, vcount=count, edges=table), number
 
 
 def pushout(f: tuple, g: tuple, a: Hypergraph, b: Hypergraph):

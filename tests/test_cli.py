@@ -65,6 +65,19 @@ def test_check_equivalence_mode(workdir, capsys):
     assert out["forward"]["holds"] and not out["backward"]["holds"]
 
 
+def test_check_equivalence_text_shows_each_direction(workdir, capsys):
+    # bone <= unit holds by the empty map; unit <= bone fails, as bone's
+    # vertex has nowhere to go in the empty apex
+    code = main(["check", str(workdir / "bone.gcq"), str(workdir / "unit.gcq"),
+                 "--mode", "equivalence", "--format", "text"])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAILS: lhs equivalent to rhs",
+        'forward witness: {"vmap": [], "emaps": {}}',
+        'backward countermodel: {"carrier": [], "relations": {}}',
+    ]
+
+
 def test_check_malformed_input_exits_2(workdir, capsys):
     code = main(["check", str(workdir / "broken.gcq"), str(workdir / "unit.gcq")])
     captured = capsys.readouterr()

@@ -306,8 +306,9 @@ def test_cospan_from_json_rejects_bad_input(text):
 
 
 def test_tensor_chains_compile_alike_in_either_nesting():
-    # a (+) boundary grows from its longer side, so a right-nested chain
-    # gives the same cospan as a left-nested one, in about the same time
+    # a (+) moves no wire unless its right operand's right boundary sits
+    # after a gap, so a right-nested chain gives the same cospan as a
+    # left-nested one, in about the same time
     leaves = [Copy(), Gen("S", 1, 1), Spawn(), Merge(), Discard(), Swap()]
     for width in range(1, 13):
         parts = [leaves[k * 5 % len(leaves)] for k in range(width)]
@@ -332,6 +333,80 @@ def test_tensor_chains_compile_alike_in_either_nesting():
     assert compiled[True] == compiled[False]
     assert compiled[True].sort == (0, 32_000)
     assert best[True] < 4 * best[False], best
+
+
+def test_seq_chains_compile_alike_in_either_nesting():
+    # a ; truncates the glued wires off the left stack and leaves them as a
+    # gap on the right one, so a right-nested chain moves no boundary either
+    layer = reduce(Tensor, [Id1()] + [Spawn()] * 31_999)
+    parts = [Gen("R", 1, 1)] * 32_000 + [layer]
+    compiled, best = {}, {}
+    for right in (False, True):
+        t = reduce(lambda t, u: Seq(u, t), reversed(parts)) if right else reduce(Seq, parts)
+        for _ in range(3):
+            start = time.perf_counter()
+            compiled[right] = term_to_cospan(t)
+            elapsed = time.perf_counter() - start
+            best[right] = min(best.get(right, elapsed), elapsed)
+    assert compiled[True] == compiled[False]
+    assert compiled[True].sort == (1, 32_000)
+    assert compiled[True].apex.vcount == 64_000
+    assert best[True] < 4 * best[False], best
+
+
+_LEAVES = {(1, 2): Copy(), (2, 1): Merge(), (1, 0): Discard(), (0, 1): Spawn(),
+           (0, 0): Id0(), (1, 1): Id1(), (2, 2): Swap()}
+
+
+def random_tree(rng, leaves: int, n: int, m: int):
+    """A term of sort (n, m) with the given number of leaves, bracketed at
+    random: each inner node a ; or a (+), with either operand the larger."""
+    if leaves == 1:
+        if (n, m) in _LEAVES and rng.random() < 0.5:
+            return _LEAVES[n, m]
+        return Gen(f"B{n}_{m}", n, m)
+    k = rng.randint(1, leaves - 1)
+    if rng.random() < 0.5:
+        w = rng.randint(0, 3)
+        return Seq(random_tree(rng, k, n, w), random_tree(rng, leaves - k, w, m))
+    i, j = rng.randint(0, n), rng.randint(0, m)
+    return Tensor(random_tree(rng, k, i, j), random_tree(rng, leaves - k, n - i, m - j))
+
+
+def reference_fold(t):
+    """The cospan of t folded from its leaves' through the reference algebra."""
+    if isinstance(t, Seq):
+        return compose_cospans(reference_fold(t.lhs), reference_fold(t.rhs))
+    if isinstance(t, Tensor):
+        return tensor_cospans(reference_fold(t.lhs), reference_fold(t.rhs))
+    return term_to_cospan(t)
+
+
+def gap_moves(t, moves) -> bool:
+    """Whether t's right boundary sits after a gap on compile_nodes' right
+    stack, counting in moves which boundary each (+) moves to close the gap
+    of its right operand: the left operand's when it is the shorter one,
+    the right operand's otherwise.  ``|``, not ``or``, so every subtree is counted."""
+    if isinstance(t, Seq):
+        return gap_moves(t.lhs, moves) | (t.lhs.sort.m > 0) | gap_moves(t.rhs, moves)
+    if isinstance(t, Tensor):
+        left_gap, right_gap = gap_moves(t.lhs, moves), gap_moves(t.rhs, moves)
+        if right_gap and t.lhs.sort.m < t.rhs.sort.m:
+            moves["left"] += 1
+            return True
+        moves["right"] += right_gap
+        return left_gap
+    return False
+
+
+def test_compile_is_the_reference_fold_of_whole_trees(rng):
+    # random nestings of both operators, so a (+) closes many gaps each way
+    moves = {"left": 0, "right": 0}
+    for _ in range(300):
+        t = random_tree(rng, rng.randint(1, 40), rng.randint(0, 4), rng.randint(0, 4))
+        assert term_to_cospan(t) == reference_fold(t)
+        gap_moves(t, moves)
+    assert min(moves.values()) >= 50, moves
 
 
 def test_compile_rejects_a_symbol_at_two_sorts():

@@ -404,6 +404,34 @@ def test_quotient_and_union_reject_a_symbol_at_two_sorts():
         disjoint_union(single_edge(), Hypergraph(2, {"R": [((0, 1), ())]}))
 
 
+def test_quotient_labels_the_components_of_the_glue(rng):
+    # classes are numbered by their smallest wire, whatever the order and
+    # orientation of the glue pairs, exactly as a naive labelling finds them
+    size = 300
+    for _ in range(30):
+        glue = [(rng.randrange(size), rng.randrange(size)) for _ in range(rng.randint(0, 400))]
+        edges = {"R": [((w,), (w + 1, w + 2)) for w in rng.sample(range(size - 2), 40)]}
+        label = list(range(size))  # lowered along the glue until no pair disagrees
+        changed = True
+        while changed:
+            changed = False
+            for x, y in glue:
+                low = min(label[x], label[y])
+                if label[x] != label[y]:
+                    label[x] = label[y] = low
+                    changed = True
+        rank = {root: i for i, root in enumerate(sorted(set(label)))}
+        number = [rank[root] for root in label]
+        apex, got = quotient(size, glue, edges)
+        assert got == number
+        assert apex.vcount == len(rank)
+        assert apex.edges == {"R": tuple(((number[s],), (number[t], number[u]))
+                                         for (s,), (t, u) in edges["R"])}
+        shuffled = [(y, x) if rng.random() < 0.5 else (x, y) for x, y in glue]
+        rng.shuffle(shuffled)
+        assert quotient(size, shuffled, edges) == (apex, got)
+
+
 def test_dot_output_shape():
     dot = hypergraph_to_dot(single_edge())
     assert dot.count("shape=point") == 2
