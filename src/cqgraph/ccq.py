@@ -28,7 +28,7 @@ from operator import attrgetter
 from .errors import ParseError, SignatureError
 from .gcq import Branch, postorder, subtrees, tokenize
 from .hypergraph import boundary_assignments, quotient
-from .sigmodel import RelModel, Signature
+from .sigmodel import RelModel, Signature, _trusted
 
 
 # -- formulas ----------------------------------------------------------------
@@ -484,17 +484,23 @@ def replay_eval(d: CcqDerivation, model: RelModel) -> frozenset:
 # header "n,m |-" adds y0..y{m-1} (stored at indices n..n+m-1).  Quantifier
 # names are arbitrary identifiers; shadowing is rejected.
 
-_CCQ_TOKEN = re.compile(r"\s*(?:(\|-|/\\|[(),.=]|[A-Za-z_][A-Za-z0-9_]*|\d+)|(\S))")
+# a token of a formula; the tokenizer pads the punctuation with spaces
+_ONE_CCQ_TOKEN = r"\|-|/\\|[(),.=]|[A-Za-z_][A-Za-z0-9_]*|\d+"
+_CCQ_TOKEN = re.compile(rf"\s*(?:({_ONE_CCQ_TOKEN})|(\S))")
+_CCQ_CUTS = tuple((p, f" {p} ") for p in ("|-", "/\\", "(", ")", ",", ".", "="))
+_CCQ_WHOLE = re.compile(_ONE_CCQ_TOKEN)
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_X, _Y = re.compile(r"x(\d+)"), re.compile(r"y(\d+)")
 
 
 def parse_ccq(text: str, sig: Signature) -> CcqJudgment:
     """Parse "n |- formula" (or "n,m |- formula") against a signature."""
     left, right, formula = parse_ccq_two_sided(text, sig)
-    return CcqJudgment(left + right, formula)
+    return _trusted(CcqJudgment, context=left + right, formula=formula)  # checked there
 
 
 def parse_ccq_two_sided(text: str, sig: Signature):
-    tokens = tokenize(_CCQ_TOKEN, text)
+    tokens = tokenize(_CCQ_TOKEN, text, _CCQ_CUTS, _CCQ_WHOLE)
     pos = 0
 
     def peek():
@@ -532,13 +538,13 @@ def parse_ccq_two_sided(text: str, sig: Signature):
     def resolve(name: str) -> int:
         if name in bound:
             return bound[name]
-        mx = re.fullmatch(r"x(\d+)", name)
+        mx = _X.fullmatch(name)
         if mx:
             i = int(mx.group(1))
             if i >= left:
                 raise ParseError(f"free variable x{i} out of context {left}")
             return i
-        my = re.fullmatch(r"y(\d+)", name)
+        my = _Y.fullmatch(name)
         if my and right > 0:
             i = int(my.group(1))
             if i >= right:
@@ -548,7 +554,7 @@ def parse_ccq_two_sided(text: str, sig: Signature):
 
     def variable() -> int:
         tok = take()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
+        if not _NAME.fullmatch(tok):
             raise ParseError(f"expected a variable, found {tok!r}")
         return resolve(tok)
 
@@ -558,7 +564,7 @@ def parse_ccq_two_sided(text: str, sig: Signature):
         if tok == "top":
             take()
             return Top()
-        if tok is not None and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok) and \
+        if tok is not None and _NAME.fullmatch(tok) and \
                 pos + 1 < len(tokens) and tokens[pos + 1] == "(":
             name = take()
             try:
@@ -599,13 +605,13 @@ def parse_ccq_two_sided(text: str, sig: Signature):
         if tok == "exists":
             take()
             name = take()
-            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) or name in ("top", "exists"):
+            if not _NAME.fullmatch(name) or name in ("top", "exists"):
                 raise ParseError(f"bad quantifier variable {name!r}")
             if name in bound:
                 raise ParseError(f"shadowed variable {name!r}")
-            if re.fullmatch(r"x(\d+)", name) and int(name[1:]) < left:
+            if _X.fullmatch(name) and int(name[1:]) < left:
                 raise ParseError(f"shadowed variable {name!r}")
-            if right > 0 and re.fullmatch(r"y(\d+)", name) and int(name[1:]) < right:
+            if right > 0 and _Y.fullmatch(name) and int(name[1:]) < right:
                 raise ParseError(f"shadowed variable {name!r}")
             expect(".")
             bound[name] = n_free + len(bound)  # one binder per open quantifier

@@ -9,9 +9,10 @@ up to the diagrammatic laws lives in :mod:`cqgraph.containment`.
 Every pass over a tree is a flat loop over ``postorder``, an explicit
 stack, so terms (and the formulas and derivations of the other modules)
 of any depth are handled under the default recursion limit.  The parser
-yields a term's nodes in that order, straight from one ``findall`` of its
-tokens; ``build_term`` folds them into the tree, and
-``cospan.compile_nodes`` into the cospan, with no tree built.
+yields a term's nodes in that order, straight from its tokens (cut by
+``str.split`` at the padded punctuation, or by one ``findall``);
+``build_term`` folds them into the tree, and ``cospan.compile_nodes`` into
+the cospan, with no tree built.
 """
 
 from __future__ import annotations
@@ -370,12 +371,26 @@ _KEYWORDS = {
 }
 
 # one token, or (the second group) a character that starts none
-_TOKEN = re.compile(r"\s*(?:(\(\+\)|[();]|[A-Za-z_][A-Za-z0-9_]*)|(\S))")
+_ONE_TOKEN = r"\(\+\)|[();]|[A-Za-z_][A-Za-z0-9_]*"
+_TOKEN = re.compile(rf"\s*(?:({_ONE_TOKEN})|(\S))")
+# pad the punctuation with spaces, keeping "(+)" whole behind a placeholder
+_CUTS = (("(+)", "\0"), ("(", " ( "), (")", " ) "), (";", " ; "), ("\0", " (+) "))
+_WHOLE = re.compile(_ONE_TOKEN)
 
 
-def tokenize(token: re.Pattern, text: str) -> list[str]:
-    """The first groups of ``token`` over text, in one ``findall``; a
-    character no token covers matches the second group, a ParseError."""
+def tokenize(token: re.Pattern, text: str, cuts=(), whole: re.Pattern | None = None) -> list[str]:
+    """The first groups of ``token`` over text; a character no token covers
+    matches the second group, a ParseError.
+
+    Text that the grammar's ``cuts`` (replacements that pad its punctuation
+    with spaces) and ``str.split`` break into chunks that are each one
+    ``whole`` token needs no regex scan.  Any other text, or text holding
+    the placeholder ``\\0`` of the cuts, goes through one ``findall``.
+    """
+    if whole is not None and "\0" not in text:
+        chunks = reduce(lambda cut, pad: cut.replace(*pad), cuts, text).split()
+        if all(map(whole.fullmatch, set(chunks))):
+            return chunks
     pairs = token.findall(text)
     tokens = [tok for tok, _ in pairs]
     if "" in tokens:
@@ -391,7 +406,7 @@ def parse_nodes(text: str, sig: Signature):
     say whether a ``;`` and a ``(+)`` chain are open at the current depth,
     and each open parenthesis saves that pair on a stack, so any depth parses.
     """
-    tokens = tokenize(_TOKEN, text) + [None]  # None marks the end
+    tokens = tokenize(_TOKEN, text, _CUTS, _WHOLE) + [None]  # None marks the end
     frames: list[tuple] = []  # (composite, tensored) around each open parenthesis
     composite = tensored = False
     leaves = {name: cls() for name, cls in _KEYWORDS.items()}  # immutable, so one per name

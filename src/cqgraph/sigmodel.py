@@ -28,6 +28,10 @@ class Sort(NamedTuple):
 Pair = tuple  # an (in-tuple, out-tuple) pair over carrier indices
 
 
+# the names that term text gives gcq's wiring constants, so no box can take them
+_WIRING_CONSTANTS = frozenset({"copy", "discard", "merge", "spawn", "id", "id0", "swap"})
+
+
 class Signature:
     """Immutable map from symbol names to sorts, kept in lexicographic order."""
 
@@ -38,6 +42,8 @@ class Signature:
             n, m = raw[name]
             if not name:
                 raise SignatureError("symbol names must be non-empty")
+            if name in _WIRING_CONSTANTS:  # a term would read the box as the constant
+                raise SignatureError(f"symbol {name!r} is the name of a wiring constant")
             if n < 0 or m < 0:
                 raise SignatureError(f"negative arity for symbol {name!r}")
             table[name] = Sort(int(n), int(m))
@@ -125,7 +131,8 @@ def _trusted(cls, **fields):
     ``RelModel``: a tuple of unique ids, and for each symbol in signature
     order a frozenset of pairs at its sort.  ``Hypergraph``: sorted symbols,
     each with a non-empty tuple of in-range edges of one sort.  ``Cospan``:
-    in-range tuple boundaries of lengths ``n`` and ``m``."""
+    in-range tuple boundaries of lengths ``n`` and ``m``.  ``CcqJudgment``:
+    a natural ``context`` and a ``formula`` whose variables lie in it."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj

@@ -403,10 +403,10 @@ def reference_tokenize(token: re.Pattern, text: str) -> list[str]:
 STRAY = "+-*@#!?.,=|/\\1907é\u0663\u00a0\t\n\x1c\u2028"
 
 
-def mutate(rng: random.Random, text: str, vocab: list[str]) -> str:
+def mutate(rng: random.Random, text: str, vocab: list[str], stray: str = STRAY) -> str:
     """text with one to three seeded edits: a token deleted, duplicated,
-    swapped with another or replaced from ``vocab``, a stray character or
-    a parenthesis put in, or a parenthesis taken out."""
+    swapped with another or replaced from ``vocab``, a character of
+    ``stray`` or a parenthesis put in, or a parenthesis taken out."""
     tokens = re.findall(r"\(\+\)|\|-|/\\|\w+|\S", text)
     for _ in range(rng.randint(1, 3)):
         at = rng.randrange(len(tokens) + 1)
@@ -419,7 +419,7 @@ def mutate(rng: random.Random, text: str, vocab: list[str]) -> str:
             i, j = rng.sample(range(len(tokens)), 2)
             tokens[i], tokens[j] = tokens[j], tokens[i]
         elif kind == 3:
-            tokens.insert(at, rng.choice(STRAY))
+            tokens.insert(at, rng.choice(stray))
         elif kind == 4:
             tokens.insert(at, rng.choice("()"))
         elif kind == 5 and {"(", ")"} & set(tokens):

@@ -156,6 +156,23 @@ def test_translate_diagram_to_ccq(workdir, capsys):
     assert capsys.readouterr().out.strip() == "1,2 |- (x0 = y0) /\\ (x0 = y1)"
 
 
+def test_translate_round_trip_keeps_a_box_and_refuses_a_constant_name(workdir, capsys):
+    # a box named like a wiring constant would print as that constant and
+    # parse back as it, so its signature is refused; a nearby name round-trips
+    (workdir / "near.json").write_text('{"copy_": [1, 0]}')
+    (workdir / "near.ccq").write_text("signature: near.json\n1 |- copy_(x0)\n")
+    assert main(["translate", str(workdir / "near.ccq"), "--verify"]) == 0
+    printed = capsys.readouterr().out.strip()
+    sig = Signature({"copy_": (1, 0)})
+    assert parse_gcq(printed, sig) == theta(parse_ccq("1 |- copy_(x0)", sig))
+    (workdir / "clash.json").write_text('{"copy": [1, 0]}')
+    (workdir / "clash.ccq").write_text("signature: clash.json\n1 |- copy(x0)\n")
+    assert main(["translate", str(workdir / "clash.ccq")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: symbol 'copy' is the name of a wiring constant\n"
+
+
 def test_translate_verify_on_intro(workdir, capsys):
     code = main(["translate", str(workdir / "psi.ccq"), "--verify", "--trials", "12"])
     assert code == 0

@@ -1,10 +1,14 @@
+import importlib
 import random
 from collections import Counter
+from itertools import product
+from pathlib import Path
 
 import pytest
 
 from conftest import (
     REFERENCE_TOKEN,
+    STRAY,
     model_battery,
     mutate,
     random_judgment,
@@ -12,11 +16,13 @@ from conftest import (
     reference_tokenize,
     relation_oracle,
 )
-from cqgraph.ccq import _CCQ_TOKEN, parse_ccq, print_ccq
+from cqgraph.ccq import _CCQ_CUTS, _CCQ_TOKEN, _CCQ_WHOLE, parse_ccq, print_ccq
 from cqgraph.cospan import compile_nodes, term_to_cospan
 from cqgraph.errors import CqError, ParseError, SignatureError, SortError
 from cqgraph.gcq import (
+    _CUTS,
     _TOKEN,
+    _WHOLE,
     Copy,
     Discard,
     Gen,
@@ -311,6 +317,57 @@ def test_tokenize_matches_the_reference_loop(grammar):
         assert got == _outcome(reference_tokenize, REFERENCE_TOKEN[grammar], text), repr(text)
         seen[got[0]] += 1
     assert min(seen["ok"], seen["error"]) >= 100
+
+
+GRAMMARS = {"gcq": (_TOKEN, _CUTS, _WHOLE), "ccq": (_CCQ_TOKEN, _CCQ_CUTS, _CCQ_WHOLE)}
+# texts where cutting at the punctuation could go wrong: "(+)" broken up or
+# overlapping, the placeholder "\0", whitespace other than the space, a
+# letter outside ASCII, and (formulas) two tokens unspaced or "|-" and "/\" doubled
+CUT_EDGES = ["R(+)S", "((+)", "(+ )", "( +)", "(+)+)", "R\0S", "\0", "R\u00a0S", "R\x1cS",
+             "R\u2028S", "R\u00e9"]
+FORMULA_EDGES = ["0x", "x\u0663", "||-", "//\\"]
+
+
+@pytest.mark.parametrize("grammar", ["gcq", "ccq"])
+def test_the_cut_tokenizer_matches_the_reference_loop(grammar):
+    """The tokens of the parsers' str.split shortcut are the re.match loop's,
+    or its error: on the edge cases alone and around a valid text, and on
+    mutated texts whose stray characters include the placeholder."""
+    token, cuts, whole = GRAMMARS[grammar]
+    rng = random.Random(29)
+    if grammar == "gcq":
+        edges, vocab, texts = CUT_EDGES, GCQ_VOCAB, _printed_terms(rng)
+    else:
+        edges, vocab = CUT_EDGES + FORMULA_EDGES, CCQ_VOCAB
+        rel = Signature({"R": (2, 0), "S": (1, 0)})
+        texts = [print_ccq(random_judgment(rng, rel)) for _ in range(60)]
+    cases = [f"{a}{edge}{b}" for edge in edges for a, b in
+             (("", ""), (texts[0] + " ", ""), ("", texts[0]), (texts[0], texts[0]))]
+    cases += [mutate(rng, rng.choice(texts), vocab, STRAY + "\0") for _ in range(1500)]
+    seen = Counter()
+    for text in cases:
+        got = _outcome(tokenize, token, text, cuts, whole)
+        assert got == _outcome(reference_tokenize, REFERENCE_TOKEN[grammar], text), repr(text)
+        seen[got[0]] += 1
+    assert min(seen["ok"], seen["error"]) >= 100
+
+
+def test_the_cut_tokenizer_reads_the_benchmark_queries_without_a_regex_scan(monkeypatch):
+    """Each path, cycle and star formula of the ccq_check benchmark, at every
+    size it uses (2 to 16 atoms) and with its atoms also reversed, and its
+    printed theta term, are cut into the reference's tokens by str.split
+    alone: the findall pattern given is None."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    sig = Signature({"E": (2, 0)})
+    for shape, j, reverse in product(workloads.CCQ_SHAPES, range(2, 17), (False, True)):
+        edges, free = workloads.shape_edges(shape, j)
+        formula = workloads.formula_text(edges, free, {v: f"z{v}" for v in range(j + 1)}, reverse)
+        term = print_gcq(theta(parse_ccq(formula, sig)))
+        for grammar, text in (("ccq", formula), ("gcq", term)):
+            _, cuts, whole = GRAMMARS[grammar]
+            assert tokenize(None, text, cuts, whole) == \
+                reference_tokenize(REFERENCE_TOKEN[grammar], text), text
 
 
 def test_parsers_see_the_catch_all_character():

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqgraph.errors import ModelError, SignatureError
-from cqgraph.gcq import Gen, Tensor, term_signature
+from cqgraph.gcq import _KEYWORDS, Gen, Tensor, term_signature
 from cqgraph.sigmodel import (
+    _WIRING_CONSTANTS,
     Relation,
     Signature,
     Sort,
@@ -61,6 +62,17 @@ def test_signatures_read_off_terms_keep_their_errors():
         term_signature(Gen("", 1, 1))
     merged = term_signature(Tensor(Gen("S", 1, 0), Gen("R", 1, 1))).merged(Signature({"P": (0, 2)}))
     assert list(merged.items()) == [("P", Sort(0, 2)), ("R", Sort(1, 1)), ("S", Sort(1, 0))]
+
+
+@pytest.mark.parametrize("name", ["copy", "discard", "merge", "spawn", "id", "id0", "swap"])
+def test_signatures_reject_the_names_of_wiring_constants(name):
+    # term text would read a box of that name as the constant
+    with pytest.raises(SignatureError, match=f"symbol '{name}' is the name of a wiring constant"):
+        Signature({"R": (2, 0), name: (1, 0)})
+    with pytest.raises(SignatureError, match=f"'{name}'"):
+        load_signature(json.dumps({name: [1, 1]}))
+    assert _WIRING_CONSTANTS == set(_KEYWORDS)  # the constants the term parser reads
+    assert Signature({name + "_": (1, 0), name.upper(): (1, 0)}).sort(name + "_") == Sort(1, 0)
 
 
 def test_load_model_basic():

@@ -2,8 +2,8 @@
 
 ``eval_gcq``'s relations, compiled apexes and cospans, the reference cospan
 algebra, ``hypergraph_as_model`` and the signatures read off terms and
-apexes (``term_signature``, ``_apex_signature``, ``merged``) build their
-values through
+apexes (``term_signature``, ``_apex_signature``, ``merged``) and the
+judgments of ``parse_ccq`` build their values through
 ``sigmodel._trusted``.  Each value must come back unchanged, down to the
 types of its fields, from the public constructor that checks it.
 """
@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_judgment, random_term
+from cqgraph.ccq import CcqJudgment, parse_ccq, print_ccq
 from cqgraph.containment import _apex_signature, hypergraph_as_model
 from cqgraph.cospan import Cospan, compose_cospans, identity_cospan, tensor_cospans, term_to_cospan
 from cqgraph.gcq import Seq, Tensor, eval_gcq, postorder, subtrees, term_signature
@@ -78,5 +79,7 @@ def test_trusted_values_pass_their_constructors(seed):
     for sig in signatures:
         same(Signature(dict(sig.items())), sig)
 
-    judgment = term_to_cospan(random_judgment(rng, CCQ_SIG))
-    assert_checked_cospan(judgment)
+    j = random_judgment(rng, CCQ_SIG)
+    assert_checked_cospan(term_to_cospan(j))
+    parsed = parse_ccq(print_ccq(j), CCQ_SIG)
+    same(CcqJudgment(parsed.context, parsed.formula), parsed)
