@@ -482,7 +482,8 @@ def replay_eval(d: CcqDerivation, model: RelModel) -> frozenset:
 #
 # In a one-sided judgment the free variables are x0..x{n-1}; a two-sided
 # header "n,m |-" adds y0..y{m-1} (stored at indices n..n+m-1).  Quantifier
-# names are arbitrary identifiers; shadowing is rejected.
+# names are arbitrary identifiers; shadowing is rejected.  Before '(' the
+# words 'top' and 'exists' are symbols, so a signature may use them.
 
 # a token of a formula; the tokenizer pads the punctuation with spaces
 _ONE_CCQ_TOKEN = r"\|-|/\\|[(),.=]|[A-Za-z_][A-Za-z0-9_]*|\d+"
@@ -558,14 +559,16 @@ def parse_ccq_two_sided(text: str, sig: Signature):
             raise ParseError(f"expected a variable, found {tok!r}")
         return resolve(tok)
 
+    def applied() -> bool:  # is the current token a symbol, before its arguments?
+        return tokens[pos + 1:pos + 2] == ["("]
+
     def atom() -> CcqFormula:
         """A unit that is neither parenthesised nor quantified."""
         tok = peek()
-        if tok == "top":
+        if tok == "top" and not applied():
             take()
             return Top()
-        if tok is not None and _NAME.fullmatch(tok) and \
-                pos + 1 < len(tokens) and tokens[pos + 1] == "(":
+        if tok is not None and _NAME.fullmatch(tok) and applied():
             name = take()
             try:
                 sort = sig.sort(name)
@@ -602,7 +605,7 @@ def parse_ccq_two_sided(text: str, sig: Signature):
             frames.append((conj, None))
             conj = None
             continue
-        if tok == "exists":
+        if tok == "exists" and not applied():
             take()
             name = take()
             if not _NAME.fullmatch(name) or name in ("top", "exists"):

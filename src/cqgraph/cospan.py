@@ -26,13 +26,13 @@ from .gcq import (
     Discard,
     Gen,
     GcqTerm,
-    Id0,
     Id1,
     Merge,
     Seq,
     Spawn,
     Swap,
     Tensor,
+    Wiring,
     composition_error,
     identity,
     postorder,
@@ -94,17 +94,6 @@ def tensor_cospans(a: Cospan, b: Cospan) -> Cospan:
 def identity_cospan(n: int) -> Cospan:
     wires = tuple(range(n))
     return _trusted(Cospan, n=n, m=n, apex=Hypergraph(n), iota=wires, omega=wires)
-
-
-# the wires of each wiring constant but ``id``, and its boundaries over the first wire w
-_WIRING = {
-    Copy: (1, lambda w: ([w], [w, w])),
-    Merge: (1, lambda w: ([w, w], [w])),
-    Discard: (1, lambda w: ([w], [])),
-    Spawn: (1, lambda w: ([], [w])),
-    Id0: (0, lambda w: ([], [])),
-    Swap: (2, lambda w: ([w, w + 1], [w + 1, w])),
-}
 
 
 def term_to_cospan(t: GcqTerm | CcqJudgment | Cospan) -> Cospan:
@@ -169,7 +158,7 @@ def compile_nodes(nodes) -> Cospan:
             done[-1] = (l1, r1, b2)
             continue
         done.append((len(left), len(right), len(right)))
-        if kind is Id1:
+        if kind is Id1:  # the commonest leaf: its boundaries, inlined
             left.append(wires)
             right.append(wires)
             wires += 1
@@ -178,9 +167,9 @@ def compile_nodes(nodes) -> Cospan:
             size = u.n + u.m
             iota, omega = range(wires, wires + u.n), range(wires + u.n, wires + size)
             edges.setdefault(u.name, []).append((iota, omega))
-        elif kind in _WIRING:
-            size, boundaries = _WIRING[kind]
-            iota, omega = boundaries(wires)
+        elif isinstance(u, Wiring):  # read off the class, the faster lookup
+            size = kind.wires
+            iota, omega = kind.boundaries(wires)
         else:
             raise TypeError(f"not a term: {u!r}")
         left += iota

@@ -28,9 +28,11 @@ from .sigmodel import (
     RelModel,
     Signature,
     Sort,
+    _WIRING_CONSTANTS,
     _trusted,
     relation_compose,
     relation_tensor,
+    wiring_name_error,
 )
 
 
@@ -106,61 +108,50 @@ class GcqTerm:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class Copy(GcqTerm):
+class Wiring(GcqTerm):
+    """A wiring constant, stated once in its class statement: ``name`` is
+    its keyword in term text, and ``boundaries(w)`` its left and right
+    boundary over the wires it lays down from a first wire w.  From
+    ``boundaries(0)`` the class gets ``iota``, ``omega``, its ``sort`` and
+    the number of its ``wires``, which the parser, printer, compiler and
+    ``lambda_term`` read.
+    """
+
+    def __init_subclass__(cls, name: str, boundaries):
+        super().__init_subclass__()
+        cls.name, cls.boundaries = name, staticmethod(boundaries)
+        cls.iota, cls.omega = map(tuple, boundaries(0))
+        cls.sort = Sort(len(cls.iota), len(cls.omega))
+        cls.wires = len(set(cls.iota + cls.omega))
+        dataclass(frozen=True)(cls)  # no fields: immutable, and equal to any other of its class
+
+
+class Copy(Wiring, name="copy", boundaries=lambda w: ([w], [w, w])):
     """Comonoid multiplication: one wire in, two out."""
 
-    @property
-    def sort(self) -> Sort:
-        return Sort(1, 2)
 
-
-@dataclass(frozen=True)
-class Discard(GcqTerm):
+class Discard(Wiring, name="discard", boundaries=lambda w: ([w], [])):
     """Comonoid counit: one wire in, none out."""
 
-    @property
-    def sort(self) -> Sort:
-        return Sort(1, 0)
 
-
-@dataclass(frozen=True)
-class Merge(GcqTerm):
+class Merge(Wiring, name="merge", boundaries=lambda w: ([w, w], [w])):
     """Monoid multiplication: two wires in, one out."""
 
-    @property
-    def sort(self) -> Sort:
-        return Sort(2, 1)
 
-
-@dataclass(frozen=True)
-class Spawn(GcqTerm):
+class Spawn(Wiring, name="spawn", boundaries=lambda w: ([], [w])):
     """Monoid unit: no wires in, one out."""
 
-    @property
-    def sort(self) -> Sort:
-        return Sort(0, 1)
+
+class Id0(Wiring, name="id0", boundaries=lambda w: ([], [])):
+    """The empty diagram: no wires."""
 
 
-@dataclass(frozen=True)
-class Id0(GcqTerm):
-    @property
-    def sort(self) -> Sort:
-        return Sort(0, 0)
+class Id1(Wiring, name="id", boundaries=lambda w: ([w], [w])):
+    """One wire, straight through."""
 
 
-@dataclass(frozen=True)
-class Id1(GcqTerm):
-    @property
-    def sort(self) -> Sort:
-        return Sort(1, 1)
-
-
-@dataclass(frozen=True)
-class Swap(GcqTerm):
-    @property
-    def sort(self) -> Sort:
-        return Sort(2, 2)
+class Swap(Wiring, name="swap", boundaries=lambda w: ([w, w + 1], [w + 1, w])):
+    """Two wires, crossed."""
 
 
 @dataclass(frozen=True)
@@ -174,6 +165,8 @@ class Gen(GcqTerm):
     def __post_init__(self):
         if self.n < 0 or self.m < 0:
             raise SortError(f"negative sort for box {self.name!r}")
+        if self.name in _WIRING_CONSTANTS:  # its printed text would read as the constant
+            raise wiring_name_error(self.name)
 
     @property
     def sort(self) -> Sort:
@@ -324,7 +317,9 @@ def eval_gcq(t: GcqTerm, model: RelModel) -> Relation:
     return done.pop()
 
 
-# the pairs of each wiring constant over the carrier xs
+# the pairs of each wiring constant over the carrier xs: the reference
+# oracle's own table, apart from the ``Wiring`` classes the compiler reads,
+# so that the two check each other
 _CONSTANT_PAIRS = {
     Copy: lambda xs: (((x,), (x, x)) for x in xs),
     Discard: lambda xs: (((x,), ()) for x in xs),
@@ -358,17 +353,9 @@ def _leaf_relation(t: GcqTerm, model: RelModel) -> Relation:
 #   ten    := atom ('(+)' atom)*        tensor, left-assoc
 #   atom   := '(' seq ')' | constant | symbol-name
 #
-# Constants: copy discard merge spawn id id0 swap.
+# Constants: the ``name`` of each ``Wiring`` class.
 
-_KEYWORDS = {
-    "copy": Copy,
-    "discard": Discard,
-    "merge": Merge,
-    "spawn": Spawn,
-    "id": Id1,
-    "id0": Id0,
-    "swap": Swap,
-}
+_KEYWORDS = {cls.name: cls for cls in Wiring.__subclasses__()}
 
 # one token, or (the second group) a character that starts none
 _ONE_TOKEN = r"\(\+\)|[();]|[A-Za-z_][A-Za-z0-9_]*"
@@ -378,7 +365,7 @@ _CUTS = (("(+)", "\0"), ("(", " ( "), (")", " ) "), (";", " ; "), ("\0", " (+) "
 _WHOLE = re.compile(_ONE_TOKEN)
 
 
-def tokenize(token: re.Pattern, text: str, cuts=(), whole: re.Pattern | None = None) -> list[str]:
+def tokenize(token: re.Pattern, text: str, cuts, whole: re.Pattern) -> list[str]:
     """The first groups of ``token`` over text; a character no token covers
     matches the second group, a ParseError.
 
@@ -387,7 +374,7 @@ def tokenize(token: re.Pattern, text: str, cuts=(), whole: re.Pattern | None = N
     ``whole`` token needs no regex scan.  Any other text, or text holding
     the placeholder ``\\0`` of the cuts, goes through one ``findall``.
     """
-    if whole is not None and "\0" not in text:
+    if "\0" not in text:
         chunks = reduce(lambda cut, pad: cut.replace(*pad), cuts, text).split()
         if all(map(whole.fullmatch, set(chunks))):
             return chunks
@@ -485,6 +472,5 @@ def print_gcq(t: GcqTerm) -> str:
         elif isinstance(u, Tensor):
             todo += ((u.rhs, 2), " (+) ", (u.lhs, 1))
         else:
-            out.append(u.name if isinstance(u, Gen) else
-                       next(name for name, cls in _KEYWORDS.items() if type(u) is cls))
+            out.append(u.name)
     return "".join(out)

@@ -32,6 +32,11 @@ Pair = tuple  # an (in-tuple, out-tuple) pair over carrier indices
 _WIRING_CONSTANTS = frozenset({"copy", "discard", "merge", "spawn", "id", "id0", "swap"})
 
 
+def wiring_name_error(name: str) -> SignatureError:
+    """The error for a symbol, or a box, named like a wiring constant."""
+    return SignatureError(f"symbol {name!r} is the name of a wiring constant")
+
+
 class Signature:
     """Immutable map from symbol names to sorts, kept in lexicographic order."""
 
@@ -43,7 +48,7 @@ class Signature:
             if not name:
                 raise SignatureError("symbol names must be non-empty")
             if name in _WIRING_CONSTANTS:  # a term would read the box as the constant
-                raise SignatureError(f"symbol {name!r} is the name of a wiring constant")
+                raise wiring_name_error(name)
             if n < 0 or m < 0:
                 raise SignatureError(f"negative arity for symbol {name!r}")
             table[name] = Sort(int(n), int(m))

@@ -41,12 +41,12 @@ from .gcq import (
     Gen,
     GcqTerm,
     Id0,
-    Id1,
     Merge,
     Seq,
     Spawn,
     Swap,
     Tensor,
+    Wiring,
     identity,
     postorder,
     subtrees,
@@ -122,12 +122,6 @@ def theta(j: CcqJudgment) -> GcqTerm:
     return done.pop()
 
 
-# the equations between boundary wires (inputs first) that each wiring
-# constant states
-_EQUATIONS = {Copy: ((0, 1), (0, 2)), Discard: (), Merge: ((0, 2), (1, 2)), Spawn: (),
-              Id0: (), Id1: ((0, 1),), Swap: ((0, 3), (1, 2))}
-
-
 def lambda_term(t: GcqTerm) -> TwoSidedJudgment:
     """Translate a term of sort (n, m) to a two-sided judgment n,m |- f.
 
@@ -155,8 +149,10 @@ def lambda_term(t: GcqTerm) -> TwoSidedJudgment:
                      (u.rhs, wires[l1:y] + wires[y + r1:], depth))
         elif isinstance(u, Gen):
             order.append(RelAtom(u.name, tuple(wires)))
-        elif type(u) in _EQUATIONS:
-            eqs = [Eq(wires[a], wires[b]) for a, b in _EQUATIONS[type(u)]]
+        elif isinstance(u, Wiring):  # an input and an output on one wire are equal
+            n_in = len(u.iota)
+            eqs = [Eq(wires[a], wires[n_in + b]) for a, x in enumerate(u.iota)
+                   for b, y in enumerate(u.omega) if x == y]
             order.append(reduce(Conj, eqs) if eqs else Top())
         else:
             raise TypeError(f"not a term: {u!r}")

@@ -173,6 +173,29 @@ def test_translate_round_trip_keeps_a_box_and_refuses_a_constant_name(workdir, c
     assert captured.err == "error: symbol 'copy' is the name of a wiring constant\n"
 
 
+def test_translate_reads_back_a_box_named_top(workdir, capsys):
+    # "top" is the constant only where no argument list follows it
+    (workdir / "top.json").write_text('{"top": [1, 0]}')
+    (workdir / "top.gcq").write_text("signature: top.json\ntop\n")
+    assert main(["translate", str(workdir / "top.gcq"), "--verify"]) == 0
+    printed = capsys.readouterr().out.strip()
+    assert printed == "1,0 |- top(x0)"
+    (workdir / "back.ccq").write_text(f"signature: top.json\n{printed} /\\ top\n")
+    assert main(["translate", str(workdir / "back.ccq"), "--verify"]) == 0
+    assert capsys.readouterr().out.strip() == "top"
+
+
+def test_translate_reads_a_box_named_exists(workdir, capsys):
+    # "exists" is the quantifier only where no argument list follows it
+    (workdir / "ex.json").write_text('{"exists": [1, 0]}')
+    (workdir / "ex.ccq").write_text("signature: ex.json\n1 |- exists(x0) /\\ exists z. exists(z)\n")
+    assert main(["translate", str(workdir / "ex.ccq"), "--verify"]) == 0
+    assert capsys.readouterr().out.strip() == "exists (+) (spawn ; exists)"
+    (workdir / "spaced.ccq").write_text("signature: ex.json\n1 |- exists (x0)\n")
+    assert main(["translate", str(workdir / "spaced.ccq")]) == 0  # spacing does not matter
+    assert capsys.readouterr().out.strip() == "exists"
+
+
 def test_translate_verify_on_intro(workdir, capsys):
     code = main(["translate", str(workdir / "psi.ccq"), "--verify", "--trials", "12"])
     assert code == 0

@@ -1,5 +1,6 @@
 import importlib
 import random
+import re
 from collections import Counter
 from itertools import product
 from pathlib import Path
@@ -45,8 +46,9 @@ from cqgraph.gcq import (
     seq,
     tokenize,
 )
+from cqgraph.hypergraph import boundary_assignments
 from cqgraph.sigmodel import RelModel, Signature, Sort, relation_compose, relation_tensor
-from cqgraph.translate import theta
+from cqgraph.translate import lambda_term, theta
 
 SIG = Signature({"R": (2, 0), "S": (1, 1)})
 
@@ -59,6 +61,34 @@ def test_sorts_of_constants():
     assert Id0().sort == Sort(0, 0)
     assert Id1().sort == Sort(1, 1)
     assert Swap().sort == Sort(2, 2)
+
+
+# each wiring constant with its text and the text of its lambda_term
+CONSTANTS = [
+    (Copy, "copy", "1,2 |- (x0 = y0) /\\ (x0 = y1)"),
+    (Discard, "discard", "1,0 |- top"),
+    (Merge, "merge", "2,1 |- (x0 = y0) /\\ (x1 = y0)"),
+    (Spawn, "spawn", "0,1 |- top"),
+    (Id1, "id", "1,1 |- x0 = y0"),
+    (Id0, "id0", "0,0 |- top"),
+    (Swap, "swap", "2,2 |- (x0 = y1) /\\ (x1 = y0)"),
+]
+
+
+@pytest.mark.parametrize("cls, text, judgment", CONSTANTS, ids=[c[1] for c in CONSTANTS])
+def test_each_constant_reads_its_wiring_off_its_class(cls, text, judgment):
+    """The class's name prints and parses back, its boundaries give lambda's
+    text, and the compiler's cospan evaluates to the oracle's own relation
+    of the constant on carriers 0-3."""
+    c = cls()
+    assert print_gcq(c) == text and parse_gcq(text, SIG) == c
+    assert str(lambda_term(c)) == judgment
+    compiled = term_to_cospan(c)
+    assert compiled.sort == c.sort == (len(cls.iota), len(cls.omega))
+    for size in range(4):
+        model = RelModel(Signature(), [f"e{i}" for i in range(size)], {})
+        flat = boundary_assignments(compiled.apex, compiled.iota + compiled.omega, model)
+        assert flat == frozenset(a + b for a, b in eval_gcq(c, model).pairs)
 
 
 def test_example_term_sort():
@@ -300,6 +330,9 @@ def test_width_mismatch_reads_the_same_from_both_folds():
         parse_gcq("merge ; merge", SIG, compile_nodes)
 
 
+NO_TOKEN = re.compile(r"(?!)")  # fullmatches no chunk, so tokenize takes its findall path
+
+
 @pytest.mark.parametrize("grammar", ["gcq", "ccq"])
 def test_tokenize_matches_the_reference_loop(grammar):
     """One findall gives the tokens of the re.match loop, or its error."""
@@ -313,7 +346,7 @@ def test_tokenize_matches_the_reference_loop(grammar):
     seen = Counter()
     for _ in range(1500):
         text = mutate(rng, rng.choice(texts), vocab)
-        got = _outcome(tokenize, token, text)
+        got = _outcome(tokenize, token, text, (), NO_TOKEN)
         assert got == _outcome(reference_tokenize, REFERENCE_TOKEN[grammar], text), repr(text)
         seen[got[0]] += 1
     assert min(seen["ok"], seen["error"]) >= 100

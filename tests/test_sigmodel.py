@@ -71,6 +71,8 @@ def test_signatures_reject_the_names_of_wiring_constants(name):
         Signature({"R": (2, 0), name: (1, 0)})
     with pytest.raises(SignatureError, match=f"'{name}'"):
         load_signature(json.dumps({name: [1, 1]}))
+    with pytest.raises(SignatureError, match=f"^symbol '{name}' is the name of a wiring constant$"):
+        Gen(name, 1, 1)  # it would print as the constant
     assert _WIRING_CONSTANTS == set(_KEYWORDS)  # the constants the term parser reads
     assert Signature({name + "_": (1, 0), name.upper(): (1, 0)}).sort(name + "_") == Sort(1, 0)
 
