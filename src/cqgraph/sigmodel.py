@@ -32,9 +32,14 @@ Pair = tuple  # an (in-tuple, out-tuple) pair over carrier indices
 _WIRING_CONSTANTS = frozenset({"copy", "discard", "merge", "spawn", "id", "id0", "swap"})
 
 
-def wiring_name_error(name: str) -> SignatureError:
-    """The error for a symbol, or a box, named like a wiring constant."""
-    return SignatureError(f"symbol {name!r} is the name of a wiring constant")
+def check_symbol_name(name: str) -> None:
+    """Refuse a name that no symbol or box can take, since term text could
+    not spell it: the empty name, or a wiring constant's, which a term
+    would read as the constant."""
+    if not name:
+        raise SignatureError("symbol names must be non-empty")
+    if name in _WIRING_CONSTANTS:
+        raise SignatureError(f"symbol {name!r} is the name of a wiring constant")
 
 
 class Signature:
@@ -45,10 +50,7 @@ class Signature:
         table: dict[str, Sort] = {}
         for name in sorted(raw):
             n, m = raw[name]
-            if not name:
-                raise SignatureError("symbol names must be non-empty")
-            if name in _WIRING_CONSTANTS:  # a term would read the box as the constant
-                raise wiring_name_error(name)
+            check_symbol_name(name)
             if n < 0 or m < 0:
                 raise SignatureError(f"negative arity for symbol {name!r}")
             table[name] = Sort(int(n), int(m))

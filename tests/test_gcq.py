@@ -1,6 +1,7 @@
 import importlib
 import random
 import re
+import weakref
 from collections import Counter
 from itertools import product
 from pathlib import Path
@@ -17,7 +18,7 @@ from conftest import (
     reference_tokenize,
     relation_oracle,
 )
-from cqgraph.ccq import _CCQ_CUTS, _CCQ_TOKEN, _CCQ_WHOLE, parse_ccq, print_ccq
+from cqgraph.ccq import _CCQ_CUTS, _CCQ_TOKEN, _CCQ_WHOLE, eval_ccq, parse_ccq, print_ccq
 from cqgraph.cospan import compile_nodes, term_to_cospan
 from cqgraph.errors import CqError, ParseError, SignatureError, SortError
 from cqgraph.gcq import (
@@ -42,13 +43,22 @@ from cqgraph.gcq import (
     n_spawn,
     n_swap,
     parse_gcq,
+    postorder,
     print_gcq,
     seq,
+    subtrees,
     tokenize,
 )
 from cqgraph.hypergraph import boundary_assignments
-from cqgraph.sigmodel import RelModel, Signature, Sort, relation_compose, relation_tensor
-from cqgraph.translate import lambda_term, theta
+from cqgraph.sigmodel import (
+    RelModel,
+    Signature,
+    Sort,
+    random_model,
+    relation_compose,
+    relation_tensor,
+)
+from cqgraph.translate import lambda_term, theta, theta_model
 
 SIG = Signature({"R": (2, 0), "S": (1, 1)})
 
@@ -139,6 +149,92 @@ def test_eval_unknown_symbol():
     model = RelModel(Signature({}), ["a"])
     with pytest.raises(SignatureError):
         eval_gcq(Gen("S", 1, 1), model)
+
+
+def test_eval_builds_each_distinct_subterm_once(monkeypatch):
+    """theta's output repeats small wirings: each distinct composite (by
+    ``Branch`` equality) costs one relation_compose or relation_tensor."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(r, s):
+            calls[name] += 1
+            return fn(r, s)
+        return wrapper
+
+    monkeypatch.setattr("cqgraph.gcq.relation_compose", counting(Seq, relation_compose))
+    monkeypatch.setattr("cqgraph.gcq.relation_tensor", counting(Tensor, relation_tensor))
+    sig = Signature({"E": (2, 0)})
+    phi = parse_ccq("1 |- exists z0. exists z1. exists z2. exists z3. "
+                    "E(x0, z0) /\\ E(x0, z1) /\\ E(x0, z2) /\\ E(x0, z3)", sig)
+    t = theta(phi)
+    nodes = postorder(t, subtrees)
+    distinct = Counter(type(u) for u in set(nodes) if isinstance(u, (Seq, Tensor)))
+    assert len(nodes) > 3 * sum(distinct.values())  # 217 nodes, 55 distinct composites
+    for size in (0, 1, 2, 3):
+        model = random_model(sig, size, random.Random(size))
+        calls.clear()
+        rel = eval_gcq(t, theta_model(model))
+        assert calls == distinct
+        assert frozenset(a for a, _ in rel.pairs) == eval_ccq(phi, model)
+
+
+def test_eval_of_repeated_subterms_agrees_with_the_oracle(rng):
+    """Terms that repeat a leaf or a composite, side by side and in sequence."""
+    narrow = [t for t in (random_term(rng, SIG, max_nodes=3, width_cap=2) for _ in range(60))
+              if max(t.sort) <= 2]
+    for t in narrow[:20]:
+        u = Seq(t, rng.choice([v for v in narrow if v.sort.n == t.sort.m] or [n_discard(t.sort.m)]))
+        terms = [Tensor(t, t), Tensor(u, u), Seq(Tensor(t, t), Tensor(u.rhs, u.rhs))]
+        if t.sort.n == t.sort.m:
+            terms += [Seq(t, t), Seq(Tensor(t, Seq(t, t)), Tensor(Seq(t, t), t))]
+        if t.sort.n == t.sort.m <= 1:  # the same children under ; and (+)
+            terms.append(Tensor(Seq(t, t), Tensor(t, t)))
+        for model in model_battery(SIG, rng, sizes=(1, 2)):
+            for term in terms:
+                assert eval_gcq(term, model).pairs == relation_oracle(term, model)
+
+
+def test_eval_frees_each_relation_after_its_last_use(monkeypatch):
+    """Every prefix of a left-nested chain is distinct: each composite's
+    relation is dropped once the next one is built, not kept to the end."""
+    alive: list = []  # weak references to every composite built so far
+    peaks: list = []  # how many of them are alive at each call
+
+    def tracking(r, s):
+        peaks.append(sum(ref() is not None for ref in alive))
+        out = relation_compose(r, s)
+        alive.append(weakref.ref(out))
+        return out
+
+    pairs = {(0, 1), (1, 0), (2, 0)}
+    model = RelModel(SIG, ["a", "b", "c"], {"S": [((x,), (y,)) for x, y in pairs]})
+    square = eval_gcq(seq(Gen("S", 1, 1), Gen("S", 1, 1)), model)  # S^2 = S^1200 here
+    monkeypatch.setattr("cqgraph.gcq.relation_compose", tracking)
+    assert eval_gcq(seq(*([Gen("S", 1, 1)] * 1200)), model) == square
+    assert len(peaks) == 1199 and max(peaks) <= 2
+
+
+@pytest.mark.parametrize("term, message", [
+    (Tensor(Gen("T", 1, 1), Gen("T", 1, 1)), "model does not interpret symbol 'T'"),
+    (Seq(Seq(Gen("S", 1, 1), Gen("T", 1, 1)), Gen("T", 1, 1)),
+     "model does not interpret symbol 'T'"),
+    (Tensor(Gen("S", 1, 1), Gen("S", 2, 0)),
+     "model interprets 'S' at sort Sort(n=1, m=1), term uses Sort(n=2, m=0)"),
+    # the first failing leaf in postorder raises, whichever error the next one has
+    (Tensor(Tensor(Gen("S", 2, 0), Gen("T", 1, 1)), Gen("S", 2, 0)),
+     "model interprets 'S' at sort Sort(n=1, m=1), term uses Sort(n=2, m=0)"),
+])
+def test_eval_errors_name_the_first_failing_leaf(term, message):
+    model = RelModel(Signature({"S": (1, 1)}), ["a"])
+    with pytest.raises(SignatureError, match=f"^{re.escape(message)}$"):
+        eval_gcq(term, model)
+
+
+def test_boxes_refuse_the_empty_name():
+    # its printed text, the empty string, would not read back as a term
+    with pytest.raises(SignatureError, match="^symbol names must be non-empty$"):
+        Gen("", 1, 1)
 
 
 def test_sugar_base_cases():
