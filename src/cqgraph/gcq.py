@@ -28,6 +28,7 @@ from .sigmodel import (
     RelModel,
     Signature,
     Sort,
+    _KEYWORDS,
     _trusted,
     check_symbol_name,
     relation_compose,
@@ -113,12 +114,14 @@ class Wiring(GcqTerm):
     boundary over the wires it lays down from a first wire w.  From
     ``boundaries(0)`` the class gets ``iota``, ``omega``, its ``sort`` and
     the number of its ``wires``, which the parser, printer, compiler and
-    ``lambda_term`` read.
+    ``lambda_term`` read.  The class enters its keyword in ``_KEYWORDS``,
+    the table the parser and ``check_symbol_name`` read.
     """
 
     def __init_subclass__(cls, name: str, boundaries):
         super().__init_subclass__()
         cls.name, cls.boundaries = name, staticmethod(boundaries)
+        _KEYWORDS[name] = cls
         cls.iota, cls.omega = map(tuple, boundaries(0))
         cls.sort = Sort(len(cls.iota), len(cls.omega))
         cls.wires = len(set(cls.iota + cls.omega))
@@ -385,9 +388,7 @@ def _leaf_relation(t: GcqTerm, model: RelModel) -> Relation:
 #   ten    := atom ('(+)' atom)*        tensor, left-assoc
 #   atom   := '(' seq ')' | constant | symbol-name
 #
-# Constants: the ``name`` of each ``Wiring`` class.
-
-_KEYWORDS = {cls.name: cls for cls in Wiring.__subclasses__()}
+# Constants: the ``name`` of each ``Wiring`` class, as ``_KEYWORDS`` lists them.
 
 # one token, or (the second group) a character that starts none
 _ONE_TOKEN = r"\(\+\)|[();]|[A-Za-z_][A-Za-z0-9_]*"

@@ -176,6 +176,10 @@ class _Search:
     class is a union of classes over all of h, and the tree searched is a
     subtree of the one those would leave.  Only an image after a failed one
     with no other preimage is pruned: classes wait.
+
+    Set-up is a few dictionary operations per edge of g and of h|g, whose
+    rows are the ``targets`` (by class size if injective); ``emit`` indexes
+    h|g's edge ids only for a complete vertex map, so a refutation never does.
     """
 
     def __init__(self, g: Hypergraph, h: Hypergraph, pins, limit, budget, injective):
@@ -197,19 +201,16 @@ class _Search:
         self.infeasible = injective and any(n > 1 for n in self.hits)  # two pins on one image
 
         # h|g: h's edges of the symbols g uses, as no other edge constrains
-        # a morphism; image lookup: symbol -> tentacle tuple pair -> ascending
-        # edge ids; targets: (symbol, class size or None) -> flat tentacle tuples
+        # a morphism; targets: (symbol, class size or None) -> flat tentacle tuples
         self.hg = {sym: rows for sym, rows in h.edges.items() if sym in g.edges}
-        self.h_index: dict[str, dict] = {}
+        self.h_index = None  # symbol -> tentacle tuple pair -> ascending edge ids, in ``emit``
         targets: dict[tuple, set] = {}
         for sym, rows in self.hg.items():
-            index: dict = {}
-            for i, row in enumerate(rows):
-                index.setdefault(row, []).append(i)
-            self.h_index[sym] = index
-            for (s, t), ids in index.items():
-                targets.setdefault((sym, len(ids) if injective else None), set()).add(s + t)
-        targets = {key: frozenset(flat) for key, flat in targets.items()}
+            if injective:
+                for (s, t), n in Counter(rows).items():
+                    targets.setdefault((sym, n), set()).add(s + t)
+            else:
+                targets[sym, None] = {s + t for s, t in rows}
 
         # an edge becomes checkable at its largest unpinned tentacle vertex,
         # where rule (a) keeps only the images that pass it
@@ -219,8 +220,8 @@ class _Search:
             size = Counter(rows) if injective else {}
             for row in rows:
                 verts = row[0] + row[1]
-                ref = (verts, targets.get((sym, size.get(row)), frozenset()))
-                unpinned = [x for x in verts if self.vmap[x] is None]
+                ref = (verts, targets.get((sym, size.get(row)), set()))
+                unpinned = [x for x in verts if self.vmap[x] is None] if pins else verts
                 if unpinned:
                     self.fresh_at[max(unpinned)].append(ref)
                 else:
@@ -235,12 +236,18 @@ class _Search:
 
     def emit(self):
         """All edge maps compatible with the completed vertex map."""
+        if self.h_index is None:  # a vertex map is complete: index h|g's edges
+            self.h_index = {sym: {} for sym in self.hg}
+            for sym, rows in self.hg.items():
+                for i, row in enumerate(rows):
+                    self.h_index[sym].setdefault(row, []).append(i)
         per_edge: dict[str, list[list[int]]] = {}
+        image = self.vmap.__getitem__
         for sym, rows in self.g.edges.items():
             cands = []
             index = self.h_index.get(sym, {})
             for src, tgt in rows:
-                key = (tuple(self.vmap[v] for v in src), tuple(self.vmap[v] for v in tgt))
+                key = (tuple(map(image, src)), tuple(map(image, tgt)))
                 ids = index.get(key)
                 if not ids:
                     return False
@@ -248,16 +255,14 @@ class _Search:
             per_edge[sym] = cands
 
         if self.injective:
-            # each class lands on a class of its own size; pick the
-            # order-preserving bijection inside each tentacle class
+            # each class lands on one of its own size: the order-preserving bijection
             emaps = {}
             for sym, cands in per_edge.items():
                 taken: dict = {}
                 emap = []
                 for ids in cands:
                     k = taken.get(id(ids), 0)
-                    # ids lists are shared objects per class, so id() keys the class
-                    taken[id(ids)] = k + 1
+                    taken[id(ids)] = k + 1  # one shared ids list per class, so id() keys it
                     emap.append(ids[k])
                 emaps[sym] = tuple(emap)
             self.results.append(HgMorphism(tuple(self.vmap), emaps))
@@ -280,7 +285,7 @@ class _Search:
 
     def run(self) -> list[HgMorphism]:
         # edges entirely inside the pinned region are checked once, up front
-        if self.infeasible or any(tuple(self.vmap[x] for x in verts) not in fset
+        if self.infeasible or any(tuple(map(self.vmap.__getitem__, verts)) not in fset
                                   for verts, fset in self.ready):
             return []
         self.assign()
@@ -297,7 +302,7 @@ class _Search:
             allowed &= get(key(vmap), 0)
         return range(self.h.vcount) if allowed < 0 else _bits(allowed)
 
-    def probe(self, verts: tuple, fset: frozenset, v: int):
+    def probe(self, verts: tuple, fset: set, v: int):
         """An edge checkable at v as the ``get`` of its index and the getter
         of its key, the images of its other tentacles: the key maps to the
         bitset of images x such that v -> x puts the edge in ``fset``."""
@@ -312,22 +317,27 @@ class _Search:
             index = self.by_rest[id(fset), at] = {}
             key = _getter([k for k in range(len(verts)) if k not in at])
             for flat in fset:
-                x = flat[at[0]]
-                if all(flat[k] == x for k in at):
-                    index[key(flat)] = index.get(key(flat), 0) | 1 << x
+                x = flat[k]
+                if len(at) == 1 or all(flat[j] == x for j in at):
+                    rest = key(flat)
+                    index[rest] = index.get(rest, 0) | 1 << x
         return index.get, _getter(others)
 
     def swap_classes(self) -> list[list[int]]:
         """Rule (b): each vertex's swap class in h|g, ascending; an edge below
-        is one of h's edges of the symbols g uses.  Swappable a, b
-        share N(a) - {a} (not adjacent) or N(a) + {a} (adjacent), and (a b) is
-        an automorphism iff it permutes the edges at a or b.  (a c)(c b)(a c)
-        = (a b), so ~ is an equivalence.  No class mixes the kinds: a ~ b
-        apart and b ~ c adjacent give a ~ c adjacent, and then b, in
-        N(c) + {c} = N(a) + {a}, is adjacent to a.  So a class lies in one
-        bucket, where one test per class met finds it."""
-        rows = [(sym, s + t) for sym, table in self.hg.items() for s, t in table]
-        at: list[set] = [set() for _ in range(self.h.vcount)]  # the edges at each vertex
+        is one of h's edges of the symbols g uses.  Swappable a, b share
+        N(a) - {a} (not adjacent) or N(a) + {a} (adjacent).  σ = (a b) is an
+        automorphism iff m(σe) = m(e) for every edge e at a or b, m counting
+        parallel edges: σ is an involution fixing every edge at neither, and
+        m is σ-invariant iff m(σe) = m(e) for all e, where a side other than 0
+        puts e or σe at a or b.  (a c)(c b)(a c) = (a b), so ~ is an
+        equivalence.  No class mixes the kinds: a ~ b apart and b ~ c adjacent
+        give a ~ c adjacent, and then b, in N(c) + {c} = N(a) + {a}, is
+        adjacent to a.  So a class lies in one bucket, where one test per
+        class met finds it."""
+        mult = Counter((sym, s + t) for sym, table in self.hg.items() for s, t in table)
+        rows = list(mult)  # one per edge class
+        at: list[set] = [set() for _ in range(self.h.vcount)]  # the classes at each vertex
         for e, (_, flat) in enumerate(rows):
             for x in flat:
                 at[x].add(e)
@@ -341,9 +351,9 @@ class _Search:
             reps: list[int] = []
             for a in bucket:
                 for r in reps:
-                    sub, moved = {a: r, r: a}, [rows[e] for e in at[a] | at[r]]
-                    if Counter(moved) == Counter((sym, tuple(sub.get(x, x) for x in flat))
-                                                 for sym, flat in moved):
+                    sub = {a: r, r: a}
+                    if all(mult[sym, tuple(map(sub.get, flat, flat))] == mult[sym, flat]
+                           for sym, flat in map(rows.__getitem__, at[a] | at[r])):
                         classes[r].append(a)
                         classes[a] = classes[r]
                         break
@@ -421,11 +431,14 @@ def is_isomorphic(g: Hypergraph, h: Hypergraph,
                   budget: int | None = None) -> HgMorphism | None:
     """An isomorphism g -> h (bijective vertex and edge maps), or None.
 
-    After cheap invariants (vertex count, edge count per symbol, multisets
-    of vertex degrees, degrees of pinned vertices) the morphism search runs
-    injective, each edge restricted to the classes of h with as many
-    parallel edges as its own class; the first hit is the answer.
+    The morphism search is set up first, so a pin outside the graphs raises
+    ``ModelError`` as in ``find_morphisms``.  After cheap invariants (vertex
+    count, edge count per symbol, multisets of vertex degrees, degrees of
+    pinned vertices) it runs injective, each edge restricted to the classes
+    of h with as many parallel edges as its own class; the first hit is the
+    answer.
     """
+    search = _Search(g, h, pins, limit=1, budget=budget, injective=True)
     if g.vcount != h.vcount:
         return None
     if {s: len(r) for s, r in g.edges.items()} != {s: len(r) for s, r in h.edges.items()}:
@@ -437,7 +450,6 @@ def is_isomorphic(g: Hypergraph, h: Hypergraph,
         return None
     if pins and any(sig_g[v] != sig_h[img] for v, img in pins.items()):
         return None
-    search = _Search(g, h, pins, limit=1, budget=budget, injective=True)
     found = search.run()
     return found[0] if found else None
 

@@ -28,8 +28,10 @@ class Sort(NamedTuple):
 Pair = tuple  # an (in-tuple, out-tuple) pair over carrier indices
 
 
-# the names that term text gives gcq's wiring constants, so no box can take them
-_WIRING_CONSTANTS = frozenset({"copy", "discard", "merge", "spawn", "id", "id0", "swap"})
+# keyword -> class of each of gcq's wiring constants, the one table of the
+# names term text gives them: each ``gcq.Wiring`` class enters itself as it
+# is stated, the term parser reads it, and no box can take a name in it
+_KEYWORDS: dict[str, type] = {}
 
 
 def check_symbol_name(name: str) -> None:
@@ -38,7 +40,7 @@ def check_symbol_name(name: str) -> None:
     would read as the constant."""
     if not name:
         raise SignatureError("symbol names must be non-empty")
-    if name in _WIRING_CONSTANTS:
+    if name in _KEYWORDS:
         raise SignatureError(f"symbol {name!r} is the name of a wiring constant")
 
 

@@ -143,6 +143,14 @@ def test_not_isomorphic_parallel_edges():
     assert is_isomorphic(one, two) is None
 
 
+@pytest.mark.parametrize("pins", [{5: 0}, {0: 5}, {-1: 0}, {0: -1}])
+@pytest.mark.parametrize("search", [find_morphisms, is_isomorphic])
+def test_pins_outside_the_graphs_are_errors(search, pins):
+    g = single_edge()
+    with pytest.raises(ModelError, match="pin outside the graphs"):
+        search(g, g, pins)
+
+
 def relabelled(rng: random.Random, g: Hypergraph):
     """A copy of g under a random vertex permutation, and the permutation."""
     perm = list(range(g.vcount))
@@ -248,8 +256,8 @@ def test_swap_classes_are_the_transposition_automorphisms():
     seen = Counter()
     for _ in range(300):
         g = random_hypergraph(rng, SIG, max_v=3, max_edges=2)
-        h = symmetric_target(rng) if rng.random() < 0.5 else \
-            random_hypergraph(rng, SIG, max_v=5, max_edges=5)
+        h = with_parallel(rng, symmetric_target(rng) if rng.random() < 0.5 else
+                          random_hypergraph(rng, SIG, max_v=5, max_edges=5))
         classes = {a: {a} for a in range(h.vcount)}  # closure of the swaps
         for a, b in combinations(range(h.vcount), 2):
             if is_automorphism(h, a, b, g.edges):
@@ -261,7 +269,8 @@ def test_swap_classes_are_the_transposition_automorphisms():
         seen["restricted"] += bool(set(h.edges) - set(g.edges))
         seen["merged"] += any(not is_automorphism(h, a, b, h.edges)
                               for a in range(h.vcount) for b in found[a])
-    assert min(seen["restricted"], seen["merged"]) >= 40, seen
+        seen["parallel"] += has_parallel(h, g.edges)  # multiplicities decide some swaps
+    assert min(seen["restricted"], seen["merged"], seen["parallel"]) >= 40, seen
 
 
 def with_loops(rng: random.Random, g: Hypergraph) -> Hypergraph:
@@ -277,22 +286,37 @@ def with_loops(rng: random.Random, g: Hypergraph) -> Hypergraph:
     return Hypergraph(g.vcount, edges)
 
 
+def with_parallel(rng: random.Random, g: Hypergraph) -> Hypergraph:
+    """g plus, at random, a copy of one of its edges: a parallel edge."""
+    if not g.edges or rng.random() < 0.5:
+        return g
+    edges = {sym: list(rows) for sym, rows in g.edges.items()}
+    rows = edges[rng.choice(sorted(edges))]
+    rows.append(rng.choice(rows))
+    return Hypergraph(g.vcount, edges)
+
+
+def has_parallel(g: Hypergraph, symbols) -> bool:
+    return any(len(set(rows)) < len(rows) for sym, rows in g.edges.items() if sym in symbols)
+
+
 def test_search_matches_the_reference_search():
     # the candidate-filtered search against plain backtracking: same answer
     # lists in the same order, the same first witness, never more steps
     rng = random.Random(10)
     seen = Counter()
     for _ in range(400):
-        g = with_loops(rng, random_hypergraph(rng, SIG, max_v=4, max_edges=3))
-        h = with_loops(rng, symmetric_target(rng) if rng.random() < 0.3 else
-                       random_hypergraph(rng, SIG, max_v=4, max_edges=5))
+        g = with_parallel(rng, with_loops(rng, random_hypergraph(rng, SIG, max_v=4, max_edges=3)))
+        h = with_parallel(rng, with_loops(rng, symmetric_target(rng) if rng.random() < 0.3 else
+                                          random_hypergraph(rng, SIG, max_v=4, max_edges=5)))
         pins = {v: rng.randrange(h.vcount)
                 for v in rng.sample(range(g.vcount), min(g.vcount, rng.randint(0, 2)))
                 } if h.vcount else {}
         seen.update(pins=bool(pins), S="S" in g.edges,
                     loop=any(len(set(s + t)) < len(s + t) for rows in g.edges.values()
                              for s, t in rows),
-                    unused=bool(set(h.edges) - set(g.edges)))
+                    unused=bool(set(h.edges) - set(g.edges)),
+                    parallel=has_parallel(g, g.edges) or has_parallel(h, g.edges))
         for limit in (None, 1):
             expected, most = reference_search(g, h, pins, limit)
             search = _Search(g, h, pins, limit, None, injective=False)
@@ -308,7 +332,31 @@ def test_search_matches_the_reference_search():
             if f is not None:
                 assert f.vmap == vmap and validate_morphism(f, a, b)
                 seen["iso"] += 1
-    assert min(seen[key] for key in ("pins", "S", "loop", "found", "iso", "unused")) >= 40, seen
+    assert min(seen[key] for key in ("pins", "S", "loop", "found", "iso", "unused",
+                                     "parallel")) >= 40, seen
+
+
+def test_edge_ids_are_indexed_only_for_a_complete_map():
+    refutation = _Search(clique_graph(5), clique_graph(4), None, 1, None, False)
+    assert refutation.run() == [] and refutation.h_index is None
+    found = _Search(clique_graph(4), clique_graph(5), None, 1, None, False)
+    assert found.run() and found.h_index is not None
+    # classes of 1, 2 and 3 parallel edges: an isomorphism matches class sizes
+    rng, seen = random.Random(3), Counter()
+    g = Hypergraph(4, {"R": [((0,), (1,))] + [((1,), (2,))] * 2 + [((2,), (3,))] * 3,
+                       "S": [((3, 0), (0,))] * 2})
+    for _ in range(20):
+        rows = [((0,), (1,)), ((1,), (2,)), ((2,), (3,))]
+        rng.shuffle(rows)  # the class sizes on other edges, most often not an isomorphic copy
+        k = Hypergraph(4, {"R": [rows[0]] + [rows[1]] * 2 + [rows[2]] * 3,
+                           "S": g.edges["S"]})
+        h, _ = relabelled(rng, k)
+        for a, b in ((g, h), (h, g), (k, h)):
+            f, vmap = is_isomorphic(a, b), reference_isomorphism(a, b)
+            assert (f is None) == (vmap is None)
+            assert f is None or f.vmap == vmap and validate_morphism(f, a, b)
+            seen[f is not None] += 1
+    assert min(seen[True], seen[False]) >= 10, seen
 
 
 def test_search_step_counts():
