@@ -162,11 +162,12 @@ def verify_axiom_semantic(entry: AxiomEntry, trials: int = 100,
     full_sig = _axiom_signature(entry, sig)
     rng = random.Random(seed)
     canned = [RelModel(full_sig, [f"e{i}" for i in range(size)]) for size in range(3)]
+    lhs_wirings, rhs_wirings = {}, {}  # eval_gcq's memo for each side
     for k in range(trials):
         model = canned[k] if k < len(canned) else \
             random_model(full_sig, rng.randint(0, max_carrier), rng)
-        lhs = eval_gcq(entry.lhs, model)
-        rhs = eval_gcq(entry.rhs, model)
+        lhs = eval_gcq(entry.lhs, model, lhs_wirings)
+        rhs = eval_gcq(entry.rhs, model, rhs_wirings)
         if not lhs.pairs <= rhs.pairs:
             return AxiomReport(entry.name, False, "left not included in right", model)
         if entry.kind == EQUALITY and not rhs.pairs <= lhs.pairs:

@@ -112,6 +112,7 @@ def cmd_eval(args) -> int:
 def cmd_translate(args) -> int:
     body, sig = _load_query_file(args.query, args.sig)
     q = _parse_query(body, sig, build_term)
+    wirings: dict = {}  # eval_gcq's memo for the one term evaluated in every trial
     if isinstance(q, CcqJudgment):
         # formulas use only the coarity-0 symbols; draw models over those
         sig = Signature((name, s) for name, s in sig.items() if s.m == 0)
@@ -119,14 +120,14 @@ def cmd_translate(args) -> int:
         print(print_gcq(term))
 
         def agree(model) -> bool:
-            rel = eval_gcq(term, theta_model(model))
+            rel = eval_gcq(term, theta_model(model), wirings)
             return eval_ccq(q, model) == frozenset(a for a, _ in rel.pairs)
     else:
         tsj = lambda_term(q)
         print(str(tsj))
 
         def agree(model) -> bool:
-            rel = eval_gcq(q, model)
+            rel = eval_gcq(q, model, wirings)
             return frozenset(a + b for a, b in rel.pairs) == \
                 eval_ccq(tsj.as_judgment(), lambda_model(model))
     # spot-check semantics preservation on random models

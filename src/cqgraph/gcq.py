@@ -296,7 +296,7 @@ def term_signature(t: GcqTerm) -> Signature:
     return _trusted(Signature, _table={name: table[name] for name in sorted(table)})
 
 
-def eval_gcq(t: GcqTerm, model: RelModel) -> Relation:
+def eval_gcq(t: GcqTerm, model: RelModel, wirings: dict | None = None) -> Relation:
     """The relation denoted by t in the given model.
 
     Constants get their fixed interpretation, boxes look up ``rho``,
@@ -306,23 +306,43 @@ def eval_gcq(t: GcqTerm, model: RelModel) -> Relation:
     by its class (its instances are all equal), a box by itself (same name
     and sort), a composite by its class and its children's ids.  It looks
     up each new leaf's relation, and plans each new composite, children
-    before parents, noting the last composite that reads each id.  The
-    second evaluates the planned composites and drops each relation once
-    its last reader has run, so a left-nested chain, whose prefixes are all
-    distinct, holds no more relations at a time than a plain fold.
+    before parents, noting the last composite that reads each id and
+    whether the node is box-free: a constant, or a composite of two
+    box-free children.  The second evaluates the planned composites and
+    drops each relation once its last reader has run, so a left-nested
+    chain, whose prefixes are all distinct, holds no more relations at a
+    time than a plain fold.
+
+    ``wirings``, if given, is a memo for evaluating this one term on many
+    models: the second pass reads each box-free composite's relation from
+    ``wirings[j, model.size]``, j its first-pass id, and stores it there
+    when missing.  ``translate --verify`` (both directions) and
+    ``verify_axiom_semantic`` (one memo per side) keep one for the length
+    of a command, so each wiring is built once per carrier size; a single
+    evaluation passes none.  The memo holds t under the key None, and
+    passing it with a term not equal to t raises ValueError.
 
     Sound because the semantics is compositional: the relation of a node
     depends only on its class and its children's relations.  By induction
     on the depth, equal keys mean equal subtrees, so they denote equal
-    relations.  Leaves are looked up in the order a plain fold meets them,
-    and composing or tensoring the relations of one model cannot fail, so
-    the first failing leaf in postorder still raises first, with the same
+    relations.  By the same induction a box-free subterm's relation
+    depends only on the carrier size: a constant's pairs are
+    ``_CONSTANT_PAIRS`` over ``range(size)``, and compose and tensor are
+    functions of their operands.  The first pass gives the same ids in
+    every call on one term (or an equal one), so an id names the same
+    subterm in each, and a stored relation is immutable.
+    Leaves are looked up in the order a plain fold meets them, and
+    composing or tensoring the relations of one model cannot fail, so the
+    first failing leaf in postorder still raises first, with the same
     error.
     """
+    if wirings is not None and wirings.setdefault(None, t) is not t and wirings[None] != t:
+        raise ValueError("the wirings memo belongs to another term")
     ids: dict = {}  # key -> id, the subterm's index in rels
     rels: list = []  # per id, its relation until its last reader has run
     plan: list = []  # (id, class, left id, right id) of each distinct composite
     last: list[int] = []  # per id, the id of the last composite that reads it
+    free: list[bool] = []  # per id, whether the subterm holds no box
     done: list[int] = []  # ids of finished subterms
     for u in postorder(t, subtrees):
         cls = u.__class__
@@ -335,16 +355,25 @@ def eval_gcq(t: GcqTerm, model: RelModel) -> Relation:
                 plan.append((n, cls, lhs, rhs))
                 rels.append(None)
                 last.append(n)
+                free.append(free[lhs] and free[rhs])
                 last[lhs] = last[rhs] = n
         else:
             j = ids.setdefault(u if cls is Gen else cls, n)
             if j == n:  # a new leaf, looked up now
                 rels.append(_leaf_relation(u, model))
                 last.append(n)
+                free.append(cls is not Gen)
         done.append(j)
+    size = model.size
     for j, cls, lhs, rhs in plan:
-        # module globals, read at call time: perfbench's tracer patches them
-        rels[j] = (relation_compose if cls is Seq else relation_tensor)(rels[lhs], rels[rhs])
+        memo = wirings is not None and free[j]
+        rel = wirings.get((j, size)) if memo else None
+        if rel is None:
+            # module globals, read at call time: perfbench's tracer patches them
+            rel = (relation_compose if cls is Seq else relation_tensor)(rels[lhs], rels[rhs])
+            if memo:
+                wirings[j, size] = rel
+        rels[j] = rel
         if last[lhs] == j:
             rels[lhs] = None
         if last[rhs] == j:

@@ -125,10 +125,6 @@ def load_signature(text: str) -> Signature:
     return Signature(table)
 
 
-def dump_signature(sig: Signature) -> str:
-    return json.dumps({name: [s.n, s.m] for name, s in sig.items()}, indent=None)
-
-
 def _trusted(cls, **fields):
     """A ``cls`` holding ``fields`` as given, skipping its constructor's checks.
 
@@ -175,16 +171,6 @@ class Relation:
 
     def __contains__(self, pair) -> bool:
         return (tuple(pair[0]), tuple(pair[1])) in self.pairs
-
-
-def identity_relation(size: int, n: int = 1) -> Relation:
-    pairs = frozenset((t, t) for t in product(range(size), repeat=n))
-    return _trusted(Relation, sort=Sort(n, n), carrier_size=size, pairs=pairs)
-
-
-def unit_relation(size: int) -> Relation:
-    """The sort-(0,0) relation {(•,•)}, the tensor unit."""
-    return _trusted(Relation, sort=Sort(0, 0), carrier_size=size, pairs=frozenset({((), ())}))
 
 
 def full_relation(size: int, n: int, m: int) -> Relation:

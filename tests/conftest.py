@@ -8,6 +8,7 @@ assignments, and morphism counts by filtering all raw function pairs.
 
 from __future__ import annotations
 
+import json
 import random
 import re
 from itertools import permutations, product
@@ -35,7 +36,7 @@ from cqgraph.gcq import (
 )
 from cqgraph.hypergraph import HgMorphism, Hypergraph, _Search, validate_morphism
 from cqgraph.cospan import Cospan, boundary_pins, term_to_cospan
-from cqgraph.sigmodel import RelModel, Signature, random_model
+from cqgraph.sigmodel import Relation, RelModel, Signature, Sort, random_model
 
 
 @pytest.fixture
@@ -220,6 +221,24 @@ def model_battery(sig: Signature, rng: random.Random, sizes=(0, 1, 1, 2, 2, 2, 3
     for size in sizes:
         out.append(random_model(sig, size, rng))
     return out
+
+
+# -- relations and signatures only the tests build ---------------------------
+
+def identity_relation(size: int, n: int = 1) -> Relation:
+    """The identity on n-tuples over a carrier of the given size."""
+    pairs = frozenset((t, t) for t in product(range(size), repeat=n))
+    return Relation(Sort(n, n), size, pairs)
+
+
+def unit_relation(size: int) -> Relation:
+    """The sort-(0,0) relation {(•,•)}, the tensor unit."""
+    return Relation(Sort(0, 0), size, frozenset({((), ())}))
+
+
+def dump_signature(sig: Signature) -> str:
+    """The JSON text ``load_signature`` reads back as sig."""
+    return json.dumps({name: [s.n, s.m] for name, s in sig.items()})
 
 
 # -- independent oracles ------------------------------------------------------

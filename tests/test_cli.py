@@ -15,7 +15,7 @@ from cqgraph.containment import decide_equivalence, decide_inclusion
 from cqgraph.cospan import cospan_to_dot, term_to_cospan
 from cqgraph.gcq import parse_gcq, print_gcq
 from cqgraph.hypergraph import boundary_assignments
-from cqgraph.sigmodel import Signature, load_model
+from cqgraph.sigmodel import RelModel, Signature, load_model
 from cqgraph.translate import theta
 
 SIG_CCQ = '{"R": [2, 0]}'
@@ -288,6 +288,27 @@ def test_translate_verify_with_symbols_of_positive_coarity(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert captured.out == "R\n"
+
+
+@pytest.mark.parametrize("formula, translated, code", [
+    # the box's relation is read from each model, not remembered from the first
+    ("2 |- R(x0, x1)", "2 |- R(x0, x1)", 0),
+    ("2 |- R(x0, x1) /\\ R(x0, x1)", "2 |- R(x0, x1) /\\ R(x0, x1)", 0),
+    # a wrong translation, caught by the second model
+    ("2 |- R(x0, x1)", "2 |- R(x0, x1) /\\ R(x1, x0)", 1),
+])
+def test_translate_verify_evaluates_each_model_afresh(workdir, capsys, monkeypatch,
+                                                       formula, translated, code):
+    """Two size-2 models, R empty and then R = {(0, 1)}: verify compares the
+    formula with the term that ``theta`` hands out, model by model."""
+    sig = Signature({"R": (2, 0)})
+    models = iter([RelModel(sig, ["a", "b"]), RelModel(sig, ["a", "b"], {"R": [((0, 1), ())]})])
+    monkeypatch.setattr("cqgraph.cli.random_model", lambda sig, size, rng: next(models))
+    monkeypatch.setattr("cqgraph.cli.theta", lambda phi: theta(parse_ccq(translated, sig)))
+    (workdir / "r.ccq").write_text(f"signature: sig.json\n{formula}\n")
+    assert main(["translate", str(workdir / "r.ccq"), "--verify", "--trials", "2"]) == code
+    assert capsys.readouterr().err == ("verification failed\n" if code else "")
+    assert next(models, None) is None  # both models were checked
 
 
 def path_formula(atoms: int) -> str:

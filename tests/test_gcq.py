@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     REFERENCE_TOKEN,
     STRAY,
+    identity_relation,
     model_battery,
     mutate,
     random_judgment,
@@ -213,6 +214,46 @@ def test_eval_frees_each_relation_after_its_last_use(monkeypatch):
     monkeypatch.setattr("cqgraph.gcq.relation_compose", tracking)
     assert eval_gcq(seq(*([Gen("S", 1, 1)] * 1200)), model) == square
     assert len(peaks) == 1199 and max(peaks) <= 2
+
+
+def test_a_wirings_memo_shared_across_models_is_sound(rng, monkeypatch):
+    """One memo per term over a battery whose carrier sizes repeat, with
+    different boxes at each size: every evaluation equals the memo-free
+    one and the oracle, and a box-free term built once per size is read
+    back from the memo."""
+    box = Gen("S", 1, 1)
+    wiring = seq(n_copy(2), n_merge(2))  # no box: the identity on pairs
+    terms = [box, Seq(seq(n_copy(1), n_merge(1)), box)]  # the only box at or under the root
+    terms += [random_term(rng, SIG, max_nodes=5, width_cap=3) for _ in range(25)]
+    battery = model_battery(SIG, rng)
+    assert sorted({m.size for m in battery}) == [0, 1, 2, 3]
+    for t in [wiring] + terms:
+        wirings: dict = {}
+        for model in battery:
+            got = eval_gcq(t, model, wirings)
+            assert got == eval_gcq(t, model)
+            assert got.pairs == (identity_relation(model.size, 2).pairs if t is wiring
+                                 else relation_oracle(t, model))
+    built = Counter()
+    monkeypatch.setattr("cqgraph.gcq.relation_compose",
+                        lambda r, s: built.update([Seq]) or relation_compose(r, s))
+    monkeypatch.setattr("cqgraph.gcq.relation_tensor",
+                        lambda r, s: built.update([Tensor]) or relation_tensor(r, s))
+    wirings = {}
+    for model in battery:
+        eval_gcq(wiring, model, wirings)
+    once = sum(isinstance(u, (Seq, Tensor)) for u in set(postorder(wiring, subtrees)))
+    assert sum(built.values()) == 4 * once  # one build per distinct composite and size
+
+
+def test_a_wirings_memo_refuses_another_term():
+    model = RelModel(SIG, ["a", "b"])
+    wirings: dict = {}
+    eval_gcq(seq(n_copy(2), n_merge(2)), model, wirings)
+    eval_gcq(seq(n_copy(2), n_merge(2)), model, wirings)  # an equal term is the same term
+    for other in (seq(n_copy(2), n_discard(4)), Copy(), Gen("S", 1, 1)):
+        with pytest.raises(ValueError, match="another term"):
+            eval_gcq(other, model, wirings)
 
 
 @pytest.mark.parametrize("term, message", [

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dump_signature, identity_relation, unit_relation
 from cqgraph.errors import ModelError, SignatureError
 from cqgraph.gcq import _KEYWORDS, Gen, Tensor, term_signature
 from cqgraph.sigmodel import (
@@ -13,14 +14,11 @@ from cqgraph.sigmodel import (
     Signature,
     Sort,
     dump_model,
-    dump_signature,
-    identity_relation,
     load_model,
     load_signature,
     random_model,
     relation_compose,
     relation_tensor,
-    unit_relation,
 )
 
 
