@@ -31,6 +31,7 @@ from .sigmodel import (
     _KEYWORDS,
     _trusted,
     check_symbol_name,
+    middle_index,
     relation_compose,
     relation_tensor,
 )
@@ -282,11 +283,6 @@ def n_swap(n: int, m: int) -> GcqTerm:
     return out
 
 
-def generator_count(t: GcqTerm) -> int:
-    """Number of leaf generators (constants and boxes) in the tree."""
-    return sum(1 for u in postorder(t, subtrees) if not isinstance(u, (Seq, Tensor)))
-
-
 def term_signature(t: GcqTerm) -> Signature:
     """The signature spanned by the boxes occurring in t."""
     table: dict[str, Sort] = {}
@@ -314,13 +310,26 @@ def eval_gcq(t: GcqTerm, model: RelModel, wirings: dict | None = None) -> Relati
     time than a plain fold.
 
     ``wirings``, if given, is a memo for evaluating this one term on many
-    models: the second pass reads each box-free composite's relation from
-    ``wirings[j, model.size]``, j its first-pass id, and stores it there
-    when missing.  ``translate --verify`` (both directions) and
+    models.  ``translate --verify`` (both directions) and
     ``verify_axiom_semantic`` (one memo per side) keep one for the length
-    of a command, so each wiring is built once per carrier size; a single
-    evaluation passes none.  The memo holds t under the key None, and
-    passing it with a term not equal to t raises ValueError.
+    of a command; a single evaluation passes none.  The memo holds:
+
+    - under the key None, t and the first pass's result: the distinct
+      leaves in postorder, the plan, the last readers and the box-free
+      marks.  Later calls skip the first pass and look up just those
+      leaves.  Passing the memo with a term not equal to t raises
+      ValueError;
+    - under ``(j, model.size)``, the relation of each box-free composite,
+      j its first-pass id, built on the first call at that size;
+    - under ``(k, model.size, side)``, for each ``;`` of a box-free
+      operand k and one that holds a box, ``middle_index`` of k's
+      relation, side 0 if k is the left operand and 1 if the right.
+      ``relation_compose`` then scans only the box-holding operand's pairs,
+      probing the index.
+
+    So each wiring is built and indexed once per carrier size, and a later
+    call costs the leaves (the boxes, and the constants' small tables),
+    the composites that hold a box, and their index probes.
 
     Sound because the semantics is compositional: the relation of a node
     depends only on its class and its children's relations.  By induction
@@ -328,57 +337,87 @@ def eval_gcq(t: GcqTerm, model: RelModel, wirings: dict | None = None) -> Relati
     relations.  By the same induction a box-free subterm's relation
     depends only on the carrier size: a constant's pairs are
     ``_CONSTANT_PAIRS`` over ``range(size)``, and compose and tensor are
-    functions of their operands.  The first pass gives the same ids in
-    every call on one term (or an equal one), so an id names the same
-    subterm in each, and a stored relation is immutable.
-    Leaves are looked up in the order a plain fold meets them, and
-    composing or tensoring the relations of one model cannot fail, so the
-    first failing leaf in postorder still raises first, with the same
-    error.
+    functions of their operands.  An index is a function of its relation
+    and side, so it too depends only on the size, and composing with or
+    without it gives the same set: the pairs (x, z) with (x, y) on the
+    left and (y, z) on the right.  The first pass reads nothing of the
+    model but the leaf relations it looks up: its ids, plan, last readers
+    and marks are the same in every call on one term (or an equal one).
+    So the stored plan is the one it would make again, an id names the
+    same subterm in each call, and no stored relation or index is
+    changed once stored.  Leaves are looked up in the order a plain fold
+    meets them, in the first pass or from the stored list, and composing
+    or tensoring the relations of one model cannot fail, so the first
+    failing leaf in postorder still raises first, with the same error.
     """
-    if wirings is not None and wirings.setdefault(None, t) is not t and wirings[None] != t:
-        raise ValueError("the wirings memo belongs to another term")
-    ids: dict = {}  # key -> id, the subterm's index in rels
-    rels: list = []  # per id, its relation until its last reader has run
-    plan: list = []  # (id, class, left id, right id) of each distinct composite
-    last: list[int] = []  # per id, the id of the last composite that reads it
-    free: list[bool] = []  # per id, whether the subterm holds no box
-    done: list[int] = []  # ids of finished subterms
-    for u in postorder(t, subtrees):
-        cls = u.__class__
-        n = len(rels)
-        if cls is Seq or cls is Tensor:
-            rhs = done.pop()
-            lhs = done.pop()
-            j = ids.setdefault((cls, lhs, rhs), n)
-            if j == n:  # a new composite, evaluated in the second pass
-                plan.append((n, cls, lhs, rhs))
-                rels.append(None)
-                last.append(n)
-                free.append(free[lhs] and free[rhs])
-                last[lhs] = last[rhs] = n
-        else:
-            j = ids.setdefault(u if cls is Gen else cls, n)
-            if j == n:  # a new leaf, looked up now
-                rels.append(_leaf_relation(u, model))
-                last.append(n)
-                free.append(cls is not Gen)
-        done.append(j)
+    stored = None if wirings is None else wirings.get(None)
+    if stored is None:
+        ids: dict = {}  # key -> id, the subterm's index in rels
+        rels: list = []  # per id, its relation until its last reader has run
+        plan: list = []  # (id, class, left id, right id) of each distinct composite
+        last: list[int] = []  # per id, the id of the last composite that reads it
+        free: list[bool] = []  # per id, whether the subterm holds no box
+        done: list[int] = []  # ids of finished subterms
+        for u in postorder(t, subtrees):
+            cls = u.__class__
+            n = len(rels)
+            if cls is Seq or cls is Tensor:
+                rhs = done.pop()
+                lhs = done.pop()
+                j = ids.setdefault((cls, lhs, rhs), n)
+                if j == n:  # a new composite, evaluated in the second pass
+                    plan.append((n, cls, lhs, rhs))
+                    rels.append(None)
+                    last.append(n)
+                    free.append(free[lhs] and free[rhs])
+                    last[lhs] = last[rhs] = n
+            else:
+                j = ids.setdefault(u if cls is Gen else cls, n)
+                if j == n:  # a new leaf, looked up now
+                    rels.append(_leaf_relation(u, model))
+                    last.append(n)
+                    free.append(cls is not Gen)
+            done.append(j)
+        root = done.pop()
+        if wirings is not None:
+            # the distinct leaves in postorder: ids holds a box's key as the
+            # box, a constant's as its class, and neither as a tuple
+            leaves = [(j, key if key.__class__ is Gen else key())
+                      for key, j in ids.items() if key.__class__ is not tuple]
+            wirings[None] = t, (leaves, plan, last, free, root)
+    else:
+        owner, (leaves, plan, last, free, root) = stored
+        if owner is not t and owner != t:
+            raise ValueError("the wirings memo belongs to another term")
+        rels = [None] * len(last)
+        for j, u in leaves:
+            rels[j] = _leaf_relation(u, model)
     size = model.size
     for j, cls, lhs, rhs in plan:
-        memo = wirings is not None and free[j]
-        rel = wirings.get((j, size)) if memo else None
+        rel = index = None
+        if wirings is not None:
+            if free[j]:
+                rel = wirings.get((j, size))
+            elif cls is Seq and free[lhs] != free[rhs]:
+                side = int(free[rhs])  # 0 if the left operand holds no box, 1 if the right
+                k = rhs if side else lhs
+                index = wirings.get((k, size, side))
+                if index is None:
+                    index = wirings[k, size, side] = middle_index(rels[k], side)
         if rel is None:
             # module globals, read at call time: perfbench's tracer patches them
-            rel = (relation_compose if cls is Seq else relation_tensor)(rels[lhs], rels[rhs])
-            if memo:
+            if index is None:
+                rel = (relation_compose if cls is Seq else relation_tensor)(rels[lhs], rels[rhs])
+            else:
+                rel = relation_compose(rels[lhs], rels[rhs], index)
+            if wirings is not None and free[j]:
                 wirings[j, size] = rel
         rels[j] = rel
         if last[lhs] == j:
             rels[lhs] = None
         if last[rhs] == j:
             rels[rhs] = None
-    return rels[done.pop()]
+    return rels[root]
 
 
 # the pairs of each wiring constant over the carrier xs: the reference

@@ -180,19 +180,51 @@ def full_relation(size: int, n: int, m: int) -> Relation:
     return _trusted(Relation, sort=Sort(n, m), carrier_size=size, pairs=pairs)
 
 
-def relation_compose(r: Relation, s: Relation) -> Relation:
-    """Relational composition: pairs (x, z) with a shared middle witness y."""
+def middle_index(rel: Relation, side: int) -> tuple:
+    """rel's pairs grouped by the middle tuple of a composition in which
+    rel is the left (``side`` 0) or the right (``side`` 1) operand:
+    ``(side, {middle: [far ends]})``, the ``index`` ``relation_compose``
+    probes.  For side 0 the middle is rel's right tuple and the far end
+    its left one; for side 1 the other way round."""
+    by_mid: dict = {}
+    if side:
+        for mid, out in rel.pairs:
+            by_mid.setdefault(mid, []).append(out)
+    else:
+        for a, mid in rel.pairs:
+            by_mid.setdefault(mid, []).append(a)
+    return side, by_mid
+
+
+def relation_compose(r: Relation, s: Relation, index: tuple | None = None) -> Relation:
+    """Relational composition: pairs (x, z) with a shared middle witness y.
+
+    ``index``, if given, is ``middle_index(r, 0)`` or ``middle_index(s, 1)``,
+    built once by a caller that composes that operand with many others:
+    only the other operand's pairs are scanned, each probing the index.
+    Without one, s is indexed here and r scanned.  Either way the result
+    is the set of (x, z) with (x, y) in r and (y, z) in s.
+    """
     if r.sort.m != s.sort.n:
         raise ModelError(f"cannot compose sorts {r.sort} ; {s.sort}")
     if r.carrier_size != s.carrier_size:
         raise ModelError("compose over different carriers")
-    by_mid: dict = {}
-    for mid, out in s.pairs:
-        by_mid.setdefault(mid, []).append(out)
+    if index is None:  # middle_index(s, 1), inline: most calls pass none
+        by_mid: dict = {}
+        for mid, out in s.pairs:
+            by_mid.setdefault(mid, []).append(out)
+        side = 1
+    else:
+        side, by_mid = index
     pairs = set()
-    for a, mid in r.pairs:
-        for out in by_mid.get(mid, ()):
-            pairs.add((a, out))
+    if side:
+        for a, mid in r.pairs:
+            for out in by_mid.get(mid, ()):
+                pairs.add((a, out))
+    else:
+        for mid, out in s.pairs:
+            for a in by_mid.get(mid, ()):
+                pairs.add((a, out))
     return _trusted(Relation, sort=Sort(r.sort.n, s.sort.m), carrier_size=r.carrier_size,
                     pairs=frozenset(pairs))
 

@@ -29,9 +29,10 @@ from cqgraph.gcq import (
     Spawn,
     Swap,
     Tensor,
-    generator_count,
     identity,
+    postorder,
     seq,
+    subtrees,
     tensor,
 )
 from cqgraph.hypergraph import HgMorphism, Hypergraph, _Search, validate_morphism
@@ -45,6 +46,11 @@ def rng():
 
 
 # -- random generators -------------------------------------------------------
+
+def generator_count(t: GcqTerm) -> int:
+    """Number of leaf generators (constants and boxes) in the tree."""
+    return sum(1 for u in postorder(t, subtrees) if not isinstance(u, (Seq, Tensor)))
+
 
 def base_atoms(sig: Signature) -> list[GcqTerm]:
     atoms: list[GcqTerm] = [Copy(), Discard(), Merge(), Spawn(), Id1(), Swap()]
@@ -243,12 +249,22 @@ def dump_signature(sig: Signature) -> str:
 
 # -- independent oracles ------------------------------------------------------
 
-def member_oracle(t: GcqTerm, a: tuple, b: tuple, model: RelModel) -> bool:
+def member_oracle(t: GcqTerm, a: tuple, b: tuple, model: RelModel, memo: dict) -> bool:
     """Non-compositional semantics: does (a, b) lie in the term's relation?
 
     Decides membership top-down, searching all middle tuples at every
-    composition instead of building relation sets.
+    composition instead of building relation sets.  ``memo`` maps
+    (id of a subterm, a, b) to its answer, within one walk over one tree,
+    so each subterm decides each pair of tuples once.
     """
+    key = (id(t), a, b)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = _member(t, a, b, model, memo)
+    return hit
+
+
+def _member(t: GcqTerm, a: tuple, b: tuple, model: RelModel, memo: dict) -> bool:
     size = model.size
     if isinstance(t, Copy):
         return b == (a[0], a[0])
@@ -268,22 +284,23 @@ def member_oracle(t: GcqTerm, a: tuple, b: tuple, model: RelModel) -> bool:
         return (a, b) in model.rho[t.name]
     if isinstance(t, Seq):
         mid = t.lhs.sort.m
-        return any(member_oracle(t.lhs, a, w, model) and member_oracle(t.rhs, w, b, model)
+        return any(member_oracle(t.lhs, a, w, model, memo) and member_oracle(t.rhs, w, b, model, memo)
                    for w in product(range(size), repeat=mid))
     if isinstance(t, Tensor):
         n1, m1 = t.lhs.sort
-        return (member_oracle(t.lhs, a[:n1], b[:m1], model)
-                and member_oracle(t.rhs, a[n1:], b[m1:], model))
+        return (member_oracle(t.lhs, a[:n1], b[:m1], model, memo)
+                and member_oracle(t.rhs, a[n1:], b[m1:], model, memo))
     raise TypeError(t)
 
 
 def relation_oracle(t: GcqTerm, model: RelModel) -> frozenset:
     size = model.size
     n, m = t.sort
+    memo: dict = {}  # keyed by subterm identity, which t keeps alive through the call
     return frozenset((a, b)
                      for a in product(range(size), repeat=n)
                      for b in product(range(size), repeat=m)
-                     if member_oracle(t, a, b, model))
+                     if member_oracle(t, a, b, model, memo))
 
 
 def naive_eval_ccq(j: CcqJudgment, model: RelModel) -> frozenset:

@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     REFERENCE_TOKEN,
     STRAY,
+    generator_count,
     identity_relation,
     model_battery,
     mutate,
@@ -37,7 +38,6 @@ from cqgraph.gcq import (
     Swap,
     Tensor,
     eval_gcq,
-    generator_count,
     n_copy,
     n_discard,
     n_merge,
@@ -55,6 +55,7 @@ from cqgraph.sigmodel import (
     RelModel,
     Signature,
     Sort,
+    middle_index,
     random_model,
     relation_compose,
     relation_tensor,
@@ -226,14 +227,16 @@ def test_a_wirings_memo_shared_across_models_is_sound(rng, monkeypatch):
     terms = [box, Seq(seq(n_copy(1), n_merge(1)), box)]  # the only box at or under the root
     terms += [random_term(rng, SIG, max_nodes=5, width_cap=3) for _ in range(25)]
     battery = model_battery(SIG, rng)
+    terms += [random_term(rng, SIG, max_nodes=6, width_cap=4) for _ in range(25)]
     assert sorted({m.size for m in battery}) == [0, 1, 2, 3]
     for t in [wiring] + terms:
         wirings: dict = {}
         for model in battery:
             got = eval_gcq(t, model, wirings)
             assert got == eval_gcq(t, model)
-            assert got.pairs == (identity_relation(model.size, 2).pairs if t is wiring
-                                 else relation_oracle(t, model))
+            assert got.pairs == relation_oracle(t, model)
+            if t is wiring:
+                assert got.pairs == identity_relation(model.size, 2).pairs
     built = Counter()
     monkeypatch.setattr("cqgraph.gcq.relation_compose",
                         lambda r, s: built.update([Seq]) or relation_compose(r, s))
@@ -244,6 +247,49 @@ def test_a_wirings_memo_shared_across_models_is_sound(rng, monkeypatch):
         eval_gcq(wiring, model, wirings)
     once = sum(isinstance(u, (Seq, Tensor)) for u in set(postorder(wiring, subtrees)))
     assert sum(built.values()) == 4 * once  # one build per distinct composite and size
+
+
+def test_a_wirings_memo_plans_once_and_indexes_each_box_free_operand(rng, monkeypatch):
+    """A ``;`` of a box-free operand, on either side, and one that holds a
+    box composes through an index of the box-free one.  With one memo per
+    term over the battery, every evaluation equals the memo-free one and
+    the oracle, the first pass runs once per memo, and each index is built
+    once per operand, side and carrier size."""
+    box, pair = Gen("S", 1, 1), Tensor(Gen("S", 1, 1), Gen("S", 1, 1))
+    long = seq(Copy(), pair, Merge(), Copy(), Tensor(box, Id1()), Merge())
+    terms = [Seq(Copy(), pair), Seq(pair, Merge()), Seq(Spawn(), box), Seq(box, Discard()),
+             Seq(n_copy(1), pair), Seq(pair, seq(Swap(), n_merge(1))),  # box-free composites
+             long,  # copy on the left of one ; and on the right of another, merge twice on the right
+             Seq(Tensor(box, Id1()), Gen("R", 2, 0))]  # boxes on both sides: no index
+    terms += [random_term(rng, SIG, max_nodes=6, width_cap=3) for _ in range(25)]
+    battery = model_battery(SIG, rng)
+
+    def box_free(u) -> bool:
+        return not any(isinstance(v, Gen) for v in postorder(u, subtrees))
+
+    def indexed(t) -> set:  # (operand, side) of each distinct ; of a box-free and a boxed operand
+        return {(v.rhs, 1) if box_free(v.rhs) else (v.lhs, 0) for v in set(postorder(t, subtrees))
+                if isinstance(v, Seq) and box_free(v.lhs) != box_free(v.rhs)}
+
+    cases = [(t, indexed(t), [(eval_gcq(t, m), relation_oracle(t, m)) for m in battery])
+             for t in terms]
+    assert len(indexed(long)) == 3 and sum(len(want) > 0 for _, want, _ in cases) > 10
+    passes: list = []  # the root of each first pass (by identity: hashing a term walks it)
+    built = Counter()
+    monkeypatch.setattr("cqgraph.gcq.postorder",
+                        lambda root, children: passes.append(root) or postorder(root, children))
+    monkeypatch.setattr("cqgraph.gcq.middle_index",
+                        lambda rel, side: built.update([(rel.carrier_size, side)])
+                        or middle_index(rel, side))
+    for t, want, expected in cases:
+        passes.clear()
+        built.clear()
+        wirings: dict = {}
+        for model, (plain, oracle) in zip(battery, expected):
+            got = eval_gcq(t, model, wirings)
+            assert got == plain and got.pairs == oracle
+        assert len(passes) == 1 and passes[0] is t
+        assert built == Counter((size, side) for _, side in want for size in range(4))
 
 
 def test_a_wirings_memo_refuses_another_term():

@@ -16,6 +16,7 @@ from cqgraph.sigmodel import (
     dump_model,
     load_model,
     load_signature,
+    middle_index,
     random_model,
     relation_compose,
     relation_tensor,
@@ -197,6 +198,7 @@ def test_tensor_counts_multiply(data):
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_compose_associative(data):
+    """Also: composing through an index of either operand gives the same set."""
     size = data.draw(st.integers(0, 4))
     rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
 
@@ -213,6 +215,8 @@ def test_compose_associative(data):
     t = rand_rel(dims[2], dims[3])
     assert relation_compose(relation_compose(r, s), t) == \
         relation_compose(r, relation_compose(s, t))
+    for rel, side in ((r, 0), (s, 1)):
+        assert relation_compose(r, s, middle_index(rel, side)) == relation_compose(r, s)
 
 
 @given(st.data())
