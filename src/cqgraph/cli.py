@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .axioms import axiom_catalog, verify_axiom_graphical, verify_axiom_semantic
-from .ccq import CcqJudgment, eval_ccq, parse_ccq
+from .ccq import CcqJudgment, eval_ccq, natural_model, parse_ccq
 from .containment import decide_equivalence, decide_inclusion
 from .cospan import compile_nodes, cospan_to_dot, term_to_cospan
 from .errors import CqError
@@ -93,19 +93,19 @@ def cmd_eval(args) -> int:
     q = _parse_query(body, sig)
     names = model.carrier
     if isinstance(q, CcqJudgment):
-        rows = sorted(eval_ccq(q, model))
-        doc = [[names[x] for x in row] for row in rows]
-        lines = [", ".join(row) for row in doc]
+        doc = [[names[x] for x in row] for row in sorted(eval_ccq(q, model))]
     else:
         rows = sorted(boundary_assignments(q.apex, q.iota + q.omega, model))
         doc = [[[names[x] for x in row[:q.n]], [names[x] for x in row[q.n:]]]
                for row in rows]
-        lines = [f"({', '.join(a)}) -> ({', '.join(b)})" for a, b in doc]
-    if args.format == "text":
-        for line in lines:
-            print(line)
-    else:
+    if args.format == "json":
         print(json.dumps(doc))
+    elif isinstance(q, CcqJudgment):
+        for row in doc:
+            print(", ".join(row))
+    else:
+        for a, b in doc:
+            print(f"({', '.join(a)}) -> ({', '.join(b)})")
     return 0
 
 
@@ -118,22 +118,27 @@ def cmd_translate(args) -> int:
         sig = Signature((name, s) for name, s in sig.items() if s.m == 0)
         term = theta(q)
         print(print_gcq(term))
+        if not args.verify:
+            return 0
+        g, free = natural_model(q)  # the formula's side depends on no model
 
         def agree(model) -> bool:
             rel = eval_gcq(term, theta_model(model), wirings)
-            return eval_ccq(q, model) == frozenset(a for a, _ in rel.pairs)
+            return boundary_assignments(g, free, model) == frozenset(a for a, _ in rel.pairs)
     else:
         tsj = lambda_term(q)
         print(str(tsj))
+        if not args.verify:
+            return 0
+        g, free = natural_model(tsj.as_judgment())
 
         def agree(model) -> bool:
             rel = eval_gcq(q, model, wirings)
             return frozenset(a + b for a, b in rel.pairs) == \
-                eval_ccq(tsj.as_judgment(), lambda_model(model))
+                boundary_assignments(g, free, lambda_model(model))
     # spot-check semantics preservation on random models
     rng = random.Random(args.seed)
-    if args.verify and not all(agree(random_model(sig, rng.randint(0, 3), rng))
-                               for _ in range(args.trials)):
+    if not all(agree(random_model(sig, rng.randint(0, 3), rng)) for _ in range(args.trials)):
         print("verification failed", file=sys.stderr)
         return 1
     return 0

@@ -545,22 +545,34 @@ def boundary_assignments(g: Hypergraph, boundary, model: RelModel) -> frozenset:
     meets a joined vertex whenever its component has one.  A vertex off
     the boundary is projected out once its last edge is joined.  A vertex
     on no edge still needs an image: over the empty carrier none survives.
+
+    Each join probes an index of its symbol's tuples: those equal at the
+    tentacles of a repeated new vertex (``same``), keyed by the tentacles
+    of joined vertices (``bound``) and holding the first tentacle of each
+    new vertex (``firsts``).  That index is a function of the symbol's
+    relation and of those three position lists alone, not of which
+    vertices sit at them, and a join only reads it; so edges with one
+    tentacle pattern share one index, built at the first of them, for the
+    length of the call.  ``same`` belongs to the pattern: ``R(a,b,a,b)``
+    and ``R(c,d,d,c)`` on new vertices agree in ``bound`` and ``firsts``
+    but keep different tuples.
     """
     size = model.size
     if g.vcount and not size:
         return frozenset()
-    edges = []  # (tentacle vertices, model tuples)
+    edges = []  # (tentacle vertices, symbol)
+    tuples = {}  # symbol -> its model tuples, in-tuple and out-tuple joined
     incident: list[list[int]] = [[] for _ in range(g.vcount)]
     for sym, rows in g.edges.items():
         sort = model.signature.sort(sym)
-        tuples = [a + b for a, b in model.rho[sym]]
+        tuples[sym] = [a + b for a, b in model.rho[sym]]
         for s, t in rows:
             if (len(s), len(t)) != sort:
                 raise SignatureError(f"model interprets {sym!r} at sort {tuple(sort)}, "
                                      f"query uses {(len(s), len(t))}")
             for v in s + t:
                 incident[v].append(len(edges))
-            edges.append((s + t, tuples))
+            edges.append((s + t, sym))
     order: list[int] = []
     reached, queued = [False] * g.vcount, [False] * len(edges)
     for root in range(len(edges)):
@@ -579,20 +591,24 @@ def boundary_assignments(g: Hypergraph, boundary, model: RelModel) -> frozenset:
 
     cols = [v for v in dict.fromkeys(boundary) if not incident[v]]  # the vertex of each column
     rows = set(product(range(size), repeat=len(cols)))
+    indexes: dict = {}  # (symbol, bound, firsts, same) -> index, for this call
     for step, e in enumerate(order):
-        verts, tuples = edges[e]
+        verts, sym = edges[e]
         pos = {v: k for k, v in enumerate(cols)}
-        bound = [k for k, v in enumerate(verts) if v in pos]
+        bound = tuple(k for k, v in enumerate(verts) if v in pos)
         fresh: dict[int, int] = {}  # new vertex -> its first tentacle
         for k, v in enumerate(verts):
             if v not in pos:
                 fresh.setdefault(v, k)
-        same = [(k, fresh[v]) for k, v in enumerate(verts) if fresh.get(v, k) != k]
-        key, ext = _picker(bound), _picker(list(fresh.values()))
-        index: dict = {}
-        for tup in tuples:
-            if all(tup[k] == tup[k0] for k, k0 in same):
-                index.setdefault(key(tup), []).append(ext(tup))
+        firsts = tuple(fresh.values())
+        same = tuple((k, fresh[v]) for k, v in enumerate(verts) if fresh.get(v, k) != k)
+        index = indexes.get((sym, bound, firsts, same))
+        if index is None:
+            key, ext = _picker(bound), _picker(firsts)
+            index = indexes[sym, bound, firsts, same] = {}
+            for tup in tuples[sym]:
+                if not same or all(tup[k] == tup[k0] for k, k0 in same):
+                    index.setdefault(key(tup), []).append(ext(tup))
         cols += fresh
         survivors = [k for k, v in enumerate(cols) if last[v] > step]
         project, row_key = _picker(survivors), _picker([pos[verts[k]] for k in bound])

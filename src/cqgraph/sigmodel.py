@@ -301,21 +301,40 @@ def load_model(text: str, sig: Signature) -> RelModel:
     relations = doc.get("relations") or {}
     if not isinstance(relations, dict):
         raise ModelError("relations must be an object mapping symbols to tuple lists")
-    rho: dict[str, list] = {}
+    # one pass over the rows; the errors the checked constructor would raise
+    # come after every row's own, in its order: carrier ids, symbols, sorts
+    rho = {name: frozenset() for name in sig}
+    unknown, missorted = [], set()
+    at = index.__getitem__
     for name, rows in relations.items():
         if not isinstance(rows, list):
             raise ModelError(f"the tuples of {name!r} must be a list")
-        pairs = []
+        sort = sig.sort(name) if name in sig else None
+        pairs = set()
         for row in rows:
             if not (isinstance(row, list) and len(row) == 2
                     and isinstance(row[0], list) and isinstance(row[1], list)):
                 raise ModelError(f"each tuple of {name!r} must be a pair [ins, outs]")
-            for x in row[0] + row[1]:
-                if not isinstance(x, str) or x not in index:
-                    raise ModelError(f"element {x!r} not in carrier")
-            pairs.append((tuple(index[x] for x in row[0]), tuple(index[x] for x in row[1])))
-        rho[name] = pairs
-    return RelModel(sig, carrier, rho)
+            try:
+                pair = (tuple(map(at, row[0])), tuple(map(at, row[1])))
+            except (KeyError, TypeError):  # a carrier holds only strings
+                bad = next(x for x in row[0] + row[1] if not isinstance(x, str) or x not in index)
+                raise ModelError(f"element {bad!r} not in carrier") from None
+            if sort is not None and (len(pair[0]), len(pair[1])) != sort:
+                missorted.add(name)
+            pairs.add(pair)
+        if sort is None:
+            unknown.append(name)
+        else:
+            rho[name] = frozenset(pairs)
+    if len(index) != len(carrier):
+        raise ModelError("carrier ids must be unique")
+    if unknown:
+        raise SignatureError(f"unknown symbol {unknown[0]!r} in model")
+    for name in sig:
+        if name in missorted:
+            raise ModelError(f"tuple for {name!r} does not match sort {sig.sort(name)}")
+    return _trusted(RelModel, signature=sig, carrier=tuple(carrier), rho=rho)
 
 
 def dump_model(model: RelModel) -> str:
@@ -331,15 +350,15 @@ def random_model(sig: Signature, carrier_size: int, rng, density: float | None =
     With ``density=None`` a per-symbol density is drawn from {0.2, 0.5, 0.8},
     which exercises sparse and dense interpretations alike.
     """
-    carrier = [f"e{i}" for i in range(carrier_size)]
+    carrier = tuple(f"e{i}" for i in range(carrier_size))
     rho = {}
     for name, sort in sig.items():
         p = density if density is not None else rng.choice((0.2, 0.5, 0.8))
-        pairs = [
+        pairs = (
             (a, b)
             for a in product(range(carrier_size), repeat=sort.n)
             for b in product(range(carrier_size), repeat=sort.m)
             if rng.random() < p
-        ]
-        rho[name] = pairs
-    return RelModel(sig, carrier, rho)
+        )
+        rho[name] = frozenset(pairs)
+    return _trusted(RelModel, signature=sig, carrier=carrier, rho=rho)

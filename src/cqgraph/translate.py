@@ -51,7 +51,7 @@ from .gcq import (
     postorder,
     subtrees,
 )
-from .sigmodel import RelModel, Signature
+from .sigmodel import RelModel, Signature, _trusted
 
 
 @dataclass(frozen=True)
@@ -190,5 +190,5 @@ def theta_model(model: RelModel) -> RelModel:
 def lambda_model(model: RelModel) -> RelModel:
     """Flatten a model over (n, m) symbols to one over arity-(n+m) symbols."""
     sig = relational_signature(model.signature)
-    rho = {name: [(a + b, ()) for a, b in pairs] for name, pairs in model.rho.items()}
-    return RelModel(sig, model.carrier, rho)
+    rho = {name: frozenset((a + b, ()) for a, b in pairs) for name, pairs in model.rho.items()}
+    return _trusted(RelModel, signature=sig, carrier=model.carrier, rho=rho)

@@ -168,6 +168,41 @@ def test_eval_matches_naive_oracle(rng):
             assert eval_ccq(j, model) == naive_eval_ccq(j, model)
 
 
+def _shape_formula(shape: str, atoms: int) -> str:
+    """A path x0 -> x1, a cycle through x0, or a star at x0 of E atoms,
+    every inner vertex bound: edges of one tentacle pattern repeat."""
+    if shape == "star":
+        inner = [f"z{i}" for i in range(atoms)]
+        pairs = [("x0", z) for z in inner]
+    else:
+        inner = [f"z{i}" for i in range(atoms - 1)]
+        walk = ["x0"] + inner + ["x1" if shape == "path" else "x0"]
+        pairs = list(zip(walk, walk[1:]))
+    free = 2 if shape == "path" else 1
+    body = " /\\ ".join(f"E({a}, {b})" for a, b in pairs)
+    return f"{free} |- " + "".join(f"exists {z}. " for z in inner) + body
+
+
+JOIN_SIG = Signature({"E": (2, 0), "Q": (4, 0)})
+
+
+@pytest.mark.parametrize("text", [
+    # one tentacle pattern as far as the joined and new positions go, two as
+    # far as the equal tentacles go: a shared index would confuse them
+    "4 |- Q(x0, x1, x0, x1) /\\ Q(x2, x3, x3, x2)",
+    "4 |- Q(x0, x1, x1, x0) /\\ Q(x2, x3, x2, x3)",
+    # loops, alone, repeated, and next to an edge of the other pattern
+    "1 |- E(x0, x0)",
+    "2 |- E(x0, x0) /\\ E(x1, x1) /\\ E(x0, x1)",
+    "0 |- exists z. E(z, z) /\\ E(z, z)",
+    "1 |- exists z. E(x0, z) /\\ E(z, z) /\\ E(z, x0)",
+] + [_shape_formula(shape, k) for shape in ("path", "cycle", "star") for k in range(1, 7)])
+def test_eval_with_repeated_tentacle_patterns_matches_naive_oracle(text, rng):
+    j = parse_ccq(text, JOIN_SIG)
+    for model in model_battery(JOIN_SIG, rng):
+        assert eval_ccq(j, model) == naive_eval_ccq(j, model)
+
+
 def test_replay_is_derivation_independent(rng):
     # replay of the canonical derivation, a padded variant of it, and the
     # structural evaluator all agree

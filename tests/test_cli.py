@@ -9,7 +9,7 @@ import pytest
 
 import cqgraph
 from conftest import clique, inclusion_steps
-from cqgraph.ccq import parse_ccq
+from cqgraph.ccq import natural_model, parse_ccq
 from cqgraph.cli import main
 from cqgraph.containment import decide_equivalence, decide_inclusion
 from cqgraph.cospan import cospan_to_dot, term_to_cospan
@@ -309,6 +309,34 @@ def test_translate_verify_evaluates_each_model_afresh(workdir, capsys, monkeypat
     assert main(["translate", str(workdir / "r.ccq"), "--verify", "--trials", "2"]) == code
     assert capsys.readouterr().err == ("verification failed\n" if code else "")
     assert next(models, None) is None  # both models were checked
+
+
+@pytest.mark.parametrize("query, printed", [
+    ("psi.ccq", print_gcq(theta(parse_ccq(PSI, Signature({"R": (2, 0)}))))),
+    ("loop.gcq", "1,1 |- exists z0. exists z1. (exists z2. exists z3. ((x0 = z2) /\\ "
+                 "(x0 = z3)) /\\ (R(z2, z0) /\\ R(z3, z1))) /\\ ((z0 = y0) /\\ (z1 = y0))"),
+])
+def test_translate_verify_builds_the_natural_model_once(workdir, capsys, monkeypatch,
+                                                         query, printed):
+    """The formula's side of ``--verify`` depends on no model: one natural
+    model per command, none without ``--verify``, and the same output."""
+    calls, build = [], natural_model
+
+    def counted(j):
+        calls.append(j)
+        return build(j)
+
+    for module in ("cqgraph.cli", "cqgraph.ccq"):
+        monkeypatch.setattr(f"{module}.natural_model", counted)
+    (workdir / "r.json").write_text('{"R": [1, 1]}')
+    (workdir / "loop.gcq").write_text("signature: r.json\ncopy ; (R (+) R) ; merge\n")
+    path = str(workdir / query)
+    assert main(["translate", path]) == 0
+    assert calls == []
+    assert capsys.readouterr().out == printed + "\n"
+    assert main(["translate", path, "--verify", "--trials", "50"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == printed + "\n"
 
 
 def path_formula(atoms: int) -> str:

@@ -121,6 +121,31 @@ def test_load_model_rejects_malformed_structure(relations):
         load_model('{"carrier": ["a", "b"], "relations": %s}' % relations, sig)
 
 
+@pytest.mark.parametrize("carrier, relations, error, message", [
+    # each input is malformed twice; the error named is the one raised first
+    ('["a", "a"]', '{"P": [[["a", "c"], []]]}', ModelError, "element 'c' not in carrier"),
+    ('["a", "a"]', '{"Q": [], "P": [[["a", "a"], []]]}', ModelError, "carrier ids must be unique"),
+    ('["a"]', '{"Q": [], "P": [5]}', ModelError, "each tuple of 'P' must be a pair [ins, outs]"),
+    ('["a"]', '{"P": [[["a", "a"], []], ["a"]], "Q": []}', ModelError,
+     "each tuple of 'P' must be a pair [ins, outs]"),
+    ('["a"]', '{"Q": [], "P": [[["a"], []]]}', SignatureError, "unknown symbol 'Q' in model"),
+    # two symbols at the wrong arity: the first in signature order is named
+    ('["a"]', '{"R": [[["a"], []]], "P": [[["a"], []]]}', ModelError,
+     "tuple for 'P' does not match sort Sort(n=2, m=0)"),
+    ('["a"]', '{"P": [[["a"], []]], "R": [[["a", "z"], ["a"]]]}', ModelError,
+     "element 'z' not in carrier"),
+    ('["a"]', '{"P": [[["a", 1], []]]}', ModelError, "element 1 not in carrier"),
+    ('["a"]', '{"P": [[["a", true], []]]}', ModelError, "element True not in carrier"),
+    ('["a"]', '{"P": [[[null, "a"], []]]}', ModelError, "element None not in carrier"),
+    ('["a"]', '{"R": [[["a"], [[1]]]]}', ModelError, "element [1] not in carrier"),
+])
+def test_load_model_names_the_first_of_two_faults(carrier, relations, error, message):
+    sig = load_signature('{"R": [1, 1], "P": [2, 0]}')
+    with pytest.raises(error) as caught:
+        load_model('{"carrier": %s, "relations": %s}' % (carrier, relations), sig)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
 def test_model_dump_is_canonical():
     sig = load_signature('{"R": [1, 1]}')
     m1 = load_model('{"carrier": ["a","b"], "relations": {"R": [[["b"],["a"]], [["a"],["b"]]]}}', sig)

@@ -1,7 +1,8 @@
 """What the algebra builds without re-checking passes its checked constructor.
 
 ``eval_gcq``'s relations, compiled apexes and cospans, the reference cospan
-algebra, ``hypergraph_as_model`` and the signatures read off terms and
+algebra, ``hypergraph_as_model``, the models of ``load_model``,
+``random_model`` and ``lambda_model``, the signatures read off terms and
 apexes (``term_signature``, ``_apex_signature``, ``merged``) and the
 judgments of ``parse_ccq`` build their values through
 ``sigmodel._trusted``.  Each value must come back unchanged, down to the
@@ -19,7 +20,8 @@ from cqgraph.containment import _apex_signature, hypergraph_as_model
 from cqgraph.cospan import Cospan, compose_cospans, identity_cospan, tensor_cospans, term_to_cospan
 from cqgraph.gcq import Seq, Tensor, eval_gcq, postorder, subtrees, term_signature
 from cqgraph.hypergraph import Hypergraph, disjoint_union
-from cqgraph.sigmodel import Relation, RelModel, Signature, random_model
+from cqgraph.sigmodel import Relation, RelModel, Signature, dump_model, load_model, random_model
+from cqgraph.translate import lambda_model
 
 SIG = Signature({"R": (1, 1), "S": (2, 1), "Q": (0, 2), "U": (2, 0)})
 CCQ_SIG = Signature({"R": (2, 0), "P": (1, 0), "T": (3, 0)})
@@ -83,3 +85,20 @@ def test_trusted_values_pass_their_constructors(seed):
     assert_checked_cospan(term_to_cospan(j))
     parsed = parse_ccq(print_ccq(j), CCQ_SIG)
     same(CcqJudgment(parsed.context, parsed.formula), parsed)
+
+
+def assert_checked_model(model: RelModel):
+    same(RelModel(model.signature, model.carrier, model.rho), model)
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=50, deadline=None)
+def test_built_models_pass_the_checked_constructor(seed):
+    rng = random.Random(seed)
+    for size in (0, 1, 2, 3):
+        model = random_model(SIG, size, rng)
+        assert_checked_model(model)
+        assert_checked_model(lambda_model(model))
+        loaded = load_model(dump_model(model), SIG)
+        assert_checked_model(loaded)
+        same(loaded, model)
