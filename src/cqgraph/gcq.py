@@ -31,7 +31,6 @@ from .sigmodel import (
     _KEYWORDS,
     _trusted,
     check_symbol_name,
-    middle_index,
     relation_compose,
     relation_tensor,
 )
@@ -292,132 +291,25 @@ def term_signature(t: GcqTerm) -> Signature:
     return _trusted(Signature, _table={name: table[name] for name in sorted(table)})
 
 
-def eval_gcq(t: GcqTerm, model: RelModel, wirings: dict | None = None) -> Relation:
+def eval_gcq(t: GcqTerm, model: RelModel) -> Relation:
     """The relation denoted by t in the given model.
 
     Constants get their fixed interpretation, boxes look up ``rho``,
-    composition and tensor go to the relation algebra.  Each distinct
-    subterm is evaluated once per call, in two passes.  The first walks
-    ``postorder`` and gives each node an id by its key: a constant is keyed
-    by its class (its instances are all equal), a box by itself (same name
-    and sort), a composite by its class and its children's ids.  It looks
-    up each new leaf's relation, and plans each new composite, children
-    before parents, noting the last composite that reads each id and
-    whether the node is box-free: a constant, or a composite of two
-    box-free children.  The second evaluates the planned composites and
-    drops each relation once its last reader has run, so a left-nested
-    chain, whose prefixes are all distinct, holds no more relations at a
-    time than a plain fold.
-
-    ``wirings``, if given, is a memo for evaluating this one term on many
-    models.  ``translate --verify`` (both directions) and
-    ``verify_axiom_semantic`` (one memo per side) keep one for the length
-    of a command; a single evaluation passes none.  The memo holds:
-
-    - under the key None, t and the first pass's result: the distinct
-      leaves in postorder, the plan, the last readers and the box-free
-      marks.  Later calls skip the first pass and look up just those
-      leaves.  Passing the memo with a term not equal to t raises
-      ValueError;
-    - under ``(j, model.size)``, the relation of each box-free composite,
-      j its first-pass id, built on the first call at that size;
-    - under ``(k, model.size, side)``, for each ``;`` of a box-free
-      operand k and one that holds a box, ``middle_index`` of k's
-      relation, side 0 if k is the left operand and 1 if the right.
-      ``relation_compose`` then scans only the box-holding operand's pairs,
-      probing the index.
-
-    So each wiring is built and indexed once per carrier size, and a later
-    call costs the leaves (the boxes, and the constants' small tables),
-    the composites that hold a box, and their index probes.
-
-    Sound because the semantics is compositional: the relation of a node
-    depends only on its class and its children's relations.  By induction
-    on the depth, equal keys mean equal subtrees, so they denote equal
-    relations.  By the same induction a box-free subterm's relation
-    depends only on the carrier size: a constant's pairs are
-    ``_CONSTANT_PAIRS`` over ``range(size)``, and compose and tensor are
-    functions of their operands.  An index is a function of its relation
-    and side, so it too depends only on the size, and composing with or
-    without it gives the same set: the pairs (x, z) with (x, y) on the
-    left and (y, z) on the right.  The first pass reads nothing of the
-    model but the leaf relations it looks up: its ids, plan, last readers
-    and marks are the same in every call on one term (or an equal one).
-    So the stored plan is the one it would make again, an id names the
-    same subterm in each call, and no stored relation or index is
-    changed once stored.  Leaves are looked up in the order a plain fold
-    meets them, in the first pass or from the stored list, and composing
-    or tensoring the relations of one model cannot fail, so the first
-    failing leaf in postorder still raises first, with the same error.
+    composition and tensor go to the relation algebra, in one pass over
+    ``postorder``.  It is the reference oracle; ``eval`` and ``translate
+    --verify`` join a term's compiled cospan into the model instead.
     """
-    stored = None if wirings is None else wirings.get(None)
-    if stored is None:
-        ids: dict = {}  # key -> id, the subterm's index in rels
-        rels: list = []  # per id, its relation until its last reader has run
-        plan: list = []  # (id, class, left id, right id) of each distinct composite
-        last: list[int] = []  # per id, the id of the last composite that reads it
-        free: list[bool] = []  # per id, whether the subterm holds no box
-        done: list[int] = []  # ids of finished subterms
-        for u in postorder(t, subtrees):
-            cls = u.__class__
-            n = len(rels)
-            if cls is Seq or cls is Tensor:
-                rhs = done.pop()
-                lhs = done.pop()
-                j = ids.setdefault((cls, lhs, rhs), n)
-                if j == n:  # a new composite, evaluated in the second pass
-                    plan.append((n, cls, lhs, rhs))
-                    rels.append(None)
-                    last.append(n)
-                    free.append(free[lhs] and free[rhs])
-                    last[lhs] = last[rhs] = n
-            else:
-                j = ids.setdefault(u if cls is Gen else cls, n)
-                if j == n:  # a new leaf, looked up now
-                    rels.append(_leaf_relation(u, model))
-                    last.append(n)
-                    free.append(cls is not Gen)
-            done.append(j)
-        root = done.pop()
-        if wirings is not None:
-            # the distinct leaves in postorder: ids holds a box's key as the
-            # box, a constant's as its class, and neither as a tuple
-            leaves = [(j, key if key.__class__ is Gen else key())
-                      for key, j in ids.items() if key.__class__ is not tuple]
-            wirings[None] = t, (leaves, plan, last, free, root)
-    else:
-        owner, (leaves, plan, last, free, root) = stored
-        if owner is not t and owner != t:
-            raise ValueError("the wirings memo belongs to another term")
-        rels = [None] * len(last)
-        for j, u in leaves:
-            rels[j] = _leaf_relation(u, model)
-    size = model.size
-    for j, cls, lhs, rhs in plan:
-        rel = index = None
-        if wirings is not None:
-            if free[j]:
-                rel = wirings.get((j, size))
-            elif cls is Seq and free[lhs] != free[rhs]:
-                side = int(free[rhs])  # 0 if the left operand holds no box, 1 if the right
-                k = rhs if side else lhs
-                index = wirings.get((k, size, side))
-                if index is None:
-                    index = wirings[k, size, side] = middle_index(rels[k], side)
-        if rel is None:
-            # module globals, read at call time: perfbench's tracer patches them
-            if index is None:
-                rel = (relation_compose if cls is Seq else relation_tensor)(rels[lhs], rels[rhs])
-            else:
-                rel = relation_compose(rels[lhs], rels[rhs], index)
-            if wirings is not None and free[j]:
-                wirings[j, size] = rel
-        rels[j] = rel
-        if last[lhs] == j:
-            rels[lhs] = None
-        if last[rhs] == j:
-            rels[rhs] = None
-    return rels[root]
+    done: list[Relation] = []  # relations of finished subterms
+    for u in postorder(t, subtrees):
+        if isinstance(u, Seq):
+            rhs = done.pop()
+            done[-1] = relation_compose(done[-1], rhs)
+        elif isinstance(u, Tensor):
+            rhs = done.pop()
+            done[-1] = relation_tensor(done[-1], rhs)
+        else:
+            done.append(_leaf_relation(u, model))
+    return done.pop()
 
 
 # the pairs of each wiring constant over the carrier xs: the reference

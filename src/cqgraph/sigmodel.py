@@ -99,19 +99,23 @@ class Signature:
         return f"Signature({{{inner}}})"
 
 
-def _reject_duplicate_keys(pairs):
-    seen = {}
-    for key, value in pairs:
-        if key in seen:
-            raise SignatureError(f"duplicate symbol {key!r}")
-        seen[key] = value
-    return seen
+def _unique_keys(error: type, what: str):
+    """A ``json.loads`` ``object_pairs_hook`` that refuses an object
+    listing one key twice, raising ``error`` with the key as ``what``."""
+    def hook(pairs):
+        seen = {}
+        for key, value in pairs:
+            if key in seen:
+                raise error(f"duplicate {what} {key!r}")
+            seen[key] = value
+        return seen
+    return hook
 
 
 def load_signature(text: str) -> Signature:
     """Parse a signature from JSON: an object mapping symbol -> [arity, coarity]."""
     try:
-        doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
+        doc = json.loads(text, object_pairs_hook=_unique_keys(SignatureError, "symbol"))
     except json.JSONDecodeError as exc:
         raise SignatureError(f"malformed signature JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -180,51 +184,19 @@ def full_relation(size: int, n: int, m: int) -> Relation:
     return _trusted(Relation, sort=Sort(n, m), carrier_size=size, pairs=pairs)
 
 
-def middle_index(rel: Relation, side: int) -> tuple:
-    """rel's pairs grouped by the middle tuple of a composition in which
-    rel is the left (``side`` 0) or the right (``side`` 1) operand:
-    ``(side, {middle: [far ends]})``, the ``index`` ``relation_compose``
-    probes.  For side 0 the middle is rel's right tuple and the far end
-    its left one; for side 1 the other way round."""
-    by_mid: dict = {}
-    if side:
-        for mid, out in rel.pairs:
-            by_mid.setdefault(mid, []).append(out)
-    else:
-        for a, mid in rel.pairs:
-            by_mid.setdefault(mid, []).append(a)
-    return side, by_mid
-
-
-def relation_compose(r: Relation, s: Relation, index: tuple | None = None) -> Relation:
-    """Relational composition: pairs (x, z) with a shared middle witness y.
-
-    ``index``, if given, is ``middle_index(r, 0)`` or ``middle_index(s, 1)``,
-    built once by a caller that composes that operand with many others:
-    only the other operand's pairs are scanned, each probing the index.
-    Without one, s is indexed here and r scanned.  Either way the result
-    is the set of (x, z) with (x, y) in r and (y, z) in s.
-    """
+def relation_compose(r: Relation, s: Relation) -> Relation:
+    """Relational composition: pairs (x, z) with a shared middle witness y."""
     if r.sort.m != s.sort.n:
         raise ModelError(f"cannot compose sorts {r.sort} ; {s.sort}")
     if r.carrier_size != s.carrier_size:
         raise ModelError("compose over different carriers")
-    if index is None:  # middle_index(s, 1), inline: most calls pass none
-        by_mid: dict = {}
-        for mid, out in s.pairs:
-            by_mid.setdefault(mid, []).append(out)
-        side = 1
-    else:
-        side, by_mid = index
+    by_mid: dict = {}
+    for mid, out in s.pairs:
+        by_mid.setdefault(mid, []).append(out)
     pairs = set()
-    if side:
-        for a, mid in r.pairs:
-            for out in by_mid.get(mid, ()):
-                pairs.add((a, out))
-    else:
-        for mid, out in s.pairs:
-            for a in by_mid.get(mid, ()):
-                pairs.add((a, out))
+    for a, mid in r.pairs:
+        for out in by_mid.get(mid, ()):
+            pairs.add((a, out))
     return _trusted(Relation, sort=Sort(r.sort.n, s.sort.m), carrier_size=r.carrier_size,
                     pairs=frozenset(pairs))
 
@@ -287,9 +259,12 @@ class RelModel:
 
 
 def load_model(text: str, sig: Signature) -> RelModel:
-    """Parse a model from JSON: {"carrier": [ids...], "relations": {sym: [[[in...],[out...]], ...]}}."""
+    """Parse a model from JSON: {"carrier": [ids...], "relations": {sym: [[[in...],[out...]], ...]}}.
+
+    "relations" may be left out (no tuples), but not given as anything
+    other than an object; no object may list a key, a symbol say, twice."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys(ModelError, "key"))
     except json.JSONDecodeError as exc:
         raise ModelError(f"malformed model JSON: {exc}") from None
     if not isinstance(doc, dict) or "carrier" not in doc:
@@ -298,7 +273,7 @@ def load_model(text: str, sig: Signature) -> RelModel:
     if not isinstance(carrier, list) or not all(isinstance(x, str) for x in carrier):
         raise ModelError("carrier must be a list of string ids")
     index = {name: i for i, name in enumerate(carrier)}
-    relations = doc.get("relations") or {}
+    relations = doc.get("relations", {})  # only a missing key means no relations
     if not isinstance(relations, dict):
         raise ModelError("relations must be an object mapping symbols to tuple lists")
     # one pass over the rows; the errors the checked constructor would raise

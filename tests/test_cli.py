@@ -8,15 +8,15 @@ from pathlib import Path
 import pytest
 
 import cqgraph
-from conftest import clique, inclusion_steps
+from conftest import clique, inclusion_steps, model_battery
 from cqgraph.ccq import natural_model, parse_ccq
 from cqgraph.cli import main
 from cqgraph.containment import decide_equivalence, decide_inclusion
 from cqgraph.cospan import cospan_to_dot, term_to_cospan
-from cqgraph.gcq import parse_gcq, print_gcq
+from cqgraph.gcq import eval_gcq, parse_gcq, print_gcq
 from cqgraph.hypergraph import boundary_assignments
-from cqgraph.sigmodel import RelModel, Signature, load_model
-from cqgraph.translate import theta
+from cqgraph.sigmodel import RelModel, Signature, load_model, random_model
+from cqgraph.translate import lambda_term, theta
 
 SIG_CCQ = '{"R": [2, 0]}'
 SIG_DIAG = '{"R": [1, 1], "S": [2, 1], "P": [2, 0], "D": [1, 0]}'
@@ -337,6 +337,59 @@ def test_translate_verify_builds_the_natural_model_once(workdir, capsys, monkeyp
     assert main(["translate", path, "--verify", "--trials", "50"]) == 0
     assert len(calls) == 1
     assert capsys.readouterr().out == printed + "\n"
+
+
+@pytest.mark.parametrize("query", ["psi.ccq", "loop.gcq", "bone.gcq"])
+def test_translate_verify_joins_the_compiled_term(workdir, capsys, monkeypatch, query):
+    """Both directions evaluate the term by a join over its compiled
+    cospan, as eval does: the relation-algebra fold is never called."""
+    def refuse(*args):
+        raise AssertionError("eval_gcq called")
+
+    for module in ("cqgraph.cli", "cqgraph.gcq"):
+        monkeypatch.setattr(f"{module}.eval_gcq", refuse)
+    (workdir / "r.json").write_text('{"R": [1, 1]}')
+    (workdir / "loop.gcq").write_text("signature: r.json\ncopy ; (R (+) R) ; merge\n")
+    assert main(["translate", str(workdir / query), "--verify", "--trials", "50"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("translated, code", [
+    ("R", 0),  # another term with the same relation: verify compares meanings
+    ("R ; R", 1),  # a wrong translation
+])
+def test_translate_verify_checks_the_lambda_translation(workdir, capsys, monkeypatch,
+                                                         translated, code):
+    sig = Signature({"R": (1, 1)})
+    tsj = lambda_term(parse_gcq(translated, sig))
+    monkeypatch.setattr("cqgraph.cli.lambda_term", lambda t: tsj)
+    (workdir / "r.json").write_text('{"R": [1, 1]}')
+    (workdir / "loop.gcq").write_text("signature: r.json\ncopy ; (R (+) R) ; merge\n")
+    assert main(["translate", str(workdir / "loop.gcq"), "--verify"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == f"{tsj}\n"
+    assert captured.err == ("verification failed\n" if code else "")
+
+
+@pytest.mark.parametrize("body", ["0 |- top", "1 |- exists z0. top", "2 |- x0 = x1",
+                                  "spawn ; discard"])
+def test_translate_verify_on_carriers_0_to_3(workdir, capsys, monkeypatch, rng, body):
+    """Carrier 0 with a vertex no edge constrains is where the join and the
+    fold could first part: the trials draw every carrier 0-3 and pass, and
+    the join over the compiled term equals the fold over the battery."""
+    sizes, draw = [], random_model
+    monkeypatch.setattr("cqgraph.cli.random_model",
+                        lambda sig, size, rng: sizes.append(size) or draw(sig, size, rng))
+    (workdir / "q.txt").write_text(f"signature: sig.json\n{body}\n")
+    assert main(["translate", str(workdir / "q.txt"), "--verify", "--trials", "50"]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(sizes) == 50 and set(sizes) == {0, 1, 2, 3}
+    sig = Signature({"R": (2, 0)})
+    term = theta(parse_ccq(body, sig)) if "|-" in body else parse_gcq(body, sig)
+    c = term_to_cospan(term)
+    for model in model_battery(sig, rng):
+        assert boundary_assignments(c.apex, c.iota + c.omega, model) == \
+            frozenset(a + b for a, b in eval_gcq(term, model).pairs)
 
 
 def path_formula(atoms: int) -> str:

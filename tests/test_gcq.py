@@ -55,7 +55,6 @@ from cqgraph.sigmodel import (
     RelModel,
     Signature,
     Sort,
-    middle_index,
     random_model,
     relation_compose,
     relation_tensor,
@@ -153,34 +152,6 @@ def test_eval_unknown_symbol():
         eval_gcq(Gen("S", 1, 1), model)
 
 
-def test_eval_builds_each_distinct_subterm_once(monkeypatch):
-    """theta's output repeats small wirings: each distinct composite (by
-    ``Branch`` equality) costs one relation_compose or relation_tensor."""
-    calls = Counter()
-
-    def counting(name, fn):
-        def wrapper(r, s):
-            calls[name] += 1
-            return fn(r, s)
-        return wrapper
-
-    monkeypatch.setattr("cqgraph.gcq.relation_compose", counting(Seq, relation_compose))
-    monkeypatch.setattr("cqgraph.gcq.relation_tensor", counting(Tensor, relation_tensor))
-    sig = Signature({"E": (2, 0)})
-    phi = parse_ccq("1 |- exists z0. exists z1. exists z2. exists z3. "
-                    "E(x0, z0) /\\ E(x0, z1) /\\ E(x0, z2) /\\ E(x0, z3)", sig)
-    t = theta(phi)
-    nodes = postorder(t, subtrees)
-    distinct = Counter(type(u) for u in set(nodes) if isinstance(u, (Seq, Tensor)))
-    assert len(nodes) > 3 * sum(distinct.values())  # 217 nodes, 55 distinct composites
-    for size in (0, 1, 2, 3):
-        model = random_model(sig, size, random.Random(size))
-        calls.clear()
-        rel = eval_gcq(t, theta_model(model))
-        assert calls == distinct
-        assert frozenset(a for a, _ in rel.pairs) == eval_ccq(phi, model)
-
-
 def test_eval_of_repeated_subterms_agrees_with_the_oracle(rng):
     """Terms that repeat a leaf or a composite, side by side and in sequence."""
     narrow = [t for t in (random_term(rng, SIG, max_nodes=3, width_cap=2) for _ in range(60))
@@ -217,89 +188,40 @@ def test_eval_frees_each_relation_after_its_last_use(monkeypatch):
     assert len(peaks) == 1199 and max(peaks) <= 2
 
 
-def test_a_wirings_memo_shared_across_models_is_sound(rng, monkeypatch):
-    """One memo per term over a battery whose carrier sizes repeat, with
-    different boxes at each size: every evaluation equals the memo-free
-    one and the oracle, and a box-free term built once per size is read
-    back from the memo."""
-    box = Gen("S", 1, 1)
-    wiring = seq(n_copy(2), n_merge(2))  # no box: the identity on pairs
-    terms = [box, Seq(seq(n_copy(1), n_merge(1)), box)]  # the only box at or under the root
-    terms += [random_term(rng, SIG, max_nodes=5, width_cap=3) for _ in range(25)]
-    battery = model_battery(SIG, rng)
-    terms += [random_term(rng, SIG, max_nodes=6, width_cap=4) for _ in range(25)]
-    assert sorted({m.size for m in battery}) == [0, 1, 2, 3]
-    for t in [wiring] + terms:
-        wirings: dict = {}
-        for model in battery:
-            got = eval_gcq(t, model, wirings)
-            assert got == eval_gcq(t, model)
-            assert got.pairs == relation_oracle(t, model)
-            if t is wiring:
-                assert got.pairs == identity_relation(model.size, 2).pairs
-    built = Counter()
-    monkeypatch.setattr("cqgraph.gcq.relation_compose",
-                        lambda r, s: built.update([Seq]) or relation_compose(r, s))
-    monkeypatch.setattr("cqgraph.gcq.relation_tensor",
-                        lambda r, s: built.update([Tensor]) or relation_tensor(r, s))
-    wirings = {}
-    for model in battery:
-        eval_gcq(wiring, model, wirings)
-    once = sum(isinstance(u, (Seq, Tensor)) for u in set(postorder(wiring, subtrees)))
-    assert sum(built.values()) == 4 * once  # one build per distinct composite and size
-
-
-def test_a_wirings_memo_plans_once_and_indexes_each_box_free_operand(rng, monkeypatch):
-    """A ``;`` of a box-free operand, on either side, and one that holds a
-    box composes through an index of the box-free one.  With one memo per
-    term over the battery, every evaluation equals the memo-free one and
-    the oracle, the first pass runs once per memo, and each index is built
-    once per operand, side and carrier size."""
+def test_eval_of_wirings_around_boxes_agrees_with_the_oracle_and_the_join(rng):
+    """Box-free wirings on either side of a ``;`` with a box, on carriers
+    0-3: the fold equals the oracle and the join over the compiled cospan,
+    and copying a pair then merging it is the identity on pairs."""
     box, pair = Gen("S", 1, 1), Tensor(Gen("S", 1, 1), Gen("S", 1, 1))
-    long = seq(Copy(), pair, Merge(), Copy(), Tensor(box, Id1()), Merge())
     terms = [Seq(Copy(), pair), Seq(pair, Merge()), Seq(Spawn(), box), Seq(box, Discard()),
-             Seq(n_copy(1), pair), Seq(pair, seq(Swap(), n_merge(1))),  # box-free composites
-             long,  # copy on the left of one ; and on the right of another, merge twice on the right
-             Seq(Tensor(box, Id1()), Gen("R", 2, 0))]  # boxes on both sides: no index
-    terms += [random_term(rng, SIG, max_nodes=6, width_cap=3) for _ in range(25)]
-    battery = model_battery(SIG, rng)
-
-    def box_free(u) -> bool:
-        return not any(isinstance(v, Gen) for v in postorder(u, subtrees))
-
-    def indexed(t) -> set:  # (operand, side) of each distinct ; of a box-free and a boxed operand
-        return {(v.rhs, 1) if box_free(v.rhs) else (v.lhs, 0) for v in set(postorder(t, subtrees))
-                if isinstance(v, Seq) and box_free(v.lhs) != box_free(v.rhs)}
-
-    cases = [(t, indexed(t), [(eval_gcq(t, m), relation_oracle(t, m)) for m in battery])
-             for t in terms]
-    assert len(indexed(long)) == 3 and sum(len(want) > 0 for _, want, _ in cases) > 10
-    passes: list = []  # the root of each first pass (by identity: hashing a term walks it)
-    built = Counter()
-    monkeypatch.setattr("cqgraph.gcq.postorder",
-                        lambda root, children: passes.append(root) or postorder(root, children))
-    monkeypatch.setattr("cqgraph.gcq.middle_index",
-                        lambda rel, side: built.update([(rel.carrier_size, side)])
-                        or middle_index(rel, side))
-    for t, want, expected in cases:
-        passes.clear()
-        built.clear()
-        wirings: dict = {}
-        for model, (plain, oracle) in zip(battery, expected):
-            got = eval_gcq(t, model, wirings)
-            assert got == plain and got.pairs == oracle
-        assert len(passes) == 1 and passes[0] is t
-        assert built == Counter((size, side) for _, side in want for size in range(4))
+             Seq(n_copy(1), pair), Seq(pair, seq(Swap(), n_merge(1))),
+             seq(Copy(), pair, Merge(), Copy(), Tensor(box, Id1()), Merge()),
+             Seq(Tensor(box, Id1()), Gen("R", 2, 0))]  # boxes on both sides
+    loop = seq(n_copy(2), n_merge(2))
+    compiled = [(t, term_to_cospan(t)) for t in terms + [loop]]
+    for model in model_battery(SIG, rng):
+        for t, c in compiled:
+            rel = eval_gcq(t, model)
+            assert rel.pairs == relation_oracle(t, model)
+            assert boundary_assignments(c.apex, c.iota + c.omega, model) == \
+                frozenset(a + b for a, b in rel.pairs)
+        assert eval_gcq(loop, model).pairs == identity_relation(model.size, 2).pairs
 
 
-def test_a_wirings_memo_refuses_another_term():
-    model = RelModel(SIG, ["a", "b"])
-    wirings: dict = {}
-    eval_gcq(seq(n_copy(2), n_merge(2)), model, wirings)
-    eval_gcq(seq(n_copy(2), n_merge(2)), model, wirings)  # an equal term is the same term
-    for other in (seq(n_copy(2), n_discard(4)), Copy(), Gen("S", 1, 1)):
-        with pytest.raises(ValueError, match="another term"):
-            eval_gcq(other, model, wirings)
+def test_eval_of_theta_of_a_star_is_the_formula():
+    """theta spawns every variable first and filters by atoms after, so its
+    output for a 4-atom star repeats wide wirings: on carriers 0-3 the fold
+    and the join over the compiled cospan both give the formula's rows."""
+    sig = Signature({"E": (2, 0)})
+    phi = parse_ccq("1 |- exists z0. exists z1. exists z2. exists z3. "
+                    "E(x0, z0) /\\ E(x0, z1) /\\ E(x0, z2) /\\ E(x0, z3)", sig)
+    t = theta(phi)
+    c = term_to_cospan(t)
+    for size in (0, 1, 2, 3):
+        model = random_model(sig, size, random.Random(size))
+        rel = eval_gcq(t, theta_model(model))
+        assert frozenset(a for a, _ in rel.pairs) == eval_ccq(phi, model) == \
+            boundary_assignments(c.apex, c.iota, theta_model(model))
 
 
 @pytest.mark.parametrize("term, message", [
