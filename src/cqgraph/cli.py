@@ -28,7 +28,7 @@ from .errors import CqError
 # eval_gcq is not called here, but perfbench/tracing.py spans it at this name,
 # and tests/test_perfbench_spans.py checks that every traced name resolves
 from .gcq import build_term, eval_gcq, parse_gcq, print_gcq  # noqa: F401
-from .hypergraph import boundary_assignments
+from .hypergraph import boundary_assignments, join_plan
 from .sigmodel import Signature, dump_model, load_model, load_signature, random_model
 from .translate import lambda_model, lambda_term, theta, theta_model
 
@@ -130,14 +130,14 @@ def cmd_translate(args) -> int:
             return 0
         g, free = natural_model(tsj.as_judgment())
         term_model, formula_model = (lambda model: model), lambda_model
-    # neither side's hypergraph depends on the model, so each is built once:
-    # the formula's natural model above, the term's compiled cospan here;
-    # every trial joins both into its model, as eval does
+    # neither side's hypergraph depends on the model, so each is built and
+    # its join planned once: the formula's natural model above, the term's
+    # compiled cospan here; every trial runs both plans on its model
     c = term_to_cospan(term)
+    term_plan, formula_plan = join_plan(c.apex, c.iota + c.omega), join_plan(g, free)
 
     def agree(model) -> bool:
-        return boundary_assignments(c.apex, c.iota + c.omega, term_model(model)) == \
-            boundary_assignments(g, free, formula_model(model))
+        return term_plan(term_model(model)) == formula_plan(formula_model(model))
 
     # spot-check semantics preservation on random models
     rng = random.Random(args.seed)

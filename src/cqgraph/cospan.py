@@ -16,7 +16,6 @@ isomorphic to it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .ccq import CcqJudgment, adjacent_swaps, natural_model
@@ -42,8 +41,6 @@ from .gcq import (
 )
 from .hypergraph import (
     Hypergraph,
-    hypergraph_from_doc,
-    hypergraph_to_doc,
     hypergraph_to_dot,
     is_isomorphic,
     pushout,
@@ -266,25 +263,6 @@ def cospan_to_term(c: Cospan) -> GcqTerm:
     middle = tensor(identity(v), *boxes)
     right = _discrete_term(tuple(range(v)) + tuple(tgt_leg), c.omega, v)
     return seq(left, middle, right)
-
-
-def cospan_to_json(c: Cospan) -> str:
-    return json.dumps({"n": c.n, "m": c.m, "apex": hypergraph_to_doc(c.apex),
-                       "iota": list(c.iota), "omega": list(c.omega)})
-
-
-def cospan_from_json(text: str) -> Cospan:
-    """Read back ``cospan_to_json``'s layout; malformed input raises ModelError."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"malformed cospan JSON: {exc}") from None
-    if not isinstance(doc, dict) or not {"n", "m", "apex", "iota", "omega"} <= doc.keys():
-        raise ModelError('cospan JSON must be an object with "n", "m", "apex", "iota", "omega"')
-    if not (isinstance(doc["iota"], list) and isinstance(doc["omega"], list)):
-        raise ModelError("boundary maps must be lists")
-    return Cospan(doc["n"], doc["m"], hypergraph_from_doc(doc["apex"]),
-                  tuple(doc["iota"]), tuple(doc["omega"]))
 
 
 def cospan_to_dot(c: Cospan, name: str = "G") -> str:

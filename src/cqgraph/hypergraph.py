@@ -15,14 +15,13 @@ order and edge images ascend within each vertex map.  Isomorphism search is
 the same search with an injective vertex map, whose edges may land only on
 classes of parallel edges as large as their own.
 
-``boundary_assignments`` answers the other question a query asks of a
-model: not one morphism but the boundary images of all of them, by a join
-over the edges instead of a search over vertices.
+``join_plan`` answers the other question a query asks of a model: not
+one morphism but the boundary images of all of them, by a join over the
+edges, planned once per hypergraph and run once per model.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
@@ -536,15 +535,19 @@ def _picker(idx):
     return itemgetter(*idx) if idx else (lambda row: ())
 
 
-def boundary_assignments(g: Hypergraph, boundary, model: RelModel) -> frozenset:
-    """The tuples ``(f(b) for b in boundary)`` over every homomorphism f
-    from g into the model, read as a hypergraph on its carrier.
+def join_plan(g: Hypergraph, boundary):
+    """The join of g's edges, planned once for any model: a function taking
+    a model to the tuples ``(f(b) for b in boundary)`` over every
+    homomorphism f from g into it, read as a hypergraph on its carrier.
 
     Greedy variable elimination: edges are joined one at a time with their
     symbol's relation, depth first through shared vertices, so an edge
     meets a joined vertex whenever its component has one.  A vertex off
     the boundary is projected out once its last edge is joined.  A vertex
     on no edge still needs an image: over the empty carrier none survives.
+    The order, the positions each join reads and keeps, and each symbol's
+    sort depend on g alone, so they are worked out here, once; a run does
+    only what depends on its model.
 
     Each join probes an index of its symbol's tuples: those equal at the
     tentacles of a repeated new vertex (``same``), keyed by the tentacles
@@ -553,23 +556,15 @@ def boundary_assignments(g: Hypergraph, boundary, model: RelModel) -> frozenset:
     relation and of those three position lists alone, not of which
     vertices sit at them, and a join only reads it; so edges with one
     tentacle pattern share one index, built at the first of them, for the
-    length of the call.  ``same`` belongs to the pattern: ``R(a,b,a,b)``
+    length of one run.  ``same`` belongs to the pattern: ``R(a,b,a,b)``
     and ``R(c,d,d,c)`` on new vertices agree in ``bound`` and ``firsts``
     but keep different tuples.
     """
-    size = model.size
-    if g.vcount and not size:
-        return frozenset()
     edges = []  # (tentacle vertices, symbol)
-    tuples = {}  # symbol -> its model tuples, in-tuple and out-tuple joined
+    sorts = {sym: (len(s), len(t)) for sym, ((s, t), *_) in g.edges.items()}  # one per symbol
     incident: list[list[int]] = [[] for _ in range(g.vcount)]
     for sym, rows in g.edges.items():
-        sort = model.signature.sort(sym)
-        tuples[sym] = [a + b for a, b in model.rho[sym]]
         for s, t in rows:
-            if (len(s), len(t)) != sort:
-                raise SignatureError(f"model interprets {sym!r} at sort {tuple(sort)}, "
-                                     f"query uses {(len(s), len(t))}")
             for v in s + t:
                 incident[v].append(len(edges))
             edges.append((s + t, sym))
@@ -590,8 +585,8 @@ def boundary_assignments(g: Hypergraph, boundary, model: RelModel) -> frozenset:
     last.update(dict.fromkeys(boundary, len(order)))  # never projected out
 
     cols = [v for v in dict.fromkeys(boundary) if not incident[v]]  # the vertex of each column
-    rows = set(product(range(size), repeat=len(cols)))
-    indexes: dict = {}  # (symbol, bound, firsts, same) -> index, for this call
+    width = len(cols)
+    steps = []  # per join: its index pattern, how to fill that index, and how to join it
     for step, e in enumerate(order):
         verts, sym = edges[e]
         pos = {v: k for k, v in enumerate(cols)}
@@ -602,43 +597,44 @@ def boundary_assignments(g: Hypergraph, boundary, model: RelModel) -> frozenset:
                 fresh.setdefault(v, k)
         firsts = tuple(fresh.values())
         same = tuple((k, fresh[v]) for k, v in enumerate(verts) if fresh.get(v, k) != k)
-        index = indexes.get((sym, bound, firsts, same))
-        if index is None:
-            key, ext = _picker(bound), _picker(firsts)
-            index = indexes[sym, bound, firsts, same] = {}
-            for tup in tuples[sym]:
-                if not same or all(tup[k] == tup[k0] for k, k0 in same):
-                    index.setdefault(key(tup), []).append(ext(tup))
         cols += fresh
         survivors = [k for k, v in enumerate(cols) if last[v] > step]
-        project, row_key = _picker(survivors), _picker([pos[verts[k]] for k in bound])
-        rows = {project(row + x) for row in rows for x in index.get(row_key(row), ())}
-        if not rows:
-            return frozenset()
+        steps.append(((sym, bound, firsts, same), sym, same, _picker(bound), _picker(firsts),
+                      _picker(survivors), _picker([pos[verts[k]] for k in bound])))
         cols = [cols[k] for k in survivors]
     at = {v: k for k, v in enumerate(cols)}
-    return frozenset(map(_picker([at[v] for v in boundary]), rows))
+    pick = _picker([at[v] for v in boundary])
+
+    def run(model: RelModel) -> frozenset:
+        size = model.size
+        if g.vcount and not size:
+            return frozenset()
+        tuples = {}  # symbol -> its model tuples, in-tuple and out-tuple joined
+        for sym, want in sorts.items():
+            if (sort := model.signature.sort(sym)) != want:
+                raise SignatureError(f"model interprets {sym!r} at sort {tuple(sort)}, "
+                                     f"query uses {want}")
+            tuples[sym] = [a + b for a, b in model.rho[sym]]
+        rows = set(product(range(size), repeat=width))
+        indexes: dict = {}  # (symbol, bound, firsts, same) -> index, for this run
+        for pattern, sym, same, key, ext, project, row_key in steps:
+            index = indexes.get(pattern)
+            if index is None:
+                index = indexes[pattern] = {}
+                for tup in tuples[sym]:
+                    if not same or all(tup[k] == tup[k0] for k, k0 in same):
+                        index.setdefault(key(tup), []).append(ext(tup))
+            rows = {project(row + x) for row in rows for x in index.get(row_key(row), ())}
+            if not rows:
+                return frozenset()
+        return frozenset(map(pick, rows))
+
+    return run
 
 
-def hypergraph_to_doc(g: Hypergraph) -> dict:
-    """g as a JSON-ready dict, which ``hypergraph_from_doc`` reads back."""
-    return {"vcount": g.vcount, "edges": {sym: [[list(s), list(t)] for s, t in rows]
-                                          for sym, rows in g.edges.items()}}
-
-
-def hypergraph_from_doc(doc: dict) -> Hypergraph:
-    """Read back ``hypergraph_to_doc``'s layout; malformed input raises ModelError."""
-    if not isinstance(doc, dict):
-        raise ModelError('a hypergraph must be an object {"vcount": ..., "edges": ...}')
-    return Hypergraph(doc.get("vcount"), doc.get("edges"))
-
-
-def hypergraph_to_json(g: Hypergraph) -> str:
-    return json.dumps(hypergraph_to_doc(g))
-
-
-def hypergraph_from_json(text: str) -> Hypergraph:
-    return hypergraph_from_doc(json.loads(text))
+def boundary_assignments(g: Hypergraph, boundary, model: RelModel) -> frozenset:
+    """``join_plan(g, boundary)`` run once, on ``model``."""
+    return join_plan(g, boundary)(model)
 
 
 def hypergraph_to_dot(g: Hypergraph, name: str = "G") -> str:

@@ -14,7 +14,7 @@ from cqgraph.cli import main
 from cqgraph.containment import decide_equivalence, decide_inclusion
 from cqgraph.cospan import cospan_to_dot, term_to_cospan
 from cqgraph.gcq import eval_gcq, parse_gcq, print_gcq
-from cqgraph.hypergraph import boundary_assignments
+from cqgraph.hypergraph import boundary_assignments, join_plan
 from cqgraph.sigmodel import RelModel, Signature, load_model, random_model
 from cqgraph.translate import lambda_term, theta
 
@@ -316,27 +316,36 @@ def test_translate_verify_evaluates_each_model_afresh(workdir, capsys, monkeypat
     ("loop.gcq", "1,1 |- exists z0. exists z1. (exists z2. exists z3. ((x0 = z2) /\\ "
                  "(x0 = z3)) /\\ (R(z2, z0) /\\ R(z3, z1))) /\\ ((z0 = y0) /\\ (z1 = y0))"),
 ])
-def test_translate_verify_builds_the_natural_model_once(workdir, capsys, monkeypatch,
-                                                         query, printed):
-    """The formula's side of ``--verify`` depends on no model: one natural
-    model per command, none without ``--verify``, and the same output."""
-    calls, build = [], natural_model
+def test_translate_verify_builds_the_natural_model_and_both_plans_once(
+        workdir, capsys, monkeypatch, query, printed):
+    """Neither side of ``--verify`` depends on a model: one natural model
+    and two join plans per command, whatever the number of trials, none
+    without ``--verify``, and the same output."""
+    calls, plans, build, plan = [], [], natural_model, join_plan
 
     def counted(j):
         calls.append(j)
         return build(j)
 
+    def planned(g, boundary):
+        plans.append(g)
+        return plan(g, boundary)
+
     for module in ("cqgraph.cli", "cqgraph.ccq"):
         monkeypatch.setattr(f"{module}.natural_model", counted)
+    monkeypatch.setattr("cqgraph.cli.join_plan", planned)
     (workdir / "r.json").write_text('{"R": [1, 1]}')
     (workdir / "loop.gcq").write_text("signature: r.json\ncopy ; (R (+) R) ; merge\n")
     path = str(workdir / query)
     assert main(["translate", path]) == 0
-    assert calls == []
+    assert calls == plans == []
     assert capsys.readouterr().out == printed + "\n"
-    assert main(["translate", path, "--verify", "--trials", "50"]) == 0
-    assert len(calls) == 1
-    assert capsys.readouterr().out == printed + "\n"
+    for trials in ("1", "50"):
+        calls.clear()
+        plans.clear()
+        assert main(["translate", path, "--verify", "--trials", trials]) == 0
+        assert len(calls) == 1 and len(plans) == 2
+        assert capsys.readouterr() == (printed + "\n", "")
 
 
 @pytest.mark.parametrize("query", ["psi.ccq", "loop.gcq", "bone.gcq"])

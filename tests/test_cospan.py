@@ -7,9 +7,7 @@ from conftest import model_battery, random_cospan, random_term
 from cqgraph.cospan import (
     Cospan,
     compose_cospans,
-    cospan_from_json,
     cospan_to_dot,
-    cospan_to_json,
     cospan_to_term,
     identity_cospan,
     is_isomorphic_cospan,
@@ -275,34 +273,17 @@ def test_iso_cospan_agrees_with_brute_force(rng):
     assert checked_true > 20
 
 
-def test_json_round_trip(rng):
-    c = random_cospan(rng, SIG)
-    back = cospan_from_json(cospan_to_json(c))
-    assert back == c
-
-
-def test_json_layout():
-    c = Cospan(1, 2, Hypergraph(2, {"R": [((0, 1), ())], "S": [((1,), (0,))]}), (0,), (1, 1))
-    assert cospan_to_json(c) == (
-        '{"n": 1, "m": 2, "apex": {"vcount": 2, "edges": {"R": [[[0, 1], []]], '
-        '"S": [[[1], [0]]]}}, "iota": [0], "omega": [1, 1]}')
-
-
-@pytest.mark.parametrize("text", [
-    '{"n": 1, "m": 0, "apex": {"vcount": 1, "edges": {}}, "iota": [0]}',  # no "m"
-    '{"n": 0, "m": 0, "apex": {"vcount": "1", "edges": {}}, "iota": [], "omega": []}',
-    '{"n": 0, "m": 0, "apex": {"vcount": -1, "edges": {}}, "iota": [], "omega": []}',
-    '{"n": 0, "m": 0, "apex": {"vcount": 1, "edges": {"R": [[[0], [1]]]}}, '
-    '"iota": [], "omega": []}',  # a tentacle out of range
-    '{"n": 1, "m": 0, "apex": {"vcount": 1, "edges": {}}, "iota": [1], "omega": []}',
-    '{"n": 1, "m": 0, "apex": {"vcount": 1, "edges": {}}, "iota": ["0"], "omega": []}',
-    '{"n": 1, "m": 0, "apex": {"vcount": 1, "edges": {}}, "iota": 0, "omega": []}',
-    '[]',
-    '{"n": 1',
+@pytest.mark.parametrize("n, m, iota, omega", [
+    (1, 0, (), ()),  # a boundary shorter than its ordinal
+    (0, 0, (), (0,)),  # a boundary longer than its ordinal
+    (1, 0, (1,), ()),  # a boundary vertex out of the apex
+    (0, 1, (), (-1,)),
+    (1, 0, ("0",), ()),  # a boundary entry not a vertex id
+    (1, 0, (True,), ()),
 ])
-def test_cospan_from_json_rejects_bad_input(text):
+def test_cospan_rejects_bad_boundaries(n, m, iota, omega):
     with pytest.raises(ModelError):
-        cospan_from_json(text)
+        Cospan(n, m, Hypergraph(1), iota, omega)
 
 
 def test_tensor_chains_compile_alike_in_either_nesting():

@@ -8,12 +8,16 @@ import pytest
 from conftest import (
     all_morphisms_oracle,
     clique_graph,
+    model_battery,
     random_hypergraph,
     reference_isomorphism,
     reference_search,
+    relation_oracle,
     search_steps,
 )
+from cqgraph.cospan import term_to_cospan
 from cqgraph.errors import BudgetExhausted, ModelError, SignatureError
+from cqgraph.gcq import parse_gcq
 from cqgraph.hypergraph import (
     HgMorphism,
     boundary_assignments,
@@ -22,12 +26,10 @@ from cqgraph.hypergraph import (
     compose_morphisms,
     disjoint_union,
     find_morphisms,
-    hypergraph_from_doc,
-    hypergraph_from_json,
     hypergraph_to_dot,
-    hypergraph_to_json,
     identity_morphism,
     is_isomorphic,
+    join_plan,
     quotient,
     validate_morphism,
 )
@@ -418,14 +420,11 @@ def test_composition_of_morphisms_is_valid(rng):
                 assert validate_morphism(compose_morphisms(f1, f2), g, k)
 
 
-def test_json_round_trip():
-    g = triangle()
-    assert hypergraph_from_json(hypergraph_to_json(g)) == g
-
-
 @pytest.mark.parametrize("vcount, edges", [
     ("2", {}),  # vcount not a natural
     (-1, {}),
+    (None, {}),
+    (1, [1]),  # edges not a mapping
     (2, {"R": [((0,), (2,))]}),  # a tentacle out of range
     (2, {"R": [(("0",), (1,))]}),  # a tentacle not a vertex id
     (2, {"R": [((0,), (1,)), ((0, 1), ())]}),  # one symbol at two sorts
@@ -435,14 +434,6 @@ def test_json_round_trip():
 def test_hypergraph_rejects_bad_input(vcount, edges):
     with pytest.raises(ModelError):
         Hypergraph(vcount, edges)
-    with pytest.raises(ModelError):
-        hypergraph_from_doc({"vcount": vcount, "edges": edges})
-
-
-def test_hypergraph_from_doc_rejects_bad_layout():
-    for doc in ([], {"edges": {}}, {"vcount": 1, "edges": [1]}):
-        with pytest.raises(ModelError):
-            hypergraph_from_doc(doc)
 
 
 def test_quotient_and_union_reject_a_symbol_at_two_sorts():
@@ -512,3 +503,59 @@ def test_boundary_assignments_check_sorts():
     with pytest.raises(SignatureError):
         boundary_assignments(Hypergraph(1, {"T": [((0,), ())]}), (0,), model)
 
+
+def regular_digraph(size: int = 16, steps=(1, 2, 3, 5, 7)) -> RelModel:
+    """R links each element to the next ``steps`` elements round a cycle, so
+    every element has len(steps) R-successors and R-predecessors; S sends
+    each element, paired with itself or with the next, two elements on."""
+    return RelModel(SIG, [f"x{i}" for i in range(size)], {
+        "R": [((i,), ((i + d) % size,)) for i in range(size) for d in steps],
+        "S": [((i, (i + d) % size), ((i + 2) % size,)) for i in range(size) for d in (0, 1)]})
+
+
+@pytest.mark.parametrize("text", [
+    "R ; R ; R",
+    "copy ; (R (+) R) ; merge",  # two edges of one tentacle pattern
+    "copy ; S ; R",  # a vertex twice on one edge
+    "spawn (+) R",  # a boundary vertex on no edge
+    "copy ; (id (+) R)",  # a vertex twice on the boundary
+    "(spawn ; copy) (+) (copy ; merge)",  # both, the second with no edge at all
+    "id0",  # Hypergraph(0)
+])
+def test_one_plan_runs_on_many_models(rng, text):
+    """A plan keeps nothing from one run to the next: run on the battery
+    (carriers 0-3) and on a carrier-16 digraph, each model twice around the
+    empty model, it gives what a fresh plan gives, and the oracle's relation."""
+    t = parse_gcq(text, SIG)
+    c = term_to_cospan(t)
+    plan, empty = join_plan(c.apex, c.iota + c.omega), RelModel(SIG, [])
+    for model in model_battery(SIG, rng) + [regular_digraph()]:
+        for run in (model, empty, model):
+            got = plan(run)
+            assert got == boundary_assignments(c.apex, c.iota + c.omega, run)
+            if run.size <= 3:
+                assert got == frozenset(a + b for a, b in relation_oracle(t, run))
+    assert plan(regular_digraph()), "the carrier-16 model must not make every run empty"
+
+
+def test_a_plan_reports_each_models_sort_faults_in_order():
+    """Every run checks the model's sorts, one comparison per symbol in
+    symbol order, and names the model's and the query's sort; an unknown
+    symbol keeps its message, and an empty carrier still answers before
+    any check."""
+    g = Hypergraph(3, {"R": [((0,), (1,)), ((1,), (2,)), ((2,), (0,))], "T": [((0,), ())]})
+    plan = join_plan(g, (0,))
+    mis_sorted = RelModel(Signature({"R": (2, 0), "T": (1, 0)}), ["a"])
+    no_t = RelModel(Signature({"R": (1, 1)}), ["a"])
+    good = RelModel(Signature({"R": (1, 1), "T": (1, 0)}), ["a"], {"R": [((0,), (0,))]})
+    bad_sort = "model interprets 'R' at sort (2, 0), query uses (1, 1)"
+    for model, message in [(mis_sorted, bad_sort), (mis_sorted, bad_sort),
+                           (no_t, "unknown symbol 'T'"),
+                           (RelModel(Signature({"R": (1, 1), "T": (0, 1)}), ["a"]),
+                            "model interprets 'T' at sort (0, 1), query uses (1, 0)")]:
+        with pytest.raises(SignatureError) as err:
+            plan(model)
+        assert str(err.value) == message
+        assert plan(good) == frozenset()  # T is empty
+    for sig in (mis_sorted.signature, no_t.signature):
+        assert plan(RelModel(sig, [])) == frozenset()
