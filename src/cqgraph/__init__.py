@@ -8,7 +8,7 @@ natural-model evaluation oracle.
 """
 
 from .axioms import AxiomEntry, axiom_catalog, encode_cp, verify_axiom_graphical, verify_axiom_semantic
-from .ccq import CcqJudgment, derive, eval_ccq, parse_ccq, print_ccq, substitute
+from .ccq import CcqJudgment, derive, eval_ccq, parse_ccq, print_ccq
 from .containment import (
     InclusionVerdict,
     decide_equivalence,
@@ -27,7 +27,7 @@ from .cospan import (
 )
 from .errors import BudgetExhausted, CqError, ModelError, ParseError, SignatureError, SortError
 from .gcq import GcqTerm, eval_gcq, n_copy, n_discard, n_merge, n_spawn, n_swap, parse_gcq, print_gcq
-from .hypergraph import HgMorphism, Hypergraph, disjoint_union, find_morphisms, is_isomorphic, validate_morphism
+from .hypergraph import HgMorphism, Hypergraph, find_morphisms, is_isomorphic, validate_morphism
 from .sigmodel import (
     Relation,
     RelModel,

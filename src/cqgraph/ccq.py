@@ -27,7 +27,7 @@ from operator import attrgetter
 
 from .errors import ParseError, SignatureError
 from .gcq import Branch, postorder, subtrees, tokenize
-from .hypergraph import boundary_assignments, quotient
+from .hypergraph import join_plan, quotient
 from .sigmodel import RelModel, Signature, _trusted
 
 
@@ -98,58 +98,10 @@ def _check(f: CcqFormula, ctx: int):
     for u, c in _walk(f, ctx):
         if isinstance(u, (Eq, RelAtom)):
             for x in _vars(u):
-                if not 0 <= x < c:
+                if type(x) is not int or not 0 <= x < c:
                     raise ValueError(f"variable out of context {c} in {u}")
         elif not isinstance(u, (Top, Conj, Exists)):
             raise TypeError(f"not a formula: {u!r}")
-
-
-def free_vars(f: CcqFormula, ctx: int) -> set:
-    """Free variable indices of f when read at context ctx."""
-    return {x for u, _ in _walk(f, ctx) for x in _vars(u) if x < ctx}
-
-
-def rename(f: CcqFormula, old_ctx: int, new_ctx: int, fmap: dict) -> CcqFormula:
-    """Simultaneously rename free variables and rebase bound ones.
-
-    An index below ``old_ctx`` is free and goes through ``fmap`` (default:
-    unchanged); an index at or above it was bound by some enclosing
-    quantifier and is shifted by ``new_ctx - old_ctx``.
-    """
-    def m(i: int) -> int:
-        if i < old_ctx:
-            j = fmap.get(i, i)
-            if not (0 <= j < new_ctx):
-                raise ValueError(f"renaming sends x{i} outside context {new_ctx}")
-            return j
-        return i - old_ctx + new_ctx
-
-    done: list[CcqFormula] = []  # renamed subformulas
-    for u in postorder(f, subtrees):
-        if isinstance(u, Conj):
-            rhs = done.pop()
-            done[-1] = Conj(done[-1], rhs)
-        elif isinstance(u, Exists):
-            done[-1] = Exists(done[-1])
-        elif isinstance(u, Eq):
-            done.append(Eq(m(u.i), m(u.j)))
-        elif isinstance(u, RelAtom):
-            done.append(RelAtom(u.symbol, tuple(m(a) for a in u.args)))
-        elif isinstance(u, Top):
-            done.append(u)
-        else:
-            raise TypeError(f"not a formula: {u!r}")
-    return done.pop()
-
-
-def substitute(f: CcqFormula, pairs, context: int) -> CcqFormula:
-    """Simultaneous substitution on free variables.
-
-    ``pairs`` lists ``(replacement, replaced)`` index pairs; indices below
-    ``context`` are the free ones.  Bound variables are untouched.
-    """
-    fmap = {old: new for new, old in pairs}
-    return rename(f, context, context, fmap)
 
 
 @dataclass(frozen=True)
@@ -158,7 +110,7 @@ class CcqJudgment:
     formula: CcqFormula
 
     def __post_init__(self):
-        if self.context < 0:
+        if type(self.context) is not int or self.context < 0:
             raise ValueError("context must be a natural")
         _check(self.formula, self.context)
 
@@ -437,7 +389,7 @@ def eval_ccq(j: CcqJudgment, model: RelModel) -> frozenset:
     and projects each bound variable after its last atom.
     """
     g, free = natural_model(j)
-    return boundary_assignments(g, free, model)
+    return join_plan(g, free)(model)
 
 
 def replay_eval(d: CcqDerivation, model: RelModel) -> frozenset:

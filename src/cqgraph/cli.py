@@ -28,7 +28,7 @@ from .errors import CqError
 # eval_gcq is not called here, but perfbench/tracing.py spans it at this name,
 # and tests/test_perfbench_spans.py checks that every traced name resolves
 from .gcq import build_term, eval_gcq, parse_gcq, print_gcq  # noqa: F401
-from .hypergraph import boundary_assignments, join_plan
+from .hypergraph import join_plan
 from .sigmodel import Signature, dump_model, load_model, load_signature, random_model
 from .translate import lambda_model, lambda_term, theta, theta_model
 
@@ -97,7 +97,7 @@ def cmd_eval(args) -> int:
     if isinstance(q, CcqJudgment):
         doc = [[names[x] for x in row] for row in sorted(eval_ccq(q, model))]
     else:
-        rows = sorted(boundary_assignments(q.apex, q.iota + q.omega, model))
+        rows = sorted(join_plan(q.apex, q.iota + q.omega)(model))
         doc = [[[names[x] for x in row[:q.n]], [names[x] for x in row[q.n:]]]
                for row in rows]
     if args.format == "json":

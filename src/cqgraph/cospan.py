@@ -58,9 +58,15 @@ class Cospan:
     omega: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "iota", tuple(self.iota))
-        object.__setattr__(self, "omega", tuple(self.omega))
-        if len(self.iota) != self.n or len(self.omega) != self.m:
+        if not isinstance(self.apex, Hypergraph):
+            raise ModelError("the apex must be a Hypergraph")
+        try:
+            object.__setattr__(self, "iota", tuple(self.iota))
+            object.__setattr__(self, "omega", tuple(self.omega))
+        except TypeError:
+            raise ModelError("boundary maps must be sequences of vertex ids") from None
+        if (type(self.n) is not int or type(self.m) is not int
+                or len(self.iota) != self.n or len(self.omega) != self.m):
             raise ModelError("boundary maps must cover the ordinals")
         for v in self.iota + self.omega:
             if type(v) is not int or not 0 <= v < self.apex.vcount:

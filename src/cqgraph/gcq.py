@@ -165,8 +165,8 @@ class Gen(GcqTerm):
     m: int
 
     def __post_init__(self):
-        if self.n < 0 or self.m < 0:
-            raise SortError(f"negative sort for box {self.name!r}")
+        if type(self.n) is not int or type(self.m) is not int or self.n < 0 or self.m < 0:
+            raise SortError(f"sort of box {self.name!r} must be a pair of naturals")
         check_symbol_name(self.name)  # else its printed text would not read back as this box
 
     @property

@@ -43,7 +43,7 @@ class Hypergraph:
     def __init__(self, vcount: int, edges: dict[str, list[Edge]] | None = None):
         if type(vcount) is not int or vcount < 0:
             raise ModelError("vcount must be a natural")
-        edges = edges or {}
+        edges = {} if edges is None else edges
         if not isinstance(edges, dict):
             raise ModelError("edges must map symbols to edge lists")
         self.vcount = vcount
@@ -87,9 +87,6 @@ class HgMorphism:
         object.__setattr__(self, "emaps",
                            {k: tuple(v) for k, v in sorted(self.emaps.items())})
 
-    def sort_key(self):
-        return (self.vmap, tuple(self.emaps.items()))
-
     def __eq__(self, other):
         return (isinstance(other, HgMorphism) and self.vmap == other.vmap
                 and self.emaps == other.emaps)
@@ -117,21 +114,6 @@ def validate_morphism(f: HgMorphism, g: Hypergraph, h: Hypergraph) -> bool:
             raise ModelError(f"edge map for {sym!r} leaves the target graph")
     return all(h.edges[sym][e] == (tuple(f.vmap[v] for v in s), tuple(f.vmap[v] for v in t))
                for sym, rows in g.edges.items() for (s, t), e in zip(rows, f.emaps[sym]))
-
-
-def identity_morphism(g: Hypergraph) -> HgMorphism:
-    return HgMorphism(tuple(range(g.vcount)),
-                      {sym: tuple(range(len(rows))) for sym, rows in g.edges.items()})
-
-
-def compose_morphisms(f: HgMorphism, k: HgMorphism) -> HgMorphism:
-    """The composite g -> l of f: g -> h and k: h -> l."""
-    vmap = tuple(k.vmap[x] for x in f.vmap)
-    emaps = {}
-    for sym, emap in f.emaps.items():
-        outer = k.emaps.get(sym, ())
-        emaps[sym] = tuple(outer[e] for e in emap)
-    return HgMorphism(vmap, emaps)
 
 
 class _Search:
@@ -453,14 +435,6 @@ def is_isomorphic(g: Hypergraph, h: Hypergraph,
     return found[0] if found else None
 
 
-def disjoint_union(g: Hypergraph, h: Hypergraph):
-    """Coproduct g + h with its two injections; h's vertices are offset."""
-    out, _, shifted = pushout((), (), g, h)
-    inr = HgMorphism(shifted, {sym: tuple(range(len(g.edges.get(sym, ())), len(out.edges[sym])))
-                               for sym in h.edges})
-    return out, identity_morphism(g), inr
-
-
 def _check_one_sort(edges: dict) -> None:
     """Raise ``ModelError`` unless each symbol's edges share one sort."""
     for sym, rows in edges.items():
@@ -630,11 +604,6 @@ def join_plan(g: Hypergraph, boundary):
         return frozenset(map(pick, rows))
 
     return run
-
-
-def boundary_assignments(g: Hypergraph, boundary, model: RelModel) -> frozenset:
-    """``join_plan(g, boundary)`` run once, on ``model``."""
-    return join_plan(g, boundary)(model)
 
 
 def hypergraph_to_dot(g: Hypergraph, name: str = "G") -> str:

@@ -38,6 +38,8 @@ def check_symbol_name(name: str) -> None:
     """Refuse a name that no symbol or box can take, since term text could
     not spell it: the empty name, or a wiring constant's, which a term
     would read as the constant."""
+    if type(name) is not str:
+        raise SignatureError(f"symbol name {name!r} is not a string")
     if not name:
         raise SignatureError("symbol names must be non-empty")
     if name in _KEYWORDS:
@@ -50,12 +52,12 @@ class Signature:
     def __init__(self, symbols: Mapping[str, tuple[int, int]] | Iterable[tuple[str, tuple[int, int]]] = ()):
         raw = dict(symbols)
         table: dict[str, Sort] = {}
-        for name in sorted(raw):
+        for name in sorted(raw, key=str):  # a name that is no str meets the check, not a TypeError
             n, m = raw[name]
             check_symbol_name(name)
-            if n < 0 or m < 0:
-                raise SignatureError(f"negative arity for symbol {name!r}")
-            table[name] = Sort(int(n), int(m))
+            if type(n) is not int or type(m) is not int or n < 0 or m < 0:
+                raise SignatureError(f"sort of {name!r} must be a pair of naturals")
+            table[name] = Sort(n, m)
         self._table = table
 
     def sort(self, name: str) -> Sort:
@@ -167,7 +169,7 @@ class Relation:
         for a, b in norm:
             if len(a) != n or len(b) != m:
                 raise ModelError(f"tuple lengths {len(a)},{len(b)} do not match sort {self.sort}")
-            if any(not (0 <= x < self.carrier_size) for x in a + b):
+            if any(type(x) is not int or not 0 <= x < self.carrier_size for x in a + b):
                 raise ModelError("tuple element outside the carrier")
 
     def __len__(self) -> int:
@@ -239,7 +241,7 @@ class RelModel:
             for a, b in pairs:
                 if len(a) != sort.n or len(b) != sort.m:
                     raise ModelError(f"tuple for {name!r} does not match sort {sort}")
-                if any(not (0 <= x < size) for x in a + b):
+                if any(type(x) is not int or not 0 <= x < size for x in a + b):
                     raise ModelError(f"tuple for {name!r} mentions an element outside the carrier")
 
     @property

@@ -324,6 +324,13 @@ def naive_eval_ccq(j: CcqJudgment, model: RelModel) -> frozenset:
                      if sat(j.formula, env))
 
 
+def compose_morphisms(f: HgMorphism, k: HgMorphism) -> HgMorphism:
+    """The composite g -> l of f: g -> h and k: h -> l."""
+    return HgMorphism(tuple(k.vmap[x] for x in f.vmap),
+                      {sym: tuple(k.emaps.get(sym, ())[e] for e in emap)
+                       for sym, emap in f.emaps.items()})
+
+
 def all_morphisms_oracle(g: Hypergraph, h: Hypergraph) -> list[HgMorphism]:
     """Every raw (vertex map, edge maps) pair, filtered by validity."""
     out = []

@@ -20,18 +20,46 @@ from cqgraph.ccq import (
     TopIntro,
     derive,
     eval_ccq,
-    free_vars,
     parse_ccq,
     print_ccq,
-    rename,
     replay_eval,
-    substitute,
 )
 from cqgraph.errors import ParseError, SignatureError
 from cqgraph.gcq import postorder, subtrees
 from cqgraph.sigmodel import RelModel, Signature, random_model
 
 SIG = Signature({"R": (2, 0), "S": (1, 0)})
+
+
+def rename(f, old_ctx: int, new_ctx: int, fmap: dict):
+    """f with its free variables renamed and its bound ones rebased.
+
+    An index below ``old_ctx`` is free and goes through ``fmap`` (default:
+    unchanged); an index at or above it was bound by some enclosing
+    quantifier and is shifted by ``new_ctx - old_ctx``.
+    """
+    def m(i: int) -> int:
+        if i < old_ctx:
+            j = fmap.get(i, i)
+            if not (0 <= j < new_ctx):
+                raise ValueError(f"renaming sends x{i} outside context {new_ctx}")
+            return j
+        return i - old_ctx + new_ctx
+
+    done: list = []  # renamed subformulas
+    for u in postorder(f, subtrees):
+        if isinstance(u, Conj):
+            rhs = done.pop()
+            done[-1] = Conj(done[-1], rhs)
+        elif isinstance(u, Exists):
+            done[-1] = Exists(done[-1])
+        elif isinstance(u, Eq):
+            done.append(Eq(m(u.i), m(u.j)))
+        elif isinstance(u, RelAtom):
+            done.append(RelAtom(u.symbol, tuple(m(a) for a in u.args)))
+        else:
+            done.append(u)
+    return done.pop()
 
 
 def test_parse_intro_formula():
@@ -55,6 +83,17 @@ def test_parse_unknown_symbol_and_arity():
         parse_ccq("1 |- R(x0)", SIG)
 
 
+@pytest.mark.parametrize("context, formula", [
+    (1.5, Top()),  # a context not an int
+    (True, Eq(0, 0)),
+    (2, RelAtom("R", (0, 1.0))),  # a variable not an int
+    (2, Exists(Eq(False, 2))),
+])
+def test_judgments_reject_non_integer_contexts_and_variables(context, formula):
+    with pytest.raises(ValueError):
+        CcqJudgment(context, formula)
+
+
 def test_parse_rejects_shadowing():
     with pytest.raises(ParseError):
         parse_ccq("1 |- exists x0. R(x0, x0)", SIG)
@@ -72,29 +111,6 @@ def test_print_parse_round_trip(rng):
     for _ in range(50):
         j = random_judgment(rng, SIG)
         assert parse_ccq(print_ccq(j), SIG) == j
-
-
-def test_substitute_identify():
-    assert substitute(Eq(0, 1), [(0, 1)], context=2) == Eq(0, 0)
-
-
-def test_substitute_simultaneous_swap():
-    assert substitute(RelAtom("R", (0, 1)), [(1, 0), (0, 1)], context=2) == RelAtom("R", (1, 0))
-
-
-def test_substitute_empty_is_identity():
-    f = Exists(Conj(Eq(0, 1), RelAtom("R", (0, 2))))
-    assert substitute(f, [], context=2) == f
-
-
-def test_substitute_leaves_bound_variables():
-    f = Exists(RelAtom("R", (0, 1)))  # in context 1, index 1 is bound
-    assert substitute(f, [(0, 0)], context=1) == f
-
-
-def test_free_vars():
-    f = Exists(Conj(Eq(0, 3), RelAtom("R", (1, 3))))
-    assert free_vars(f, 3) == {0, 1}
 
 
 def test_derive_eq_leaf():
@@ -222,8 +238,6 @@ def test_replay_is_derivation_independent(rng):
 
 def test_weakening_clause(rng):
     # adding an unused variable multiplies by the carrier
-    from cqgraph.ccq import rename
-
     for _ in range(20):
         j = random_judgment(rng, SIG, max_ctx=2, max_depth=3)
         wide = CcqJudgment(j.context + 1,

@@ -14,7 +14,7 @@ from cqgraph.cli import main
 from cqgraph.containment import decide_equivalence, decide_inclusion
 from cqgraph.cospan import cospan_to_dot, term_to_cospan
 from cqgraph.gcq import eval_gcq, parse_gcq, print_gcq
-from cqgraph.hypergraph import boundary_assignments, join_plan
+from cqgraph.hypergraph import join_plan
 from cqgraph.sigmodel import RelModel, Signature, load_model, random_model
 from cqgraph.translate import lambda_term, theta
 
@@ -397,7 +397,7 @@ def test_translate_verify_on_carriers_0_to_3(workdir, capsys, monkeypatch, rng, 
     term = theta(parse_ccq(body, sig)) if "|-" in body else parse_gcq(body, sig)
     c = term_to_cospan(term)
     for model in model_battery(sig, rng):
-        assert boundary_assignments(c.apex, c.iota + c.omega, model) == \
+        assert join_plan(c.apex, c.iota + c.omega)(model) == \
             frozenset(a + b for a, b in eval_gcq(term, model).pairs)
 
 
@@ -459,7 +459,7 @@ def test_printed_terms_check_export_and_eval_like_the_library(tmp_path, capsys):
     names = model.carrier
     for name, c in cospans.items():
         assert run("export-dot", files[name]) == (0, cospan_to_dot(c) + "\n")
-        rows = sorted(boundary_assignments(c.apex, c.iota + c.omega, model))
+        rows = sorted(join_plan(c.apex, c.iota + c.omega)(model))
         doc = [[[names[x] for x in row[:c.n]], [names[x] for x in row[c.n:]]] for row in rows]
         assert run("eval", files[name], tmp_path / "m.json") == (0, json.dumps(doc) + "\n")
 

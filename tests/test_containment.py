@@ -2,6 +2,7 @@ import pytest
 
 from conftest import (
     clique,
+    compose_morphisms,
     inclusion_steps,
     model_battery,
     random_hypergraph,
@@ -33,7 +34,7 @@ from cqgraph.gcq import (
     print_gcq,
     seq,
 )
-from cqgraph.hypergraph import Hypergraph, compose_morphisms, validate_morphism
+from cqgraph.hypergraph import Hypergraph, validate_morphism
 from cqgraph.sigmodel import Signature
 from cqgraph.translate import theta
 

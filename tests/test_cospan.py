@@ -30,7 +30,7 @@ from cqgraph.gcq import (
     eval_gcq,
     seq,
 )
-from cqgraph.hypergraph import Hypergraph, boundary_assignments, find_morphisms, validate_morphism
+from cqgraph.hypergraph import Hypergraph, find_morphisms, join_plan, validate_morphism
 from cqgraph.sigmodel import Signature
 
 SIG = Signature({"R": (2, 0), "S": (1, 1)})
@@ -149,8 +149,8 @@ def test_iso_cospan_reflexive_and_boundary_sensitive():
 
 def test_pushout_universal_property(rng):
     # every cocone agreeing on the shared boundary factors uniquely
-    from conftest import random_hypergraph
-    from cqgraph.hypergraph import HgMorphism, compose_morphisms
+    from conftest import compose_morphisms, random_hypergraph
+    from cqgraph.hypergraph import HgMorphism
 
     checked = 0
     for _ in range(300):
@@ -273,17 +273,21 @@ def test_iso_cospan_agrees_with_brute_force(rng):
     assert checked_true > 20
 
 
-@pytest.mark.parametrize("n, m, iota, omega", [
-    (1, 0, (), ()),  # a boundary shorter than its ordinal
-    (0, 0, (), (0,)),  # a boundary longer than its ordinal
-    (1, 0, (1,), ()),  # a boundary vertex out of the apex
-    (0, 1, (), (-1,)),
-    (1, 0, ("0",), ()),  # a boundary entry not a vertex id
-    (1, 0, (True,), ()),
+@pytest.mark.parametrize("n, m, apex, iota, omega", [
+    (1, 0, Hypergraph(1), (), ()),  # a boundary shorter than its ordinal
+    (0, 0, Hypergraph(1), (), (0,)),  # a boundary longer than its ordinal
+    (1, 0, Hypergraph(1), (1,), ()),  # a boundary vertex out of the apex
+    (0, 1, Hypergraph(1), (), (-1,)),
+    (1, 0, Hypergraph(1), ("0",), ()),  # a boundary entry not a vertex id
+    (1, 0, Hypergraph(1), (True,), ()),
+    (1, 0, Hypergraph(1), 0, ()),  # a boundary not a sequence
+    (True, 0, Hypergraph(1), (0,), ()),  # an ordinal not an int
+    (1, 0, "apex", (0,), ()),  # an apex not a hypergraph
+    (0, 0, None, (), ()),
 ])
-def test_cospan_rejects_bad_boundaries(n, m, iota, omega):
+def test_cospan_rejects_bad_boundaries(n, m, apex, iota, omega):
     with pytest.raises(ModelError):
-        Cospan(n, m, Hypergraph(1), iota, omega)
+        Cospan(n, m, apex, iota, omega)
 
 
 def test_tensor_chains_compile_alike_in_either_nesting():
@@ -405,7 +409,7 @@ def test_join_over_compiled_cospan_is_relational_evaluation(rng):
         t = random_term(rng, SIG, max_nodes=8)
         c = term_to_cospan(t)
         for model in model_battery(SIG, rng, sizes=(0, 1, 2, 3)):
-            flat = boundary_assignments(c.apex, c.iota + c.omega, model)
+            flat = join_plan(c.apex, c.iota + c.omega)(model)
             assert flat == frozenset(a + b for a, b in eval_gcq(t, model).pairs)
 
 

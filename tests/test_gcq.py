@@ -50,7 +50,7 @@ from cqgraph.gcq import (
     subtrees,
     tokenize,
 )
-from cqgraph.hypergraph import boundary_assignments
+from cqgraph.hypergraph import join_plan
 from cqgraph.sigmodel import (
     RelModel,
     Signature,
@@ -98,7 +98,7 @@ def test_each_constant_reads_its_wiring_off_its_class(cls, text, judgment):
     assert compiled.sort == c.sort == (len(cls.iota), len(cls.omega))
     for size in range(4):
         model = RelModel(Signature(), [f"e{i}" for i in range(size)], {})
-        flat = boundary_assignments(compiled.apex, compiled.iota + compiled.omega, model)
+        flat = join_plan(compiled.apex, compiled.iota + compiled.omega)(model)
         assert flat == frozenset(a + b for a, b in eval_gcq(c, model).pairs)
 
 
@@ -203,7 +203,7 @@ def test_eval_of_wirings_around_boxes_agrees_with_the_oracle_and_the_join(rng):
         for t, c in compiled:
             rel = eval_gcq(t, model)
             assert rel.pairs == relation_oracle(t, model)
-            assert boundary_assignments(c.apex, c.iota + c.omega, model) == \
+            assert join_plan(c.apex, c.iota + c.omega)(model) == \
                 frozenset(a + b for a, b in rel.pairs)
         assert eval_gcq(loop, model).pairs == identity_relation(model.size, 2).pairs
 
@@ -221,7 +221,7 @@ def test_eval_of_theta_of_a_star_is_the_formula():
         model = random_model(sig, size, random.Random(size))
         rel = eval_gcq(t, theta_model(model))
         assert frozenset(a for a, _ in rel.pairs) == eval_ccq(phi, model) == \
-            boundary_assignments(c.apex, c.iota, theta_model(model))
+            join_plan(c.apex, c.iota)(theta_model(model))
 
 
 @pytest.mark.parametrize("term, message", [
@@ -238,6 +238,12 @@ def test_eval_errors_name_the_first_failing_leaf(term, message):
     model = RelModel(Signature({"S": (1, 1)}), ["a"])
     with pytest.raises(SignatureError, match=f"^{re.escape(message)}$"):
         eval_gcq(term, model)
+
+
+@pytest.mark.parametrize("n, m", [(1.5, 0), ("a", 0), (True, 0), (0, None)])
+def test_boxes_refuse_sorts_that_are_not_naturals(n, m):
+    with pytest.raises(SortError):
+        Gen("R", n, m)
 
 
 def test_boxes_refuse_the_empty_name():

@@ -11,6 +11,7 @@ from cqgraph.errors import ModelError, SignatureError
 from cqgraph.gcq import _KEYWORDS, Gen, Tensor, term_signature
 from cqgraph.sigmodel import (
     Relation,
+    RelModel,
     Signature,
     Sort,
     dump_model,
@@ -106,6 +107,31 @@ def test_load_model_unknown_symbol_and_arity_mismatch():
 def test_load_signature_rejects_boolean_arities():
     with pytest.raises(SignatureError):
         load_signature('{"P": [true, false]}')
+
+
+@pytest.mark.parametrize("symbols", [
+    {"R": (1.5, 0)},  # an arity not an int
+    {"R": (True, 0)},
+    {"R": (1, False)},
+    {"R": ("1", 0)},
+    {1: (1, 0)},  # a name not a string
+    {1: (1, 0), "R": (1, 0)},
+])
+def test_signature_rejects_non_natural_sorts_and_non_string_names(symbols):
+    with pytest.raises(SignatureError):
+        Signature(symbols)
+
+
+@pytest.mark.parametrize("pairs", [[((1.0,), ())], [((True,), ())], [(("0",), ())]])
+def test_relation_rejects_elements_that_are_not_carrier_indices(pairs):
+    with pytest.raises(ModelError):
+        Relation(Sort(1, 0), 2, pairs)
+
+
+@pytest.mark.parametrize("pairs", [[((0.0,), ())], [((False,), ())], [(("a",), ())]])
+def test_model_rejects_elements_that_are_not_carrier_indices(pairs):
+    with pytest.raises(ModelError):
+        RelModel(Signature({"R": (1, 0)}), ["a"], {"R": pairs})
 
 
 @pytest.mark.parametrize("relations", [

@@ -19,7 +19,7 @@ from cqgraph.ccq import CcqJudgment, parse_ccq, print_ccq
 from cqgraph.containment import _apex_signature, hypergraph_as_model
 from cqgraph.cospan import Cospan, compose_cospans, identity_cospan, tensor_cospans, term_to_cospan
 from cqgraph.gcq import Seq, Tensor, eval_gcq, postorder, subtrees, term_signature
-from cqgraph.hypergraph import Hypergraph, disjoint_union
+from cqgraph.hypergraph import Hypergraph, pushout
 from cqgraph.sigmodel import Relation, RelModel, Signature, dump_model, load_model, random_model
 from cqgraph.translate import lambda_model
 
@@ -63,7 +63,7 @@ def test_trusted_values_pass_their_constructors(seed):
             lhs, rhs = cospans[id(u.lhs)], cospans[id(u.rhs)]
             glued = (compose_cospans if isinstance(u, Seq) else tensor_cospans)(lhs, rhs)
             assert_checked_cospan(glued)
-            assert_checked_hypergraph(disjoint_union(lhs.apex, rhs.apex)[0])
+            assert_checked_hypergraph(pushout((), (), lhs.apex, rhs.apex)[0])
         for model in models:
             r = eval_gcq(u, model)
             same(Relation(r.sort, r.carrier_size, r.pairs), r)
