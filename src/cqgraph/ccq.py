@@ -96,6 +96,8 @@ def _vars(u: CcqFormula) -> tuple:
 
 def _check(f: CcqFormula, ctx: int):
     for u, c in _walk(f, ctx):
+        if isinstance(u, RelAtom) and type(u.symbol) is not str:
+            raise ValueError(f"atom symbol {u.symbol!r} is not a string")
         if isinstance(u, (Eq, RelAtom)):
             for x in _vars(u):
                 if type(x) is not int or not 0 <= x < c:
@@ -443,7 +445,9 @@ _CCQ_TOKEN = re.compile(rf"\s*(?:({_ONE_CCQ_TOKEN})|(\S))")
 _CCQ_CUTS = tuple((p, f" {p} ") for p in ("|-", "/\\", "(", ")", ",", ".", "="))
 _CCQ_WHOLE = re.compile(_ONE_CCQ_TOKEN)
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_X, _Y = re.compile(r"x(\d+)"), re.compile(r"y(\d+)")
+_SIZE = re.compile(r"\d+")
+_WANTED = {_NAME: "a variable", _SIZE: "a context size"}  # what a pattern asks for
+_FREE = re.compile(r"([xy])(\d+)")
 
 
 def parse_ccq(text: str, sig: Signature) -> CcqJudgment:
@@ -453,151 +457,119 @@ def parse_ccq(text: str, sig: Signature) -> CcqJudgment:
 
 
 def parse_ccq_two_sided(text: str, sig: Signature):
-    tokens = tokenize(_CCQ_TOKEN, text, _CCQ_CUTS, _CCQ_WHOLE)
+    """``(left, right, formula)`` of "left |- formula" or "left,right |- formula".
+
+    One loop over the tokens, which end in two ``None``s, so a look one
+    token ahead needs no bounds check: ``conj`` is the conjunction built so
+    far at the current depth, and each open parenthesis or quantifier saves
+    it on a stack, with the quantified name, so input of any depth parses.
+    Each variable is resolved in its context as it is read, so the formula
+    needs no second walk: ``x_i`` resolves only when ``i < left``, ``y_i``
+    only when ``i < right`` (as ``left + i``), and a bound name to
+    ``left + right`` plus the number of quantifiers open outside its own,
+    which is below the context of every body it is read in.
+    """
+    tokens = tokenize(_CCQ_TOKEN, text, _CCQ_CUTS, _CCQ_WHOLE) + [None, None]  # None marks the end
     pos = 0
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take():
+    def take(want=None):
+        """The next token; if ``want`` is given, it must be that token or spell that pattern."""
         nonlocal pos
-        tok = peek()
+        tok = tokens[pos]
         if tok is None:
             raise ParseError("unexpected end of input")
         pos += 1
-        return tok
+        if want is None or tok == want or want in _WANTED and want.fullmatch(tok):
+            return tok
+        raise ParseError(f"expected {_WANTED.get(want) or repr(want)}, found {tok!r}")
 
-    def expect(tok):
-        got = take()
-        if got != tok:
-            raise ParseError(f"expected {tok!r}, found {got!r}")
+    def free(name: str):
+        """(side, index, side size) of the free variable name spells, or None."""
+        m = _FREE.fullmatch(name)
+        if m and (m[1] == "x" or right):
+            return m[1], int(m[2]), left if m[1] == "x" else right
+        return None
 
-    def natural():
-        tok = take()
-        if not tok.isdigit():
-            raise ParseError(f"expected a context size, found {tok!r}")
-        return int(tok)
+    left, right = int(take(_SIZE)), 0
+    if tokens[pos] == ",":
+        pos += 1
+        right = int(take(_SIZE))
+    take("|-")
 
-    left = natural()
-    right = 0
-    if peek() == ",":
-        take()
-        right = natural()
-    expect("|-")
-    n_free = left + right
-
-    bound: dict[str, int] = {}
-
-    def resolve(name: str) -> int:
-        if name in bound:
-            return bound[name]
-        mx = _X.fullmatch(name)
-        if mx:
-            i = int(mx.group(1))
-            if i >= left:
-                raise ParseError(f"free variable x{i} out of context {left}")
-            return i
-        my = _Y.fullmatch(name)
-        if my and right > 0:
-            i = int(my.group(1))
-            if i >= right:
-                raise ParseError(f"free variable y{i} out of context {right}")
-            return left + i
-        raise ParseError(f"unbound variable {name!r}")
-
-    def variable() -> int:
-        tok = take()
-        if not _NAME.fullmatch(tok):
-            raise ParseError(f"expected a variable, found {tok!r}")
-        return resolve(tok)
-
-    def applied() -> bool:  # is the current token a symbol, before its arguments?
-        return tokens[pos + 1:pos + 2] == ["("]
-
-    def atom() -> CcqFormula:
-        """A unit that is neither parenthesised nor quantified."""
-        tok = peek()
-        if tok == "top" and not applied():
-            take()
-            return Top()
-        if tok is not None and _NAME.fullmatch(tok) and applied():
-            name = take()
-            try:
-                sort = sig.sort(name)
-            except SignatureError as exc:
-                raise ParseError(str(exc)) from None
-            if sort.m != 0:
-                raise ParseError(f"symbol {name!r} has coarity {sort.m}; CQ atoms need 0")
-            expect("(")
-            args = []
-            if peek() != ")":
-                args.append(variable())
-                while peek() == ",":
-                    take()
-                    args.append(variable())
-            expect(")")
-            if len(args) != sort.n:
-                raise ParseError(f"symbol {name!r} expects {sort.n} arguments, got {len(args)}")
-            return RelAtom(name, tuple(args))
-        # bare variable must open an equation
-        i = variable()
-        expect("=")
-        jdx = variable()
-        return Eq(i, jdx)
-
-    # One loop over the units: ``conj`` is the conjunction built so far at
-    # the current level, and each open parenthesis or quantifier saves it
-    # on a stack (with the quantified name), so input of any depth parses.
+    bound: dict[str, int] = {}  # each open quantifier's name -> its variable
     frames: list[tuple] = []  # (conj around it, name or None for a parenthesis)
     conj = None
     while True:
-        tok = peek()
-        if tok == "(":
-            take()
-            frames.append((conj, None))
-            conj = None
-            continue
-        if tok == "exists" and not applied():
-            take()
-            name = take()
-            if not _NAME.fullmatch(name) or name in ("top", "exists"):
-                raise ParseError(f"bad quantifier variable {name!r}")
-            if name in bound:
-                raise ParseError(f"shadowed variable {name!r}")
-            if _X.fullmatch(name) and int(name[1:]) < left:
-                raise ParseError(f"shadowed variable {name!r}")
-            if right > 0 and _Y.fullmatch(name) and int(name[1:]) < right:
-                raise ParseError(f"shadowed variable {name!r}")
-            expect(".")
-            bound[name] = n_free + len(bound)  # one binder per open quantifier
+        tok = tokens[pos]
+        applied = tokens[pos + 1] == "("  # a name before "(" is a symbol
+        if tok == "(" or tok == "exists" and not applied:
+            pos += 1
+            name = None if tok == "(" else take()
+            if name is not None:
+                if not _NAME.fullmatch(name) or name in ("top", "exists"):
+                    raise ParseError(f"bad quantifier variable {name!r}")
+                spelled = free(name)
+                if name in bound or spelled and spelled[1] < spelled[2]:
+                    raise ParseError(f"shadowed variable {name!r}")
+                take(".")
+                bound[name] = left + right + len(bound)  # one binder per open quantifier
             frames.append((conj, name))
             conj = None
             continue
-        unit = atom()
+        if tok == "top" and not applied:
+            pos += 1
+            unit = Top()
+        else:
+            atom = applied and _NAME.fullmatch(tok) is not None  # else an equation, from tok on
+            if atom:
+                try:
+                    sort = sig.sort(tok)
+                except SignatureError as exc:
+                    raise ParseError(str(exc)) from None
+                if sort.m != 0:
+                    raise ParseError(f"symbol {tok!r} has coarity {sort.m}; CQ atoms need 0")
+                pos += 2  # the symbol and its "("
+            args = []  # the atom's arguments, or the equation's two sides
+            while not atom or args or tokens[pos] != ")":  # an atom may have none
+                name = take(_NAME)
+                index = bound.get(name)
+                if index is None:
+                    spelled = free(name)
+                    if spelled is None:
+                        raise ParseError(f"unbound variable {name!r}")
+                    side, i, size = spelled
+                    if i >= size:
+                        raise ParseError(f"free variable {side}{i} out of context {size}")
+                    index = i if side == "x" else left + i
+                args.append(index)
+                if atom and tokens[pos] != "," or not atom and len(args) == 2:
+                    break
+                take("," if atom else "=")
+            if atom:
+                take(")")
+                if len(args) != sort.n:
+                    raise ParseError(f"symbol {tok!r} expects {sort.n} arguments, got {len(args)}")
+                unit = RelAtom(tok, tuple(args))
+            else:
+                unit = Eq(*args)
         while True:  # fold the finished unit in, closing frames as they come
             conj = unit if conj is None else Conj(conj, unit)
-            if peek() == "/\\" or not frames:
+            if tokens[pos] == "/\\" or not frames:
                 break
             outer, name = frames.pop()
             if name is None:
-                expect(")")
-                unit = conj
+                take(")")
             else:
                 del bound[name]
-                unit = Exists(conj)
-            conj = outer
-        if peek() != "/\\":
+                conj = Exists(conj)
+            unit, conj = conj, outer
+        if tokens[pos] != "/\\":
             break  # the top-level conjunction is complete
-        take()
+        pos += 1
 
-    formula = conj
-    if pos != len(tokens):
+    if tokens[pos] is not None:
         raise ParseError(f"trailing input near {tokens[pos]!r}")
-    try:
-        _check(formula, n_free)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-    return left, right, formula
+    return left, right, conj
 
 
 def print_ccq(j: CcqJudgment) -> str:

@@ -137,13 +137,15 @@ def _trusted(cls, **fields):
     Callers pass what the checked constructor would store, so that no
     ``==``, hash or output tells the two apart.  ``Signature``: ``_table``,
     non-empty names in sorted order, each to a ``Sort`` of naturals.
-    ``Relation``: a ``Sort``
-    and a frozenset of (tuple, tuple) pairs of it over the carrier.
-    ``RelModel``: a tuple of unique ids, and for each symbol in signature
-    order a frozenset of pairs at its sort.  ``Hypergraph``: sorted symbols,
-    each with a non-empty tuple of in-range edges of one sort.  ``Cospan``:
+    ``Relation``: a ``Sort``,
+    a natural carrier size and a frozenset of (tuple, tuple) pairs of the
+    sort over the carrier.  ``RelModel``: a tuple of unique string ids, and
+    for each symbol in signature order a frozenset of pairs at its sort.
+    ``Hypergraph``: sorted string symbols, each with a non-empty tuple of
+    in-range edges of one sort.  ``Cospan``:
     in-range tuple boundaries of lengths ``n`` and ``m``.  ``CcqJudgment``:
-    a natural ``context`` and a ``formula`` whose variables lie in it."""
+    a natural ``context`` and a ``formula`` whose variables lie in it and
+    whose atoms' symbols are strings."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -163,6 +165,11 @@ class Relation:
     pairs: frozenset
 
     def __post_init__(self):
+        if not (isinstance(self.sort, tuple) and len(self.sort) == 2
+                and all(type(x) is int and x >= 0 for x in self.sort)):
+            raise ModelError(f"sort {self.sort!r} must be a pair of naturals")
+        if type(self.carrier_size) is not int or self.carrier_size < 0:
+            raise ModelError(f"carrier size {self.carrier_size!r} must be a natural")
         norm = frozenset((tuple(a), tuple(b)) for a, b in self.pairs)
         object.__setattr__(self, "pairs", norm)
         n, m = self.sort
@@ -224,6 +231,8 @@ class RelModel:
     def __init__(self, signature: Signature, carrier: Sequence[str],
                  rho: Mapping[str, Iterable[Pair]] | None = None):
         carrier = tuple(carrier)
+        if not all(isinstance(x, str) for x in carrier):
+            raise ModelError("carrier must be a list of string ids")
         if len(set(carrier)) != len(carrier):
             raise ModelError("carrier ids must be unique")
         self.signature = signature

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import clique, model_battery, naive_eval_ccq, random_judgment
+from conftest import clique, model_battery, mutate, naive_eval_ccq, random_judgment
 from cqgraph.ccq import (
     AddVar,
     CcqJudgment,
@@ -20,7 +20,9 @@ from cqgraph.ccq import (
     TopIntro,
     derive,
     eval_ccq,
+    format_formula,
     parse_ccq,
+    parse_ccq_two_sided,
     print_ccq,
     replay_eval,
 )
@@ -92,6 +94,16 @@ def test_parse_unknown_symbol_and_arity():
 def test_judgments_reject_non_integer_contexts_and_variables(context, formula):
     with pytest.raises(ValueError):
         CcqJudgment(context, formula)
+
+
+@pytest.mark.parametrize("formula", [
+    RelAtom(1, (0,)),
+    Conj(RelAtom("R", (0, 0)), Exists(RelAtom(1, (1,)))),
+])
+def test_judgments_reject_atom_symbols_that_are_not_strings(formula):
+    with pytest.raises(ValueError) as caught:
+        CcqJudgment(1, formula)
+    assert str(caught.value) == "atom symbol 1 is not a string"
 
 
 def test_parse_rejects_shadowing():
@@ -269,19 +281,101 @@ def test_deeply_nested_formula_parses_prints_and_compares():
     assert repr(j.formula).count("Exists(body=") == 1200
 
 
+# every ParseError text of the formula parser, each in the header or at top
+# level and inside a parenthesis or a quantifier, over SIG plus F: (1, 1)
+PARSE_ERRORS = [
+    # the header: context sizes, "|-", and the "n,m" form
+    ("", "unexpected end of input"),
+    ("x |- top", "expected a context size, found 'x'"),
+    ("2,x |- top", "expected a context size, found 'x'"),
+    ("2, |- top", "expected a context size, found '|-'"),
+    ("2,", "unexpected end of input"),
+    ("2 top", "expected '|-', found 'top'"),
+    ("2,1 2 |- top", "expected '|-', found '2'"),
+    # quantifiers
+    ("1 |- exists ). top", "bad quantifier variable ')'"),
+    ("1 |- (exists top. top)", "bad quantifier variable 'top'"),
+    ("1 |- exists z. exists exists. top", "bad quantifier variable 'exists'"),
+    ("1 |- exists x0. top", "shadowed variable 'x0'"),
+    ("1 |- top /\\ (exists x0. top)", "shadowed variable 'x0'"),
+    ("1,1 |- exists y0. top", "shadowed variable 'y0'"),
+    ("1,1 |- exists z. exists y0. top", "shadowed variable 'y0'"),
+    ("1 |- exists z. exists z. top", "shadowed variable 'z'"),
+    ("1 |- exists z. (exists w. exists z. top)", "shadowed variable 'z'"),
+    ("1 |- exists z top", "expected '.', found 'top'"),
+    ("1 |- (exists z exists w. top)", "expected '.', found 'exists'"),
+    # variables
+    ("1 |- x1 = x0", "free variable x1 out of context 1"),
+    ("1 |- exists z. (z = x3)", "free variable x3 out of context 1"),
+    ("1,1 |- y1 = x0", "free variable y1 out of context 1"),
+    ("1,1 |- (exists z. R(z, y2))", "free variable y2 out of context 1"),
+    ("1 |- y0 = x0", "unbound variable 'y0'"),
+    ("1 |- (exists z. top) /\\ x0 = z", "unbound variable 'z'"),
+    ("1 |- exists z. (z = top)", "unbound variable 'top'"),
+    ("1 |- x0 = /\\", "expected a variable, found '/\\\\'"),
+    ("1 |- exists z. R(z, )", "expected a variable, found ')'"),
+    ("1 |- x0 x0", "expected '=', found 'x0'"),
+    ("1 |- exists z. (z /\\ top)", "expected '=', found '/\\\\'"),
+    # atoms
+    ("1 |- F(x0)", "symbol 'F' has coarity 1; CQ atoms need 0"),
+    ("1 |- (exists z. F(z))", "symbol 'F' has coarity 1; CQ atoms need 0"),
+    ("1 |- R(x0)", "symbol 'R' expects 2 arguments, got 1"),
+    ("1 |- exists z. (S(z, x0))", "symbol 'S' expects 1 arguments, got 2"),
+    ("1 |- Q(x0)", "unknown symbol 'Q'"),
+    ("1 |- exists z. top(z)", "unknown symbol 'top'"),
+    ("1 |- R(x0 x0)", "expected ')', found 'x0'"),
+    ("1 |- (exists z. top x0", "expected ')', found 'x0'"),
+    # trailing input and the end of input
+    ("1 |- top top", "trailing input near 'top'"),
+    ("1 |- (top))", "trailing input near ')'"),
+    ("1 |- exists z. top )", "trailing input near ')'"),
+    ("1 |- top /\\", "unexpected end of input"),
+    ("1 |- ((top)", "unexpected end of input"),
+    ("1 |- exists z. R(z,", "unexpected end of input"),
+    ("1 |- x0 = x0 & top", "unexpected character '&'"),
+]
+
+
 def test_parse_errors_inside_nesting():
-    for text, message in [
-        ("1 |- (exists z. top x0", "expected ')', found 'x0'"),
-        ("1 |- ((top)", "unexpected end of input"),
-        ("1 |- (top))", "trailing input near ')'"),
-        ("1 |- (exists z. top) /\\ x0 = z", "unbound variable 'z'"),
-        ("1 |- exists z. exists z. top", "shadowed variable 'z'"),
-    ]:
+    sig = Signature({**dict(SIG.items()), "F": (1, 1)})
+    for text, message in PARSE_ERRORS:
         with pytest.raises(ParseError) as err:
-            parse_ccq(text, SIG)
-        assert str(err.value) == message
+            parse_ccq(text, sig)
+        assert str(err.value) == message, text
     assert parse_ccq("1 |- exists z. (exists w. R(z, w)) /\\ S(z)", SIG).formula == \
         Exists(Conj(Exists(RelAtom("R", (1, 2))), RelAtom("S", (1,))))
+    # a bound name may spell a free variable that the context does not hold
+    assert parse_ccq("1 |- exists x1. exists y0. R(x1, y0) /\\ S(x0)", SIG).formula == \
+        Exists(Exists(Conj(RelAtom("R", (1, 2)), RelAtom("S", (0,)))))
+    assert parse_ccq_two_sided("1,1 |- exists x1. R(x1, y0)", SIG) == \
+        (1, 1, Exists(RelAtom("R", (2, 1))))
+
+
+def test_every_formula_the_parser_accepts_passes_the_checked_judgment():
+    """The parser builds its judgments unchecked: each variable is resolved
+    in its context as it is read.  Over mutated one- and two-sided texts,
+    what it accepts passes the checked constructor all the same."""
+    rng = random.Random(24)
+    sig = Signature({"R": (2, 0), "S": (1, 0), "top": (1, 0), "exists": (2, 0), "F": (1, 1)})
+    vocab = ["x0", "x1", "x3", "y0", "y1", "z0", "z1", "w", "top", "exists", "=", "/\\",
+             "(", ")", ",", ".", "|-", "R", "S", "F", "0", "1", "2"]
+    texts = []
+    for _ in range(200):
+        j = random_judgment(rng, sig, max_ctx=4, max_depth=6)
+        left = rng.randint(0, j.context)
+        texts.append(print_ccq(j))
+        texts.append(f"{left},{j.context - left} |- "
+                     f"{format_formula(j.formula, left, j.context - left)}")
+    accepted = 0
+    for _ in range(15000):  # about one mutated text in forty parses
+        text = mutate(rng, rng.choice(texts), vocab)
+        try:
+            left, right, formula = parse_ccq_two_sided(text, sig)
+        except ParseError:
+            continue
+        assert CcqJudgment(left + right, formula) == parse_ccq(text, sig), text
+        accepted += 1
+    assert accepted >= 200
 
 
 def test_deep_derivations_compare_hash_and_print():

@@ -434,6 +434,13 @@ def test_hypergraph_rejects_bad_input(vcount, edges):
         Hypergraph(vcount, edges)
 
 
+@pytest.mark.parametrize("edges", [{1: [((0,), (1,))]}, {1: [((0,), (1,))], "R": [((0,), (1,))]}])
+def test_hypergraph_rejects_symbols_that_are_not_strings(edges):
+    with pytest.raises(ModelError) as caught:
+        Hypergraph(2, edges)
+    assert str(caught.value) == "edge symbols must be strings"
+
+
 def test_quotient_and_union_reject_a_symbol_at_two_sorts():
     with pytest.raises(ModelError):
         quotient(3, [(0, 1)], {"R": [((0,), (1,)), ((0, 1), (2,))]})

@@ -118,7 +118,7 @@ def test_call_graph_sees_known_calls():
     assert ("gcq", "_leaf_relation") in graph[("gcq", "eval_gcq")]
     assert ("gcq", "postorder") in graph[("cospan", "term_to_cospan")]  # an import
     assert ("hypergraph", "_Search.emit") in graph[("hypergraph", "_Search.assign")]  # self
-    assert ("ccq", "parse_ccq_two_sided.peek") in graph[("ccq", "parse_ccq_two_sided.take")]  # a closure
+    assert ("ccq", "parse_ccq_two_sided.free") in graph[("ccq", "parse_ccq_two_sided")]  # a closure
 
 
 def test_guard_finds_direct_mutual_and_closure_recursion():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dump_signature, identity_relation, unit_relation
+from conftest import dump_signature, identity_relation, model_battery, unit_relation
 from cqgraph.errors import ModelError, SignatureError
 from cqgraph.gcq import _KEYWORDS, Gen, Tensor, term_signature
 from cqgraph.sigmodel import (
@@ -134,6 +134,27 @@ def test_model_rejects_elements_that_are_not_carrier_indices(pairs):
         RelModel(Signature({"R": (1, 0)}), ["a"], {"R": pairs})
 
 
+@pytest.mark.parametrize("sort, size, pairs, message", [
+    ((1.5, 0), 2, [], "sort (1.5, 0) must be a pair of naturals"),
+    (Sort(-1, 0), 2, [], "sort Sort(n=-1, m=0) must be a pair of naturals"),
+    ((1, 0, 0), 2, [], "sort (1, 0, 0) must be a pair of naturals"),
+    (Sort(1, 0), -1, [], "carrier size -1 must be a natural"),
+    (Sort(1, 0), 1.5, [((1,), ())], "carrier size 1.5 must be a natural"),
+    (Sort(1, 0), True, [], "carrier size True must be a natural"),
+])
+def test_relation_rejects_a_bad_sort_or_carrier_size(sort, size, pairs, message):
+    with pytest.raises(ModelError) as caught:
+        Relation(sort, size, pairs)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("carrier", [[1, 2], ["a", 0], [None]])
+def test_model_rejects_carrier_ids_that_are_not_strings(carrier):
+    with pytest.raises(ModelError) as caught:
+        RelModel(Signature({"R": (1, 0)}), carrier)
+    assert str(caught.value) == "carrier must be a list of string ids"
+
+
 @pytest.mark.parametrize("relations", [
     '[1]',  # relations not an object
     '{"R": 5}',  # a relation not a list
@@ -186,6 +207,12 @@ def test_model_dump_is_canonical():
     assert doc["relations"]["R"] == [[["a"], ["b"]], [["b"], ["a"]]]
     assert load_model(dump_model(m1), sig) == m1
     assert load_signature(dump_signature(sig)) == sig
+
+
+def test_dumped_models_load_back(rng):
+    sig = Signature({"R": (1, 1), "P": (2, 0), "U": (0, 0), "Q": (0, 2)})
+    for model in model_battery(sig, rng) + [RelModel(sig, ["b", "a"], {"R": [((1,), (0,))]})]:
+        assert load_model(dump_model(model), sig) == model
 
 
 def test_compose_one_step_chase():
