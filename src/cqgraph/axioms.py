@@ -16,7 +16,6 @@ semantic verification is a transcription bug by definition.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from operator import attrgetter
 
 from .containment import decide_inclusion
@@ -43,14 +42,13 @@ from .gcq import (
     tensor,
     term_signature,
 )
-from .sigmodel import RelModel, Signature, random_model
+from .sigmodel import Record, RelModel, Signature, random_model
 
 EQUALITY = "eq"
 LEFT_LEQ_RIGHT = "leq"
 
 
-@dataclass(frozen=True)
-class AxiomEntry:
+class AxiomEntry(Record):
     name: str
     lhs: GcqTerm
     rhs: GcqTerm
@@ -136,8 +134,7 @@ def axiom_catalog(sig: Signature) -> list[AxiomEntry]:
             + _lax_entries(sig))
 
 
-@dataclass
-class AxiomReport:
+class AxiomReport(Record):
     name: str
     passed: bool
     detail: str = ""
@@ -196,17 +193,14 @@ def reversed_entry(entry: AxiomEntry) -> AxiomEntry:
 
 # -- the relational algebra with converse, encoded as diagram terms ----------
 
-@dataclass(frozen=True)
-class CpTerm:
+class CpTerm(Record):
     children = ()
 
 
-@dataclass(frozen=True)
 class CpTop(CpTerm):
     pass
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class CpMeet(Branch, CpTerm):
     lhs: CpTerm
     rhs: CpTerm
@@ -214,12 +208,10 @@ class CpMeet(Branch, CpTerm):
     children = property(attrgetter("lhs", "rhs"))
 
 
-@dataclass(frozen=True)
 class CpId(CpTerm):
     pass
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class CpComp(Branch, CpTerm):
     lhs: CpTerm
     rhs: CpTerm
@@ -227,7 +219,6 @@ class CpComp(Branch, CpTerm):
     children = property(attrgetter("lhs", "rhs"))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class CpConverse(Branch, CpTerm):
     arg: CpTerm
 
@@ -236,7 +227,6 @@ class CpConverse(Branch, CpTerm):
         return (self.arg,)
 
 
-@dataclass(frozen=True)
 class CpRel(CpTerm):
     symbol: str
 

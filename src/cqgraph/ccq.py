@@ -22,28 +22,24 @@ is handled under the default recursion limit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import attrgetter
 
 from .errors import ParseError, SignatureError
 from .gcq import Branch, postorder, subtrees, tokenize
 from .hypergraph import join_plan, quotient
-from .sigmodel import RelModel, Signature, _trusted
+from .sigmodel import _NAME, Record, RelModel, Signature, _trusted, check_symbol_name
 
 
 # -- formulas ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CcqFormula:
+class CcqFormula(Record):
     children = ()
 
 
-@dataclass(frozen=True)
 class Top(CcqFormula):
     pass
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Conj(Branch, CcqFormula):
     lhs: CcqFormula
     rhs: CcqFormula
@@ -51,13 +47,11 @@ class Conj(Branch, CcqFormula):
     children = property(attrgetter("lhs", "rhs"))
 
 
-@dataclass(frozen=True)
 class Eq(CcqFormula):
     i: int
     j: int
 
 
-@dataclass(frozen=True)
 class RelAtom(CcqFormula):
     symbol: str
     args: tuple
@@ -66,7 +60,6 @@ class RelAtom(CcqFormula):
         object.__setattr__(self, "args", tuple(self.args))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Exists(Branch, CcqFormula):
     body: CcqFormula
 
@@ -96,8 +89,11 @@ def _vars(u: CcqFormula) -> tuple:
 
 def _check(f: CcqFormula, ctx: int):
     for u, c in _walk(f, ctx):
-        if isinstance(u, RelAtom) and type(u.symbol) is not str:
-            raise ValueError(f"atom symbol {u.symbol!r} is not a string")
+        if isinstance(u, RelAtom):
+            try:
+                check_symbol_name(u.symbol)  # else its printed text would not parse back
+            except SignatureError as exc:
+                raise ValueError(f"atom {exc}") from None
         if isinstance(u, (Eq, RelAtom)):
             for x in _vars(u):
                 if type(x) is not int or not 0 <= x < c:
@@ -106,8 +102,7 @@ def _check(f: CcqFormula, ctx: int):
             raise TypeError(f"not a formula: {u!r}")
 
 
-@dataclass(frozen=True)
-class CcqJudgment:
+class CcqJudgment(Record):
     context: int
     formula: CcqFormula
 
@@ -119,8 +114,7 @@ class CcqJudgment:
 
 # -- derivations -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CcqDerivation:
+class CcqDerivation(Record):
     """A derivation tree of the eight rules.  Each node knows only its
     ``context``, the size of its conclusion's context; ``conclusion``
     builds the judgment from the whole tree."""
@@ -176,17 +170,14 @@ class CcqDerivation:
         return CcqJudgment(self.context, done.pop())
 
 
-@dataclass(frozen=True)
 class TopIntro(CcqDerivation):
     context = 0
 
 
-@dataclass(frozen=True)
 class EqIntro(CcqDerivation):
     context = 2
 
 
-@dataclass(frozen=True)
 class RelIntro(CcqDerivation):
     symbol: str
     arity: int
@@ -194,7 +185,6 @@ class RelIntro(CcqDerivation):
     context = property(attrgetter("arity"))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class ConjIntro(Branch, CcqDerivation):
     """The left conclusion's context, then the right one's."""
 
@@ -207,7 +197,6 @@ class ConjIntro(Branch, CcqDerivation):
     children = property(attrgetter("left", "right"))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class _Step(Branch, CcqDerivation):
     """A rule with one premise."""
 
@@ -216,7 +205,6 @@ class _Step(Branch, CcqDerivation):
     children = property(lambda self: (self.child,))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class ExistsIntro(_Step):
     """Bind the last free variable."""
 
@@ -226,7 +214,6 @@ class ExistsIntro(_Step):
         object.__setattr__(self, "context", self.child.context - 1)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class SwapVars(_Step):
     """Swap free variables k and k+1 in the conclusion."""
 
@@ -240,7 +227,6 @@ class SwapVars(_Step):
         object.__setattr__(self, "context", n)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class MergeVars(_Step):
     """Identify the last two free variables, shrinking the context by one."""
 
@@ -250,7 +236,6 @@ class MergeVars(_Step):
         object.__setattr__(self, "context", self.child.context - 1)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class AddVar(_Step):
     """Weaken: introduce a fresh last free variable."""
 
@@ -440,14 +425,21 @@ def replay_eval(d: CcqDerivation, model: RelModel) -> frozenset:
 # words 'top' and 'exists' are symbols, so a signature may use them.
 
 # a token of a formula; the tokenizer pads the punctuation with spaces
-_ONE_CCQ_TOKEN = r"\|-|/\\|[(),.=]|[A-Za-z_][A-Za-z0-9_]*|\d+"
+_ONE_CCQ_TOKEN = rf"\|-|/\\|[(),.=]|{_NAME.pattern}|\d+"
 _CCQ_TOKEN = re.compile(rf"\s*(?:({_ONE_CCQ_TOKEN})|(\S))")
 _CCQ_CUTS = tuple((p, f" {p} ") for p in ("|-", "/\\", "(", ")", ",", ".", "="))
 _CCQ_WHOLE = re.compile(_ONE_CCQ_TOKEN)
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _SIZE = re.compile(r"\d+")
 _WANTED = {_NAME: "a variable", _SIZE: "a context size"}  # what a pattern asks for
 _FREE = re.compile(r"([xy])(\d+)")
+
+
+def _number(digits: str) -> int:
+    """The natural ``digits`` spells; past ``int``'s limit (4,300 digits) a ParseError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"a number of {len(digits)} digits is too long") from None
 
 
 def parse_ccq(text: str, sig: Signature) -> CcqJudgment:
@@ -487,13 +479,13 @@ def parse_ccq_two_sided(text: str, sig: Signature):
         """(side, index, side size) of the free variable name spells, or None."""
         m = _FREE.fullmatch(name)
         if m and (m[1] == "x" or right):
-            return m[1], int(m[2]), left if m[1] == "x" else right
+            return m[1], _number(m[2]), left if m[1] == "x" else right
         return None
 
-    left, right = int(take(_SIZE)), 0
+    left, right = _number(take(_SIZE)), 0
     if tokens[pos] == ",":
         pos += 1
-        right = int(take(_SIZE))
+        right = _number(take(_SIZE))
     take("|-")
 
     bound: dict[str, int] = {}  # each open quantifier's name -> its variable

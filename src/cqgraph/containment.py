@@ -15,18 +15,16 @@ deciders agree everywhere; the suite enforces that.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .ccq import CcqJudgment
 from .cospan import Cospan, boundary_pins, term_to_cospan
 from .errors import ModelError, SortError
 from .gcq import GcqTerm, eval_gcq, term_signature
 from .hypergraph import HgMorphism, Hypergraph, find_morphisms
-from .sigmodel import RelModel, Signature, Sort, _trusted, dump_model
+from .sigmodel import Record, RelModel, Signature, Sort, _trusted, dump_model
 
 
-@dataclass
-class InclusionVerdict:
+class InclusionVerdict(Record):
     holds: bool
     witness: HgMorphism | None = None
     countermodel: RelModel | None = None
@@ -41,8 +39,7 @@ class InclusionVerdict:
         return out
 
 
-@dataclass
-class EquivalenceVerdict:
+class EquivalenceVerdict(Record):
     holds: bool
     forward: InclusionVerdict
     backward: InclusionVerdict

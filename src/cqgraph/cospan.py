@@ -16,8 +16,6 @@ isomorphic to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ccq import CcqJudgment, adjacent_swaps, natural_model
 from .errors import ModelError, SortError
 from .gcq import (
@@ -46,11 +44,10 @@ from .hypergraph import (
     pushout,
     quotient,
 )
-from .sigmodel import Sort, _trusted
+from .sigmodel import Record, Sort, _trusted
 
 
-@dataclass(frozen=True)
-class Cospan:
+class Cospan(Record):
     n: int
     m: int
     apex: Hypergraph

@@ -18,17 +18,18 @@ the cospan, with no tree built.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import reduce
 from operator import attrgetter
 
 from .errors import ParseError, SignatureError, SortError
 from .sigmodel import (
+    Record,
     Relation,
     RelModel,
     Signature,
     Sort,
     _KEYWORDS,
+    _NAME,
     _trusted,
     check_symbol_name,
     relation_compose,
@@ -62,8 +63,9 @@ class Branch:
     """An inner node of a syntax tree, whose fields are its ``children``, then its ``tags``.
 
     ``==``, ``hash`` and ``repr`` walk the tree with ``postorder`` instead
-    of recursing through the fields as the dataclass defaults do.  Put it
-    first among the bases and pass ``eq=False, repr=False`` to dataclass.
+    of recursing through the fields as ``sigmodel.Record``'s would; ``==``
+    and ``repr`` agree with those.  Put it first among the bases, before
+    the ``Record`` subclass, so that its methods win.
     """
 
     tags = ()  # the names of the fields after the children, which hold no subtree
@@ -97,15 +99,11 @@ class Branch:
         return done.pop()
 
 
-@dataclass(frozen=True)
-class GcqTerm:
-    """Base class for term nodes; immutable, sort available as ``.sort``."""
+class GcqTerm(Record):
+    """Base class for term nodes; immutable, sort available as ``.sort``:
+    a wiring's is a class attribute, the others' set as they are built."""
 
     children = ()
-
-    @property
-    def sort(self) -> Sort:
-        raise NotImplementedError
 
 
 class Wiring(GcqTerm):
@@ -115,17 +113,18 @@ class Wiring(GcqTerm):
     ``boundaries(0)`` the class gets ``iota``, ``omega``, its ``sort`` and
     the number of its ``wires``, which the parser, printer, compiler and
     ``lambda_term`` read.  The class enters its keyword in ``_KEYWORDS``,
-    the table the parser and ``check_symbol_name`` read.
+    the table the parser and ``check_symbol_name`` read.  None of these
+    class attributes is annotated, so a wiring is a ``Record`` of no
+    fields: immutable, and equal to any other of its class.
     """
 
     def __init_subclass__(cls, name: str, boundaries):
-        super().__init_subclass__()
+        super().__init_subclass__()  # Record's: no fields
         cls.name, cls.boundaries = name, staticmethod(boundaries)
         _KEYWORDS[name] = cls
         cls.iota, cls.omega = map(tuple, boundaries(0))
         cls.sort = Sort(len(cls.iota), len(cls.omega))
         cls.wires = len(set(cls.iota + cls.omega))
-        dataclass(frozen=True)(cls)  # no fields: immutable, and equal to any other of its class
 
 
 class Copy(Wiring, name="copy", boundaries=lambda w: ([w], [w, w])):
@@ -156,7 +155,6 @@ class Swap(Wiring, name="swap", boundaries=lambda w: ([w, w + 1], [w + 1, w])):
     """Two wires, crossed."""
 
 
-@dataclass(frozen=True)
 class Gen(GcqTerm):
     """A box labelled with a relation symbol of the given sort."""
 
@@ -168,13 +166,9 @@ class Gen(GcqTerm):
         if type(self.n) is not int or type(self.m) is not int or self.n < 0 or self.m < 0:
             raise SortError(f"sort of box {self.name!r} must be a pair of naturals")
         check_symbol_name(self.name)  # else its printed text would not read back as this box
-
-    @property
-    def sort(self) -> Sort:
-        return Sort(self.n, self.m)
+        object.__setattr__(self, "sort", Sort(self.n, self.m))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Seq(Branch, GcqTerm):
     lhs: GcqTerm
     rhs: GcqTerm
@@ -185,14 +179,9 @@ class Seq(Branch, GcqTerm):
         a, b = self.lhs.sort, self.rhs.sort
         if a.m != b.n:
             raise composition_error(a, b)
-        object.__setattr__(self, "_sort", Sort(a.n, b.m))
-
-    @property
-    def sort(self) -> Sort:
-        return self._sort
+        object.__setattr__(self, "sort", Sort(a.n, b.m))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Tensor(Branch, GcqTerm):
     lhs: GcqTerm
     rhs: GcqTerm
@@ -201,11 +190,7 @@ class Tensor(Branch, GcqTerm):
 
     def __post_init__(self):
         a, b = self.lhs.sort, self.rhs.sort
-        object.__setattr__(self, "_sort", Sort(a.n + b.n, a.m + b.m))
-
-    @property
-    def sort(self) -> Sort:
-        return self._sort
+        object.__setattr__(self, "sort", Sort(a.n + b.n, a.m + b.m))
 
 
 def composition_error(a: Sort, b: Sort) -> SortError:
@@ -351,7 +336,7 @@ def _leaf_relation(t: GcqTerm, model: RelModel) -> Relation:
 # Constants: the ``name`` of each ``Wiring`` class, as ``_KEYWORDS`` lists them.
 
 # one token, or (the second group) a character that starts none
-_ONE_TOKEN = r"\(\+\)|[();]|[A-Za-z_][A-Za-z0-9_]*"
+_ONE_TOKEN = rf"\(\+\)|[();]|{_NAME.pattern}"
 _TOKEN = re.compile(rf"\s*(?:({_ONE_TOKEN})|(\S))")
 # pad the punctuation with spaces, keeping "(+)" whole behind a placeholder
 _CUTS = (("(+)", "\0"), ("(", " ( "), (")", " ) "), (";", " ; "), ("\0", " (+) "))

@@ -23,32 +23,33 @@ edges, planned once per hypergraph and run once per model.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
 
 from .errors import BudgetExhausted, ModelError, SignatureError
-from .sigmodel import RelModel, _trusted
+from .sigmodel import Record, RelModel, _trusted
 
 
 Edge = tuple  # (source vertex tuple, target vertex tuple)
 
 
-class Hypergraph:
-    """Immutable-by-convention hypergraph over dense vertex ids.
+class Hypergraph(Record):
+    """An immutable hypergraph over dense vertex ids.
 
     Each symbol's edges share one sort; malformed input raises ``ModelError``.
     """
 
-    def __init__(self, vcount: int, edges: dict[str, list[Edge]] | None = None):
+    vcount: int
+    edges: dict | None = None  # symbol -> a tuple of its edges, in symbol order
+
+    def __post_init__(self):
+        vcount, edges = self.vcount, {} if self.edges is None else self.edges
         if type(vcount) is not int or vcount < 0:
             raise ModelError("vcount must be a natural")
-        edges = {} if edges is None else edges
         if not isinstance(edges, dict):
             raise ModelError("edges must map symbols to edge lists")
         if any(type(sym) is not str for sym in edges):
             raise ModelError("edge symbols must be strings")
-        self.vcount = vcount
         table: dict[str, tuple[Edge, ...]] = {}
         for sym in sorted(edges):
             try:
@@ -61,14 +62,10 @@ class Hypergraph:
             if rows:
                 table[sym] = rows
         _check_one_sort(table)
-        self.edges = table
+        object.__setattr__(self, "edges", table)
 
     def edge_count(self) -> int:
         return sum(len(rows) for rows in self.edges.values())
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Hypergraph) and self.vcount == other.vcount
-                and self.edges == other.edges)
 
     def __hash__(self) -> int:
         return hash((self.vcount, tuple(self.edges.items())))
@@ -77,8 +74,7 @@ class Hypergraph:
         return f"Hypergraph({self.vcount} vertices, {self.edge_count()} edges)"
 
 
-@dataclass(frozen=True)
-class HgMorphism:
+class HgMorphism(Record):
     """A vertex map plus one edge map per symbol, both total on the source."""
 
     vmap: tuple
@@ -86,14 +82,9 @@ class HgMorphism:
 
     def __post_init__(self):
         object.__setattr__(self, "vmap", tuple(self.vmap))
-        object.__setattr__(self, "emaps",
-                           {k: tuple(v) for k, v in sorted(self.emaps.items())})
+        object.__setattr__(self, "emaps", {k: tuple(v) for k, v in sorted(self.emaps.items())})
 
-    def __eq__(self, other):
-        return (isinstance(other, HgMorphism) and self.vmap == other.vmap
-                and self.emaps == other.emaps)
-
-    def __hash__(self):
+    def __hash__(self):  # emaps is a dict
         return hash((self.vmap, tuple(self.emaps.items())))
 
 

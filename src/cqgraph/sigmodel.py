@@ -13,9 +13,10 @@ comparison stay cheap and output stays canonical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import re
 from itertools import product
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ModelError, SignatureError
 
@@ -25,23 +26,26 @@ class Sort(NamedTuple):
     m: int
 
 
-Pair = tuple  # an (in-tuple, out-tuple) pair over carrier indices
-
-
 # keyword -> class of each of gcq's wiring constants, the one table of the
 # names term text gives them: each ``gcq.Wiring`` class enters itself as it
 # is stated, the term parser reads it, and no box can take a name in it
 _KEYWORDS: dict[str, type] = {}
 
+# a name in term and formula text, the one pattern both parsers read
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
 
 def check_symbol_name(name: str) -> None:
-    """Refuse a name that no symbol or box can take, since term text could
-    not spell it: the empty name, or a wiring constant's, which a term
-    would read as the constant."""
+    """Refuse a name that no symbol or box can take, since neither term nor
+    formula text could spell it: the empty name, one that ``_NAME`` does
+    not match, or a wiring constant's, which a term would read as the
+    constant."""
     if type(name) is not str:
-        raise SignatureError(f"symbol name {name!r} is not a string")
+        raise SignatureError(f"symbol {name!r} is not a string")
     if not name:
         raise SignatureError("symbol names must be non-empty")
+    if not _NAME.fullmatch(name):
+        raise SignatureError(f"symbol {name!r} is not an identifier")
     if name in _KEYWORDS:
         raise SignatureError(f"symbol {name!r} is the name of a wiring constant")
 
@@ -118,7 +122,7 @@ def load_signature(text: str) -> Signature:
     """Parse a signature from JSON: an object mapping symbol -> [arity, coarity]."""
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys(SignatureError, "symbol"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a number too long for int
         raise SignatureError(f"malformed signature JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SignatureError("signature JSON must be an object")
@@ -132,27 +136,75 @@ def load_signature(text: str) -> Signature:
 
 
 def _trusted(cls, **fields):
-    """A ``cls`` holding ``fields`` as given, skipping its constructor's checks.
+    """A ``cls`` holding ``fields`` as given, skipping its constructor's checks:
+    for a ``Record``, its ``__init__`` and ``__post_init__``.
 
     Callers pass what the checked constructor would store, so that no
     ``==``, hash or output tells the two apart.  ``Signature``: ``_table``,
-    non-empty names in sorted order, each to a ``Sort`` of naturals.
-    ``Relation``: a ``Sort``,
-    a natural carrier size and a frozenset of (tuple, tuple) pairs of the
-    sort over the carrier.  ``RelModel``: a tuple of unique string ids, and
-    for each symbol in signature order a frozenset of pairs at its sort.
-    ``Hypergraph``: sorted string symbols, each with a non-empty tuple of
-    in-range edges of one sort.  ``Cospan``:
-    in-range tuple boundaries of lengths ``n`` and ``m``.  ``CcqJudgment``:
-    a natural ``context`` and a ``formula`` whose variables lie in it and
-    whose atoms' symbols are strings."""
+    non-empty string names in sorted order, each to a ``Sort`` of
+    naturals.  ``Relation``: a ``Sort``, a natural carrier size
+    and a frozenset of (tuple, tuple) pairs of the sort over the carrier.
+    ``RelModel``: a tuple of unique string ids, and for each symbol in
+    signature order a frozenset of pairs at its sort.  ``Hypergraph``:
+    sorted string symbols, each with a non-empty tuple of in-range edges of
+    one sort.  ``Cospan``: in-range tuple boundaries of lengths ``n`` and
+    ``m``.  ``CcqJudgment``: a natural ``context`` and a ``formula`` whose
+    variables lie in it and whose atoms' symbols pass ``check_symbol_name``."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
 
 
-@dataclass(frozen=True)
-class Relation:
+class Record:
+    """An immutable value.  Its fields are the names its class and its bases
+    annotate, bases' first, a class attribute beside one being its default;
+    they are passed by position or name and stored as attributes, as by
+    ``_trusted``.  A subclass checks them in ``__post_init__``, not ``__init__``.
+    ``==``, ``hash`` and ``repr`` go by the field tuple, ``==`` within one class."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = [(vars(k), vars(k).get("__annotations__", ())) for k in reversed(cls.__mro__)]
+        names = cls.__match_args__ = tuple(dict.fromkeys(n for _, notes in own for n in notes))
+        cls._defaults = {n: space[n] for space, notes in own for n in notes if n in space}
+        # the field tuple; attrgetter gives a bare value for one name
+        cls._values = staticmethod(attrgetter(*names) if len(names) > 1
+                                   else lambda obj: tuple(map(obj.__getattribute__, names)))
+        plain = not names and cls.__post_init__ is Record.__post_init__  # nothing to store or check
+        cls.__init__ = object.__init__ if plain else Record.__init__
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        if kwargs or len(args) != len(names):  # keywords, defaults or a bad call
+            rest, given = names[len(args):], {**self._defaults, **kwargs}
+            if len(args) > len(names) or not kwargs.keys() <= set(rest) <= given.keys():
+                raise TypeError(f"{type(self).__qualname__}() takes {', '.join(names)} once each")
+            args += tuple(map(given.__getitem__, rest))
+        for name, value in zip(names, args):  # kept inline, where __dict__.update would not
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values(self) == other._values(other) if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__match_args__) + ")"
+
+
+class Relation(Record):
     """A finite relation of a fixed sort over a carrier of dense naturals.
 
     ``pairs`` is a set of ``(in-tuple, out-tuple)`` pairs.  Stored as a
@@ -221,29 +273,31 @@ def relation_tensor(r: Relation, s: Relation) -> Relation:
                     carrier_size=r.carrier_size, pairs=pairs)
 
 
-class RelModel:
+class RelModel(Record):
     """A finite relational structure: a carrier plus one relation per symbol.
 
     The carrier may be empty; then ``X^0 = {()}`` still has one element, so
     sort-(0,0) relations distinguish the empty relation from ``{(•,•)}``.
     """
 
-    def __init__(self, signature: Signature, carrier: Sequence[str],
-                 rho: Mapping[str, Iterable[Pair]] | None = None):
-        carrier = tuple(carrier)
+    signature: Signature
+    carrier: tuple  # of unique string ids
+    rho: dict | None = None  # symbol -> its pairs; every symbol, in signature order
+    __hash__ = None  # rho is a dict
+
+    def __post_init__(self):
+        signature, carrier = self.signature, tuple(self.carrier)
         if not all(isinstance(x, str) for x in carrier):
             raise ModelError("carrier must be a list of string ids")
         if len(set(carrier)) != len(carrier):
             raise ModelError("carrier ids must be unique")
-        self.signature = signature
-        self.carrier = carrier
         table: dict[str, frozenset] = {name: frozenset() for name in signature}
-        if rho:
-            for name, pairs in rho.items():
-                if name not in signature:
-                    raise SignatureError(f"unknown symbol {name!r} in model")
-                table[name] = frozenset((tuple(a), tuple(b)) for a, b in pairs)
-        self.rho = table
+        for name, pairs in (self.rho or {}).items():
+            if name not in signature:
+                raise SignatureError(f"unknown symbol {name!r} in model")
+            table[name] = frozenset((tuple(a), tuple(b)) for a, b in pairs)
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "rho", table)
         size = len(carrier)
         for name, pairs in table.items():
             sort = signature.sort(name)
@@ -261,10 +315,6 @@ class RelModel:
         sort = self.signature.sort(name)
         return _trusted(Relation, sort=sort, carrier_size=self.size, pairs=self.rho[name])
 
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, RelModel) and self.signature == other.signature
-                and self.carrier == other.carrier and self.rho == other.rho)
-
     def __repr__(self) -> str:
         return f"RelModel(|X|={self.size}, {sum(map(len, self.rho.values()))} tuples)"
 
@@ -276,7 +326,7 @@ def load_model(text: str, sig: Signature) -> RelModel:
     other than an object; no object may list a key, a symbol say, twice."""
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys(ModelError, "key"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a number too long for int
         raise ModelError(f"malformed model JSON: {exc}") from None
     if not isinstance(doc, dict) or "carrier" not in doc:
         raise ModelError('model JSON must be an object with a "carrier" field')

@@ -12,7 +12,6 @@ syntactically, so all round-trip guarantees here are semantic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 from .ccq import (
@@ -51,11 +50,10 @@ from .gcq import (
     postorder,
     subtrees,
 )
-from .sigmodel import RelModel, Signature, _trusted
+from .sigmodel import Record, RelModel, Signature, _trusted
 
 
-@dataclass(frozen=True)
-class TwoSidedJudgment:
+class TwoSidedJudgment(Record):
     """A formula over left variables x0..x{left-1} and right ones y0..y{right-1}.
 
     Stored over a single context of size left+right, with the y block at

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 from itertools import permutations, product
 
 import pytest
@@ -43,6 +44,13 @@ from cqgraph.sigmodel import Relation, RelModel, Signature, Sort, random_model
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+# int() refuses numbers of 5,000 digits where the interpreter limits the
+# digits it converts (4,300 by default since Python 3.10.7; 0 means no limit)
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+refuses_5000_digits = pytest.mark.skipif(not 0 < INT_DIGITS < 5000,
+                                         reason="int() converts 5,000 digits here")
 
 
 # -- random generators -------------------------------------------------------

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from conftest import clique, model_battery, mutate, naive_eval_ccq, random_judgment
+from conftest import (
+    clique, model_battery, mutate, naive_eval_ccq, random_judgment, refuses_5000_digits,
+)
 from cqgraph.ccq import (
     AddVar,
     CcqJudgment,
@@ -104,6 +106,22 @@ def test_judgments_reject_atom_symbols_that_are_not_strings(formula):
     with pytest.raises(ValueError) as caught:
         CcqJudgment(1, formula)
     assert str(caught.value) == "atom symbol 1 is not a string"
+
+
+@pytest.mark.parametrize("symbol", ["", "a b", "9", "R'", "\u00e9", "R\n", "copy"])
+def test_judgments_reject_atom_symbols_that_formula_text_cannot_spell(symbol):
+    # print_ccq would print text that does not parse back as the atom
+    with pytest.raises(ValueError, match="^atom symbol"):
+        CcqJudgment(1, RelAtom(symbol, (0,)))
+    with pytest.raises(ValueError, match="^atom symbol"):
+        CcqJudgment(1, Exists(Conj(Top(), RelAtom(symbol, (0, 1)))))
+
+
+def test_judgments_keep_atom_symbols_that_are_names():
+    for symbol in ("top", "exists", "_", "R2", "copy_"):
+        j = CcqJudgment(1, RelAtom(symbol, (0,)))
+        sig = Signature({symbol: (1, 0)})
+        assert parse_ccq(print_ccq(j), sig) == j
 
 
 def test_parse_rejects_shadowing():
@@ -349,6 +367,19 @@ def test_parse_errors_inside_nesting():
         Exists(Exists(Conj(RelAtom("R", (1, 2)), RelAtom("S", (0,)))))
     assert parse_ccq_two_sided("1,1 |- exists x1. R(x1, y0)", SIG) == \
         (1, 1, Exists(RelAtom("R", (2, 1))))
+
+
+@refuses_5000_digits
+def test_numbers_too_long_for_int_are_parse_errors():
+    # the parser says so as a ParseError, not int()'s ValueError
+    nines = "9" * 5000
+    for text in (f"1 |- x{nines} = x0", f"{nines} |- top", f"1,{nines} |- top",
+                 f"1,1 |- R(x0, y{nines})", f"1 |- exists x{nines}. top"):
+        with pytest.raises(ParseError) as err:
+            parse_ccq_two_sided(text, SIG)
+        assert str(err.value) == "a number of 5000 digits is too long"
+    with pytest.raises(ParseError, match="^free variable x1 out of context 1$"):
+        parse_ccq("1 |- x" + "0" * 4000 + "1 = x0", SIG)  # leading zeros, still converted
 
 
 def test_every_formula_the_parser_accepts_passes_the_checked_judgment():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import cqgraph
-from conftest import clique, inclusion_steps, model_battery
+from conftest import INT_DIGITS, clique, inclusion_steps, model_battery
 from cqgraph.ccq import natural_model, parse_ccq
 from cqgraph.cli import main
 from cqgraph.containment import decide_equivalence, decide_inclusion
@@ -84,6 +84,24 @@ def test_check_malformed_input_exits_2(workdir, capsys):
     assert code == 2
     assert captured.out == ""
     assert "error" in captured.err
+
+
+def test_input_the_loaders_refuse_exits_2_without_internal_error(workdir, capsys):
+    (workdir / "big.ccq").write_text(f"signature: sig.json\n1 |- x{'9' * 5000} = x0\n")
+    (workdir / "spaced.json").write_text('{"a b": [1, 0]}')
+    (workdir / "spaced.ccq").write_text("signature: spaced.json\n1 |- top\n")
+    (workdir / "huge.json").write_text(f'{{"R": [2, {"9" * 5000}]}}')
+    (workdir / "huge.ccq").write_text("signature: huge.json\n1 |- top\n")
+    phi = str(workdir / "phi.ccq")
+    for name, err in [("big.ccq", "error: a number of 5000 digits is too long\n"),
+                      ("spaced.ccq", "error: symbol 'a b' is not an identifier\n"),
+                      ("huge.ccq", "error: malformed signature JSON: ")]:
+        if name != "spaced.ccq" and not 0 < INT_DIGITS < 5000:
+            continue  # int() converts 5,000 digits here
+        assert main(["check", str(workdir / name), phi]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(err), name
+        assert "internal error" not in captured.err
 
 
 def test_internal_error_exits_2(workdir, capsys, monkeypatch):

@@ -1,12 +1,15 @@
 import json
 import random
+import re
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dump_signature, identity_relation, model_battery, unit_relation
+from conftest import (
+    dump_signature, identity_relation, model_battery, refuses_5000_digits, unit_relation,
+)
 from cqgraph.errors import ModelError, SignatureError
 from cqgraph.gcq import _KEYWORDS, Gen, Tensor, term_signature
 from cqgraph.sigmodel import (
@@ -60,6 +63,33 @@ def test_signatures_read_off_terms_keep_their_errors():
         term_signature(Gen("", 1, 1))
     merged = term_signature(Tensor(Gen("S", 1, 0), Gen("R", 1, 1))).merged(Signature({"P": (0, 2)}))
     assert list(merged.items()) == [("P", Sort(0, 2)), ("R", Sort(1, 1)), ("S", Sort(1, 0))]
+
+
+@pytest.mark.parametrize("name", ["a b", "9", "9R", "R'", "\u00e9", "R\n", " R", "a-b"])
+def test_names_that_text_cannot_spell_are_refused(name):
+    # neither term nor formula text reads such a name back as one symbol
+    message = f"^symbol {re.escape(repr(name))} is not an identifier$"
+    with pytest.raises(SignatureError, match=message):
+        Signature({"R": (1, 0), name: (1, 0)})
+    with pytest.raises(SignatureError, match=message):
+        load_signature(json.dumps({name: [1, 0]}))
+    with pytest.raises(SignatureError, match=message):
+        Gen(name, 1, 1)
+
+
+def test_names_of_letters_digits_and_underscores_stay_legal():
+    names = ["top", "exists", "_", "_9", "R2D2", "copy_", "ID"]
+    assert list(Signature({name: (1, 1) for name in names})) == sorted(names)
+    assert [Gen(name, 1, 1).name for name in names] == names
+
+
+@refuses_5000_digits
+def test_numbers_too_long_for_int_are_load_errors():
+    nines = "9" * 5000
+    with pytest.raises(SignatureError, match="^malformed signature JSON: "):
+        load_signature(f'{{"R": [1, {nines}]}}')
+    with pytest.raises(ModelError, match="^malformed model JSON: "):
+        load_model(f'{{"carrier": [], "size": {nines}}}', Signature())
 
 
 @pytest.mark.parametrize("name", ["copy", "discard", "merge", "spawn", "id", "id0", "swap"])
