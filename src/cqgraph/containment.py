@@ -97,12 +97,13 @@ def natural_model_check(c: GcqTerm, d: GcqTerm) -> bool:
     """The evaluation oracle for c <= d: never searches for morphisms.
 
     Compile c, read its apex as a model, and ask whether the boundary
-    assignment of c satisfies d there.
+    assignment of c satisfies d there.  The apex has one edge per box of c,
+    so it spans c's signature; compiling c refused a symbol at two sorts.
     """
     if c.sort != d.sort:
         raise SortError(f"cannot compare sorts {c.sort} and {d.sort}")
     ca = term_to_cospan(c)
-    sig = term_signature(c).merged(term_signature(d))
+    sig = _apex_signature(ca.apex).merged(term_signature(d))
     return (ca.iota, ca.omega) in eval_gcq(d, hypergraph_as_model(ca.apex, sig))
 
 

@@ -27,7 +27,7 @@ from itertools import product
 from operator import itemgetter
 
 from .errors import BudgetExhausted, ModelError, SignatureError
-from .sigmodel import Record, RelModel, _trusted
+from .sigmodel import Record, RelModel, _trusted, check_symbol_name
 
 
 Edge = tuple  # (source vertex tuple, target vertex tuple)
@@ -50,6 +50,11 @@ class Hypergraph(Record):
             raise ModelError("edges must map symbols to edge lists")
         if any(type(sym) is not str for sym in edges):
             raise ModelError("edge symbols must be strings")
+        for sym in edges:
+            try:
+                check_symbol_name(sym)  # else no term or formula could spell the edge
+            except SignatureError as error:
+                raise ModelError(str(error)) from None
         table: dict[str, tuple[Edge, ...]] = {}
         for sym in sorted(edges):
             try:
@@ -141,19 +146,34 @@ class _Search:
     (b) An existence search (limit 1, not injective) tries, of the vertices
     of h with no preimage yet, only the smallest of each swap class: a ~ b
     iff the transposition (a b) is an automorphism of h|g, h restricted to
-    the symbols g uses.  Sound: a and b have no preimage yet, so (a b) fixes
-    every image so far, and g has no edge of any other symbol, so (a b)
-    sends each morphism g -> h through b, edge maps and all, to one through
-    a.  That copy is lexicographically smaller, so the first map found, the
-    witness, is still the least morphism and never goes through b; its edge
-    maps come from ``emit``.  An automorphism of h is one of h|g, so each
-    class is a union of classes over all of h, and the tree searched is a
-    subtree of the one those would leave.  Only an image after a failed one
-    with no other preimage is pruned: classes wait.
+    the symbols g uses, at the sorts g uses them.  Sound: a and b have no
+    preimage yet, so (a b) fixes every image so far, and g has no edge of
+    any other symbol or sort, so (a b) sends each morphism g -> h through
+    b, edge maps and all, to one through a.  That copy is lexicographically
+    smaller, so the first map found, the witness, is still the least
+    morphism and never goes through b; its edge maps come from ``emit``.
+    An automorphism of h is one of h|g, so each class is a union of classes
+    over all of h, and the tree searched is a subtree of the one those would
+    leave.  Only an image after a failed one with no other preimage is
+    pruned: classes wait.
+    The swap test looks only at the classes at a: σ = (a b) is an
+    automorphism iff a and b lie on equally many classes and m(σK) = m(K)
+    for each class K at a, m counting parallel edges.  σ fixes every class
+    at neither vertex.  It maps the classes at a injectively into those at
+    b, as m(σK) = m(K) > 0 and σK holds b where K holds a, so equal counts
+    make that a bijection; and σ is an involution, so it maps each class at
+    b back onto one at a of the same multiplicity.
 
-    Set-up is a few dictionary operations per edge of g and of h|g, whose
-    rows are the ``targets`` (by class size if injective); ``emit`` indexes
-    h|g's edge ids only for a complete vertex map, so a refutation never does.
+    Set-up costs only what the search reads.  Each search builds the
+    ``targets`` (by class size if injective) from h|g and files g's edges
+    under the vertex where they become checkable.  A vertex builds its rule
+    (a) probes when first reached: per edge, the index of its pattern,
+    built once per search, and an ``itemgetter`` of its other tentacles.
+    One table of h|g's edge classes with their edge ids serves rule (b),
+    from its first failed image with no other preimage, and ``emit``, from
+    its first complete vertex map; a search that needs neither never
+    builds it.  Rule (b)'s swap classes take one pass over that table, then
+    test each vertex against its buckets' representatives on its own classes.
     """
 
     def __init__(self, g: Hypergraph, h: Hypergraph, pins, limit, budget, injective):
@@ -174,10 +194,13 @@ class _Search:
             self.hits[img] += 1
         self.infeasible = injective and any(n > 1 for n in self.hits)  # two pins on one image
 
-        # h|g: h's edges of the symbols g uses, as no other edge constrains
-        # a morphism; targets: (symbol, class size or None) -> flat tentacle tuples
-        self.hg = {sym: rows for sym, rows in h.edges.items() if sym in g.edges}
-        self.h_index = None  # symbol -> tentacle tuple pair -> ascending edge ids, in ``emit``
+        # h|g: h's edges of the symbols g uses, at the sorts g uses them, as no
+        # other edge constrains a morphism (so a flat tentacle tuple names its
+        # class); targets: (symbol, class size or None) -> flat tentacle tuples
+        sorts = {sym: (len(s), len(t)) for sym, ((s, t), *_) in g.edges.items()}
+        self.hg = {sym: rows for sym, rows in h.edges.items()
+                   if sorts.get(sym) == (len(rows[0][0]), len(rows[0][1]))}
+        self.h_classes = None  # h|g's edge classes, built at first use: see ``edge_classes``
         targets: dict[tuple, set] = {}
         for sym, rows in self.hg.items():
             if injective:
@@ -190,11 +213,12 @@ class _Search:
         # where rule (a) keeps only the images that pass it
         self.fresh_at: list[list] = [[] for _ in range(g.vcount)]
         self.ready: list = []
+        none = frozenset()  # the targets of an edge with no class to land on
         for sym, rows in g.edges.items():
             size = Counter(rows) if injective else {}
             for row in rows:
                 verts = row[0] + row[1]
-                ref = (verts, targets.get((sym, size.get(row)), set()))
+                ref = (verts, targets.get((sym, size.get(row)), none))
                 unpinned = [x for x in verts if self.vmap[x] is None] if pins else verts
                 if unpinned:
                     self.fresh_at[max(unpinned)].append(ref)
@@ -208,21 +232,28 @@ class _Search:
         if self.budget is not None and self.steps > self.budget:
             raise BudgetExhausted(f"morphism search exceeded {self.budget} steps")
 
+    def edge_classes(self) -> dict:
+        """h|g's edge classes, built by the first of rule (b) and ``emit`` to
+        need them: symbol -> flat tentacle tuple -> the class's ascending
+        edge ids, whose count is the class's multiplicity."""
+        if self.h_classes is None:
+            self.h_classes = {}
+            for sym, rows in self.hg.items():
+                table = self.h_classes[sym] = {}
+                for i, (s, t) in enumerate(rows):
+                    table.setdefault(s + t, []).append(i)
+        return self.h_classes
+
     def emit(self):
         """All edge maps compatible with the completed vertex map."""
-        if self.h_index is None:  # a vertex map is complete: index h|g's edges
-            self.h_index = {sym: {} for sym in self.hg}
-            for sym, rows in self.hg.items():
-                for i, row in enumerate(rows):
-                    self.h_index[sym].setdefault(row, []).append(i)
+        classes = self.edge_classes()
         per_edge: dict[str, list[list[int]]] = {}
         image = self.vmap.__getitem__
         for sym, rows in self.g.edges.items():
             cands = []
-            index = self.h_index.get(sym, {})
+            table = classes.get(sym, {})
             for src, tgt in rows:
-                key = (tuple(map(image, src)), tuple(map(image, tgt)))
-                ids = index.get(key)
+                ids = table.get(tuple(map(image, src + tgt)))
                 if not ids:
                     return False
                 cands.append(ids)
@@ -269,65 +300,74 @@ class _Search:
         """Rule (a): the images every edge checkable at v allows there, given
         its other tentacles' images, ascending; else every vertex of h."""
         probes = self.probes[v]
-        if probes is None:
-            probes = self.probes[v] = [self.probe(verts, fset, v) for verts, fset in self.fresh_at[v]]
-        allowed, vmap = -1, self.vmap
-        for get, key in probes:
+        if probes is None:  # per edge, the index of its pattern and the getter of its key
+            allowed, probes = -1, []
+            for verts, fset in self.fresh_at[v]:
+                at = (tuple([k for k, x in enumerate(verts) if x == v]) if verts.count(v) > 1
+                      else (verts.index(v),))  # v's places: a repeated tentacle has several
+                index = self.by_rest.get((id(fset), at))
+                if index is None:
+                    index = self.rule_a_index(fset, at, len(verts))
+                others = [x for x in verts if x != v]
+                if others:
+                    probes.append((index.get, itemgetter(*others)))
+                else:  # every tentacle at v: the edge allows the same images always
+                    allowed &= index.get((), 0)
+            self.probes[v] = probes = (allowed, probes)
+        allowed, vmap = probes[0], self.vmap
+        for get, key in probes[1]:
             allowed &= get(key(vmap), 0)
         return range(self.h.vcount) if allowed < 0 else _bits(allowed)
 
-    def probe(self, verts: tuple, fset: set, v: int):
-        """An edge checkable at v as the ``get`` of its index and the getter
-        of its key, the images of its other tentacles: the key maps to the
-        bitset of images x such that v -> x puts the edge in ``fset``."""
-        k = verts.index(v)
-        if verts.count(v) == 1:
-            at, others = (k,), verts[:k] + verts[k + 1:]
-        else:  # a repeated tentacle: its places share one image
-            at = tuple(k for k, x in enumerate(verts) if x == v)
-            others = tuple(x for x in verts if x != v)
-        index = self.by_rest.get((id(fset), at))
-        if index is None:
-            index = self.by_rest[id(fset), at] = {}
-            key = _getter([k for k in range(len(verts)) if k not in at])
-            for flat in fset:
-                x = flat[k]
-                if len(at) == 1 or all(flat[j] == x for j in at):
-                    rest = key(flat)
-                    index[rest] = index.get(rest, 0) | 1 << x
-        return index.get, _getter(others)
+    def rule_a_index(self, fset: set, at: tuple, width: int) -> dict:
+        """The index rule (a) reads for edges with targets ``fset`` and v at
+        the places ``at`` of ``width``: the other places' images, as one
+        ``itemgetter`` gives them (``()`` if there are none), map to the
+        bitset of images x such that v -> x puts the edge in ``fset``.  It
+        depends on that pattern alone, so the edges that have it share it."""
+        index = self.by_rest[id(fset), at] = {}
+        first, rest = at[0], [k for k in range(width) if k not in at]
+        key = itemgetter(*rest) if rest else (lambda flat: ())
+        for flat in fset:
+            x = flat[first]
+            if len(at) == 1 or all(flat[k] == x for k in at):
+                others = key(flat)
+                index[others] = index.get(others, 0) | 1 << x
+        return index
 
     def swap_classes(self) -> list[list[int]]:
         """Rule (b): each vertex's swap class in h|g, ascending; an edge below
-        is one of h's edges of the symbols g uses.  Swappable a, b share
-        N(a) - {a} (not adjacent) or N(a) + {a} (adjacent).  σ = (a b) is an
-        automorphism iff m(σe) = m(e) for every edge e at a or b, m counting
-        parallel edges: σ is an involution fixing every edge at neither, and
-        m is σ-invariant iff m(σe) = m(e) for all e, where a side other than 0
-        puts e or σe at a or b.  (a c)(c b)(a c) = (a b), so ~ is an
-        equivalence.  No class mixes the kinds: a ~ b apart and b ~ c adjacent
-        give a ~ c adjacent, and then b, in N(c) + {c} = N(a) + {a}, is
-        adjacent to a.  So a class lies in one bucket, where one test per
-        class met finds it."""
-        mult = Counter((sym, s + t) for sym, table in self.hg.items() for s, t in table)
-        rows = list(mult)  # one per edge class
-        at: list[set] = [set() for _ in range(self.h.vcount)]  # the classes at each vertex
-        for e, (_, flat) in enumerate(rows):
-            for x in flat:
-                at[x].add(e)
+        is one of h|g's.  Swappable a, b share N(a) - {a} (not adjacent) or
+        N(a) + {a} (adjacent), N(a) being the vertices on a class with a.
+        (a c)(c b)(a c) = (a b), so ~ is an equivalence.  No class mixes the
+        kinds: a ~ b apart and b ~ c adjacent give a ~ c adjacent, and then
+        b, in N(c) + {c} = N(a) + {a}, is adjacent to a.  So a class lies in
+        one bucket, where one test per class met, the one-sided test of the
+        class docstring, finds it."""
+        n = self.h.vcount
+        at: list[list] = [[] for _ in range(n)]  # (class table, class, multiplicity) at each vertex
+        near: list[set] = [set() for _ in range(n)]  # N(x): the vertices sharing a class with x
+        for table in self.edge_classes().values():
+            for flat, ids in table.items():
+                on, entry = set(flat), (table, flat, len(ids))
+                for x in on:
+                    at[x].append(entry)
+                    near[x] |= on
         buckets: dict[frozenset, list] = {}
-        for a, edges in enumerate(at):
-            near = set().union(*(rows[e][1] for e in edges))
-            for key in (near - {a}, near | {a}):
+        for a in range(n):
+            for key in (near[a] - {a}, near[a] | {a}):
                 buckets.setdefault(frozenset(key), []).append(a)
-        classes = [[a] for a in range(self.h.vcount)]
+        classes = [[a] for a in range(n)]
         for bucket in buckets.values():
             reps: list[int] = []
             for a in bucket:
+                mine = at[a]
                 for r in reps:
+                    if len(at[r]) != len(mine):
+                        continue
                     sub = {a: r, r: a}
-                    if all(mult[sym, tuple(map(sub.get, flat, flat))] == mult[sym, flat]
-                           for sym, flat in map(rows.__getitem__, at[a] | at[r])):
+                    if all(len(table.get(tuple(map(sub.get, flat, flat)), ())) == m
+                           for table, flat, m in mine):
                         classes[r].append(a)
                         classes[a] = classes[r]
                         break
@@ -460,12 +500,6 @@ def pushout(f: tuple, g: tuple, a: Hypergraph, b: Hypergraph):
             (tuple(off + v for v in s), tuple(off + v for v in t)) for s, t in rows)
     apex, number = quotient(off + b.vcount, ((x, off + y) for x, y in zip(f, g)), edges)
     return apex, tuple(number[:off]), tuple(number[off:])
-
-
-def _getter(idx):
-    """A function taking a sequence to its item at ``idx``, for one index,
-    or to the tuple of its items there."""
-    return itemgetter(*idx) if idx else (lambda row: ())
 
 
 def _bits(mask: int):

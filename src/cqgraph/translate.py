@@ -40,13 +40,13 @@ from .gcq import (
     Gen,
     GcqTerm,
     Id0,
+    Id1,
     Merge,
     Seq,
     Spawn,
     Swap,
     Tensor,
     Wiring,
-    identity,
     postorder,
     subtrees,
 )
@@ -92,7 +92,21 @@ def theta(j: CcqJudgment) -> GcqTerm:
     Requires a relational reading of the symbols: each arity-k symbol is
     used as a box of sort (k, 0).  Each rule's wiring is applied bottom-up
     over the canonical derivation.
+
+    Every rule's wiring holds an identity bundle as wide as its context, so
+    the term, read as a tree, is quadratic in the width.  Each bundle is
+    built once per call, ``identity(k)`` as ``identity(k-1) (+) id``, and
+    shared by every rule that uses it: terms are immutable, and every
+    consumer walks them with ``postorder`` or its own stack, never by node
+    identity, so a shared node reads as the same tree.
     """
+    bundles: list[GcqTerm] = [Id0(), Id1()]  # bundles[k] = identity(k), for this call only
+
+    def bundle(k: int) -> GcqTerm:
+        while len(bundles) <= k:
+            bundles.append(Tensor(bundles[-1], Id1()))
+        return bundles[k]
+
     done: list[GcqTerm] = []  # translations of finished subderivations
     for e in postorder(derive(j), subtrees):
         if isinstance(e, TopIntro):
@@ -105,14 +119,14 @@ def theta(j: CcqJudgment) -> GcqTerm:
             right = done.pop()
             out = _tens(done.pop(), right)
         elif isinstance(e, ExistsIntro):
-            out = _seq(_tens(identity(e.context), Spawn()), done.pop())
+            out = _seq(_tens(bundle(e.context), Spawn()), done.pop())
         elif isinstance(e, AddVar):
-            out = _seq(_tens(identity(e.child.context), Discard()), done.pop())
+            out = _seq(_tens(bundle(e.child.context), Discard()), done.pop())
         elif isinstance(e, MergeVars):
-            out = _seq(_tens(identity(e.child.context - 2), Copy()), done.pop())
+            out = _seq(_tens(bundle(e.child.context - 2), Copy()), done.pop())
         elif isinstance(e, SwapVars):
             n = e.context
-            layer = _tens(_tens(identity(e.k), Swap()), identity(n - e.k - 2))
+            layer = _tens(_tens(bundle(e.k), Swap()), bundle(n - e.k - 2))
             out = _seq(layer, done.pop())
         else:
             raise TypeError(f"not a derivation: {e!r}")

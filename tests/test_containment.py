@@ -18,7 +18,7 @@ from cqgraph.containment import (
     span_semantics,
 )
 from cqgraph.cospan import term_to_cospan
-from cqgraph.errors import BudgetExhausted, ModelError, SortError
+from cqgraph.errors import BudgetExhausted, ModelError, SignatureError, SortError
 from cqgraph.gcq import (
     Copy,
     Discard,
@@ -281,3 +281,13 @@ def test_verdict_json_shape():
     assert doc["holds"] and "vmap" in doc["witness"]
     doc = decide_inclusion(psi, phi).to_json_dict()
     assert not doc["holds"] and "carrier" in doc["countermodel"]
+
+
+def test_a_symbol_at_two_sorts_across_the_sides_is_a_signature_error():
+    # the search finds no morphism between edges of two sorts, so the
+    # countermodel's signature reports the clash, whichever side is larger
+    wide = seq(Tensor(Tensor(Spawn(), Spawn()), Spawn()), Gen("R", 3, 0))
+    narrow = seq(Spawn(), Gen("R", 1, 0))
+    for c, d in ((wide, narrow), (narrow, wide)):
+        with pytest.raises(SignatureError, match="'R' used at two sorts"):
+            decide_inclusion(c, d)

@@ -16,7 +16,7 @@ from conftest import (
     relation_oracle,
     search_steps,
 )
-from cqgraph.cospan import term_to_cospan
+from cqgraph.cospan import Cospan, term_to_cospan
 from cqgraph.errors import BudgetExhausted, ModelError, SignatureError
 from cqgraph.gcq import parse_gcq
 from cqgraph.hypergraph import (
@@ -253,12 +253,7 @@ def test_swap_classes_are_the_transposition_automorphisms():
                           for s, t in rows) == sorted(rows)
                    for sym, rows in h.edges.items() if sym in symbols)
 
-    rng = random.Random(7)
-    seen = Counter()
-    for _ in range(300):
-        g = random_hypergraph(rng, SIG, max_v=3, max_edges=2)
-        h = with_parallel(rng, symmetric_target(rng) if rng.random() < 0.5 else
-                          random_hypergraph(rng, SIG, max_v=5, max_edges=5))
+    def checked_swap_classes(g, h):
         classes = {a: {a} for a in range(h.vcount)}  # closure of the swaps
         for a, b in combinations(range(h.vcount), 2):
             if is_automorphism(h, a, b, g.edges):
@@ -267,6 +262,26 @@ def test_swap_classes_are_the_transposition_automorphisms():
                     classes[x] = classes[a]
         found = _Search(g, h, None, 1, None, False).swap_classes()
         assert [sorted(classes[a]) for a in range(h.vcount)] == found
+        return found
+
+    # every vertex of these cliques lies on equally many classes, and only
+    # the multiplicity of a parallel edge or of a loop tells some apart;
+    # a lone loop tells its vertex from the isolated ones by the count alone
+    k4 = list(clique_graph(4).edges["E"])
+    loops = [((v,), (v,)) for v in range(4)]
+    for rows, want in ((k4 + [((0,), (1,))], [[0], [1], [2, 3], [2, 3]]),
+                       (k4 + loops + [((0,), (0,))], [[0], [1, 2, 3], [1, 2, 3], [1, 2, 3]]),
+                       (k4 + loops + loops[2:], [[0, 1], [0, 1], [2, 3], [2, 3]]),
+                       (loops[:1], [[0], [1, 2, 3], [1, 2, 3], [1, 2, 3]])):
+        assert checked_swap_classes(clique_graph(2), Hypergraph(4, {"E": rows})) == want
+
+    rng = random.Random(7)
+    seen = Counter()
+    for _ in range(300):
+        g = random_hypergraph(rng, SIG, max_v=3, max_edges=2)
+        h = with_parallel(rng, symmetric_target(rng) if rng.random() < 0.5 else
+                          random_hypergraph(rng, SIG, max_v=5, max_edges=5))
+        found = checked_swap_classes(g, h)
         seen["restricted"] += bool(set(h.edges) - set(g.edges))
         seen["merged"] += any(not is_automorphism(h, a, b, h.edges)
                               for a in range(h.vcount) for b in found[a])
@@ -337,11 +352,19 @@ def test_search_matches_the_reference_search():
                                      "parallel")) >= 40, seen
 
 
-def test_edge_ids_are_indexed_only_for_a_complete_map():
-    refutation = _Search(clique_graph(5), clique_graph(4), None, 1, None, False)
-    assert refutation.run() == [] and refutation.h_index is None
+def test_edge_classes_are_built_only_when_a_rule_needs_them():
+    # one table serves rule (b), at the first failed image with no other
+    # preimage, and ``emit``, at the first complete vertex map
+    for limit, built in ((None, False), (1, True)):
+        refutation = _Search(clique_graph(5), clique_graph(4), None, limit, None, False)
+        assert refutation.run() == [] and (refutation.h_classes is not None) == built
     found = _Search(clique_graph(4), clique_graph(5), None, 1, None, False)
-    assert found.run() and found.h_index is not None
+    assert found.run() and found.h_classes == {"E": {
+        (a, b): [i] for i, ((a,), (b,)) in enumerate(clique_graph(5).edges["E"])}}
+    parallel = _Search(single_edge(), Hypergraph(2, {"R": [((1,), (0,))] + [((0,), (1,))] * 2}),
+                       None, None, None, False)
+    assert [f.emaps for f in parallel.run()] == [{"R": (1,)}, {"R": (2,)}, {"R": (0,)}]
+    assert parallel.h_classes == {"R": {(1, 0): [0], (0, 1): [1, 2]}}
     # classes of 1, 2 and 3 parallel edges: an isomorphism matches class sizes
     rng, seen = random.Random(3), Counter()
     g = Hypergraph(4, {"R": [((0,), (1,))] + [((1,), (2,))] * 2 + [((2,), (3,))] * 3,
@@ -381,6 +404,22 @@ def test_search_step_counts():
     start = time.perf_counter()
     assert find_morphisms(path, path, limit=1)
     assert time.perf_counter() - start < 0.1
+
+
+def test_clique_search_steps_and_witnesses():
+    # the instances of the clique_search benchmark: K_n -> K_(n-1) and back,
+    # and both with F-tails of distinct lengths on the target
+    down = [(clique_graph(n), clique_graph(n - 1)) for n in range(4, 10)]
+    up = [(clique_graph(n - 1), clique_graph(n)) for n in range(4, 13)]
+    down_tailed = [(clique_graph(n), clique_graph(n - 1, tails=range(1, n))) for n in range(4, 9)]
+    up_tailed = [(clique_graph(n - 1), clique_graph(n, tails=range(n, 0, -1))) for n in range(4, 9)]
+    for cases, first in ((down, 3), (up, 4), (down_tailed, 4), (up_tailed, 4)):
+        assert [search_steps(g, h) for g, h in cases] == list(range(first, first + len(cases)))
+    for g, h in down + down_tailed:
+        assert find_morphisms(g, h, limit=1) == []
+    for g, h in up + up_tailed:
+        [f] = find_morphisms(g, h, limit=1)
+        assert f.vmap == tuple(range(g.vcount)) and validate_morphism(f, g, h)
 
 
 def test_union_counts():
@@ -439,6 +478,31 @@ def test_hypergraph_rejects_symbols_that_are_not_strings(edges):
     with pytest.raises(ModelError) as caught:
         Hypergraph(2, edges)
     assert str(caught.value) == "edge symbols must be strings"
+
+
+@pytest.mark.parametrize("sym, message", [
+    ("a b", "symbol 'a b' is not an identifier"),
+    ("9", "symbol '9' is not an identifier"),
+    ("", "symbol names must be non-empty"),
+    ("copy", "symbol 'copy' is the name of a wiring constant"),
+])
+def test_hypergraph_rejects_symbols_that_no_text_can_spell(sym, message):
+    with pytest.raises(ModelError) as caught:
+        Hypergraph(1, {sym: [((0,), ())]})
+    assert str(caught.value) == message
+    with pytest.raises(ModelError) as caught:
+        Cospan(1, 0, Hypergraph(1, {sym: [((0,), ())]}), [0], [])
+    assert str(caught.value) == message
+
+
+def test_no_edge_maps_onto_an_edge_of_another_sort():
+    # each graph is checked on its own, so one symbol may have two sorts
+    # across the two; flat tentacle tuples of equal length must not match
+    cases = [(Hypergraph(2, {"R": [((0,), (1,))]}), Hypergraph(2, {"R": [((0, 1), ())]})),
+             (Hypergraph(3, {"R": [((0, 1, 2), ())]}), Hypergraph(1, {"R": [((0,), ())]}))]
+    for g, h in cases:
+        for a, b in ((g, h), (h, g)):
+            assert find_morphisms(a, b) == [] and find_morphisms(a, b, limit=1) == []
 
 
 def test_quotient_and_union_reject_a_symbol_at_two_sorts():
