@@ -7,9 +7,9 @@ Composition glues two cospans along the shared boundary by quotienting
 vertices (a pushout over discrete boundaries, computed with union-find);
 tensor is disjoint union.  This algebra is the reference for
 ``compile_nodes``, which compiles a whole term as one colimit: one pass
-over its nodes in postorder, from a tree (``term_to_cospan``) or straight
-from the parser (``parse_gcq(text, sig, into=compile_nodes)``), keeping
-their boundaries on two flat stacks, then one quotient of all its wires.
+over its events in text order, from a tree (``term_to_cospan``) or straight
+from the parser (``parse_gcq(text, sig, into=compile_nodes)``), threading
+wires forward, then one quotient of the wires that ``merge`` glues.
 ``cospan_to_term`` writes any cospan back as a term whose compilation is
 isomorphic to it.
 """
@@ -32,10 +32,9 @@ from .gcq import (
     Wiring,
     composition_error,
     identity,
-    postorder,
     seq,
-    subtrees,
     tensor,
+    term_nodes,
 )
 from .hypergraph import (
     Hypergraph,
@@ -97,8 +96,7 @@ def identity_cospan(n: int) -> Cospan:
 
 
 def term_to_cospan(t: GcqTerm | CcqJudgment | Cospan) -> Cospan:
-    """Compile a term to its cospan of hypergraphs, its nodes in postorder
-    through ``compile_nodes``; a cospan is returned as it is.
+    """Compile a term's events to its cospan; a cospan is returned as it is.
 
     A judgment ``n |- f`` compiles to its natural model with the free
     variables on the left boundary: the cospan of ``theta`` of it, up to
@@ -110,74 +108,84 @@ def term_to_cospan(t: GcqTerm | CcqJudgment | Cospan) -> Cospan:
     if isinstance(t, CcqJudgment):
         g, free = natural_model(t)
         return _trusted(Cospan, n=t.context, m=0, apex=g, iota=free, omega=())
-    return compile_nodes(postorder(t, subtrees))
+    return compile_nodes(term_nodes(t))
 
 
 def compile_nodes(nodes) -> Cospan:
-    """The cospan of a term from its nodes in postorder, inner ones as
-    themselves or, from ``gcq.parse_nodes``, as their class.  One pass gives
-    the leaves fresh wires left to right, a box one hyperedge from its left
-    boundary to its right one, and one quotient of all wires gives exactly
-    the cospan of the reference algebra.
-
-    The boundaries of finished subterms lie on two flat stacks; a subterm
-    is its start on ``left`` and the starts of its region and of its live
-    boundary on ``right``.  ``(+)`` moves nothing on ``left``, and ``;``
-    glues, then truncates the inner boundary off its top.  On ``right``,
-    ``;`` leaves the glued wires as a gap, and ``(+)`` closes one by moving
-    the shorter of its operands' boundaries.  So ``;`` costs O(1 + wires
-    glued) and ``(+)`` O(1) plus a small-to-large move: a wire moves only
-    into a boundary at least twice as wide, which keeps its width through
-    ``;``, so each of n wires moves at most log n times (a gap slot is
-    freed once), and the pass is O(n log n) in either nesting of either operator.
+    """The cospan of a term's events (``gcq.parse_nodes``, ``gcq.term_nodes``)
+    in one pass that threads wires forward.  An operand reads its inputs from
+    the source around its chain if it is the chain's first, else, in full,
+    from the list of the operand before it; it appends its outputs to a list
+    of its own.  Only reads past the left boundary's end, ``spawn`` and boxes
+    make wires, and only ``merge`` glues.  A closing group's list and its
+    operand's join by moving the shorter, if need be into room as long as the
+    other made in front of it: a wire moves only into a list at least twice as
+    long, which grows until read, so at most log n times: O(n log n) in all.
+    The quotient numbers each class by its first wire, made at the first leaf
+    in text order touching it, as in the reference algebra, which gives the
+    leaves fresh wires in that order: the cospans are equal.
     """
-    wires = 0
-    glue: list[tuple[int, int]] = []
-    edges: dict[str, list] = {}
-    left, right = [], []  # the boundaries of finished subterms, in postorder
-    done: list[tuple[int, int, int]] = []  # per finished subterm: (left start, region, live start)
+    wires, glue, edges = 0, [], {}  # glue: the two inputs of each merge
+    left: list[int] = []  # the left boundary
+    src, pos, out, off = left, 0, [], 0  # the operand reads src from pos, and gives out[off:]
+    put = out.append
+    at = (None, 0, 0)  # its chain's left width (None in its first operand), src's pos and end then
+    groups: list[tuple] = []  # (src, pos, out, off, at) of the operand around each open group
     for u in nodes:
-        kind = u if u is Seq or u is Tensor else type(u)
-        if kind is Tensor:
-            _, r2, b2 = done.pop()
-            if r2 < b2:  # the right operand's boundary sits after a gap: close it
-                l1, r1, b1 = done[-1]
-                width = r2 - b1
-                if width < len(right) - b2:
-                    right[b2 - width:b2] = right[b1:r2]
-                    done[-1] = (l1, r1, b2 - width)
-                else:
-                    del right[r2:b2]
+        kind = type(u)
+        if kind is Id1 and pos < len(src):  # the commonest leaf, inlined
+            put(src[pos])
+            pos += 1
             continue
-        if kind is Seq:
-            (l2, r2, b2), (l1, r1, b1) = done.pop(), done[-1]
-            if r2 - b1 != len(left) - l2:
-                raise composition_error(Sort(l2 - l1, r2 - b1), Sort(len(left) - l2, len(right) - b2))
-            glue += zip(right[b1:r2], left[l2:])
-            del left[l2:]
-            done[-1] = (l1, r1, b2)
-            continue
-        done.append((len(left), len(right), len(right)))
-        if kind is Id1:  # the commonest leaf: its boundaries, inlined
-            left.append(wires)
-            right.append(wires)
-            wires += 1
+        if kind is str:
+            if u == "(":
+                groups.append((src, pos, out, off, at))
+                out, off, at = [], 0, (None, pos, 0)
+            else:  # the operand ends
+                n, start, end = at
+                if n is None:
+                    n = pos - start
+                elif pos != end:
+                    raise composition_error(Sort(n, end - start), Sort(pos - start, len(out) - off))
+                if u == ";":
+                    src, pos, out, off, at = out, off, [], 0, (n, off, len(out))
+                elif groups:
+                    src, pos, outer, room, at = groups.pop()
+                    pos += n
+                    moved = len(outer) - room
+                    if moved >= len(out) - off:
+                        outer += out[off:]
+                        out, off = outer, room
+                    else:
+                        if off < moved:
+                            out[:0] = [None] * (grow := len(out) - off + moved)
+                            off += grow
+                        out[off - moved:off] = outer[room:]
+                        off -= moved
+            put = out.append
             continue
         if kind is Gen:
-            size = u.n + u.m
-            iota, omega = range(wires, wires + u.n), range(wires + u.n, wires + size)
-            edges.setdefault(u.name, []).append((iota, omega))
+            reads, spawns = u.n, u.m
         elif isinstance(u, Wiring):  # read off the class, the faster lookup
-            size = kind.wires
-            iota, omega = kind.boundaries(wires)
+            reads, pairs, spawns, outs = kind.moves
         else:
             raise TypeError(f"not a term: {u!r}")
-        left += iota
-        right += omega
-        wires += size
+        if pos + reads > len(src):  # a read past src's end makes wires (past a list's, an error)
+            src += range(wires, wires := wires + pos + reads - len(src))
+        got = src[pos:pos + reads]
+        pos += reads
+        if kind is Gen:  # an edge from the wires it reads to those it makes
+            edges.setdefault(u.name, []).append((got, range(wires, wires + spawns)))
+            out += range(wires, wires := wires + spawns)
+            continue
+        if spawns:
+            got += range(wires, wires := wires + spawns)
+        for i, j in pairs:
+            glue.append((got[i], got[j]))
+        for i in outs:
+            put(got[i])
     apex, number = quotient(wires, glue, edges)
-    l1, _, b1 = done.pop()
-    iota, omega = (tuple(map(number.__getitem__, side)) for side in (left[l1:], right[b1:]))
+    iota, omega = (tuple(map(number.__getitem__, side)) for side in (left, out[off:]))
     return _trusted(Cospan, n=len(iota), m=len(omega), apex=apex, iota=iota, omega=omega)
 
 

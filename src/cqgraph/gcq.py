@@ -6,13 +6,13 @@ Every node carries its sort ``(n, m)``: the number of dangling wires on the
 left and on the right.  No quotienting happens at the data level; equality
 up to the diagrammatic laws lives in :mod:`cqgraph.containment`.
 
-Every pass over a tree is a flat loop over ``postorder``, an explicit
-stack, so terms (and the formulas and derivations of the other modules)
-of any depth are handled under the default recursion limit.  The parser
-yields a term's nodes in that order, straight from its tokens (cut by
-``str.split`` at the padded punctuation, or by one ``findall``);
-``build_term`` folds them into the tree, and ``cospan.compile_nodes`` into
-the cospan, with no tree built.
+Every pass over a tree is a flat loop over an explicit stack, mostly
+``postorder``, so terms (and the formulas and derivations of the other
+modules) of any depth are handled under the default recursion limit.  The
+parser yields a term's leaves and ``;`` chain marks in text order, from its
+tokens (cut by ``str.split`` at the padded punctuation, or by one
+``findall``), as ``term_nodes`` does from a tree; ``build_term`` folds them
+into the tree, and ``cospan.compile_nodes`` into the cospan.
 """
 
 from __future__ import annotations
@@ -109,22 +109,23 @@ class GcqTerm(Record):
 class Wiring(GcqTerm):
     """A wiring constant, stated once in its class statement: ``name`` is
     its keyword in term text, and ``boundaries(w)`` its left and right
-    boundary over the wires it lays down from a first wire w.  From
-    ``boundaries(0)`` the class gets ``iota``, ``omega``, its ``sort`` and
-    the number of its ``wires``, which the parser, printer, compiler and
-    ``lambda_term`` read.  The class enters its keyword in ``_KEYWORDS``,
-    the table the parser and ``check_symbol_name`` read.  None of these
-    class attributes is annotated, so a wiring is a ``Record`` of no
-    fields: immutable, and equal to any other of its class.
+    boundary over the wires it lays down from w on, in order of first
+    appearance.  From ``boundaries(0)`` the class gets ``iota``, ``omega``,
+    its ``sort`` and the compiler's ``moves`` (how many wires it reads, the
+    pairs it glues, how many it makes, which it gives).  It enters its
+    keyword in ``_KEYWORDS``, which the parser and ``check_symbol_name``
+    read.  None of these class attributes is annotated, so a wiring is a
+    ``Record`` of no fields: immutable, and equal to any other of its class.
     """
 
     def __init_subclass__(cls, name: str, boundaries):
         super().__init_subclass__()  # Record's: no fields
-        cls.name, cls.boundaries = name, staticmethod(boundaries)
-        _KEYWORDS[name] = cls
-        cls.iota, cls.omega = map(tuple, boundaries(0))
-        cls.sort = Sort(len(cls.iota), len(cls.omega))
-        cls.wires = len(set(cls.iota + cls.omega))
+        cls.name, _KEYWORDS[name] = name, cls
+        cls.iota, cls.omega = iota, omega = tuple(map(tuple, boundaries(0)))
+        cls.sort = Sort(len(iota), len(omega))
+        got = iota + tuple(x for x in dict.fromkeys(omega) if x not in iota)
+        pairs = tuple((got.index(x), i) for i, x in enumerate(iota) if got.index(x) < i)
+        cls.moves = (len(iota), pairs, len(got) - len(iota), tuple(map(got.index, omega)))
 
 
 class Copy(Wiring, name="copy", boundaries=lambda w: ([w], [w, w])):
@@ -364,24 +365,18 @@ def tokenize(token: re.Pattern, text: str, cuts, whole: re.Pattern) -> list[str]
 
 
 def parse_nodes(text: str, sig: Signature):
-    """The nodes of the term text spells, in postorder and one at a time, so
-    errors come in text order whatever folds them: a leaf as a term, with
-    its box name resolved in sig, an inner node as its class, ``Seq`` or
-    ``Tensor``.  One loop over the tokens: ``composite`` and ``tensored``
-    say whether a ``;`` and a ``(+)`` chain are open at the current depth,
-    and each open parenthesis saves that pair on a stack, so any depth parses.
-    """
-    tokens = tokenize(_TOKEN, text, _CUTS, _WHOLE) + [None]  # None marks the end
-    frames: list[tuple] = []  # (composite, tensored) around each open parenthesis
-    composite = tensored = False
+    """The events of the term text spells, one at a time in text order, so
+    errors come in text order whatever folds them: each leaf as a term (box
+    names resolved in sig), and ``"("``, ``";"``, ``")"`` where a ``;`` chain
+    opens, moves on and closes, before the token closing it is checked; the
+    whole text is one chain.  One token loop counts open parentheses: any depth."""
+    tokens = iter(tokenize(_TOKEN, text, _CUTS, _WHOLE) + [None])  # None marks the end
     leaves = {name: cls() for name, cls in _KEYWORDS.items()}  # immutable, so one per name
-    pos = 0
-    while True:
-        tok = tokens[pos]
-        pos += 1
+    depth = 0
+    for tok in tokens:
         if tok == "(":
-            frames.append((composite, tensored))
-            composite = tensored = False
+            depth += 1
+            yield "("
             continue
         atom = leaves.get(tok)
         if atom is None:
@@ -392,42 +387,60 @@ def parse_nodes(text: str, sig: Signature):
             sort = sig.sort(tok)
             atom = leaves[tok] = Gen(tok, sort.n, sort.m)
         yield atom
-        while True:  # fold the finished atom in, closing parentheses as they come
-            if tensored:
-                yield Tensor
-            tensored = True
-            tok = tokens[pos]
-            pos += 1
-            if tok == "(+)":
-                break
-            if composite:
-                yield Seq
-            composite, tensored = True, False
+        while (tok := next(tokens)) != "(+)":  # the token after an atom, and each ")" after it
             if tok == ";":
+                yield ";"
                 break
-            if not frames:
+            yield ")"
+            if not depth:
                 if tok is not None:
                     raise ParseError(f"trailing input near {tok!r}")
                 return
             if tok != ")":
                 raise ParseError(f"expected ')', found {tok!r}")
-            composite, tensored = frames.pop()  # the group is the atom of the outer chain
+            depth -= 1  # the group is an item of the outer chain
 
 
 def build_term(nodes) -> GcqTerm:
-    """The tree of a term from its nodes in postorder, as ``parse_nodes`` gives them."""
-    done: list[GcqTerm] = []  # finished subterms
+    """The tree of a term's events: items tensored, then operands composed, each to the left."""
+    chain = item = None  # the open chain's operands so far, and its operand's items so far
+    groups: list[tuple] = []  # (chain, item) around each open group
     for u in nodes:
-        if u is Seq or u is Tensor:
-            rhs = done.pop()
-            done[-1] = u(done[-1], rhs)
+        if type(u) is str:
+            if u == "(":
+                groups.append((chain, item))
+                chain = item = None
+                continue
+            chain, item = item if chain is None else Seq(chain, item), None  # the operand ends
+            if u == ";" or not groups:
+                continue
+            u, (chain, item) = chain, groups.pop()  # the group is an item of the outer operand
+        item = u if item is None else Tensor(item, u)
+    return chain
+
+
+def term_nodes(t: GcqTerm) -> list:
+    """A tree's events, those of its printed text less groups of one operand:
+    ``a ; b ; c`` for ``Seq(Seq(a, b), c)``, in parentheses unless at the root."""
+    out, todo = [], [")", t]
+    while todo:
+        u = todo.pop()
+        if type(u) is Seq:  # the chain down its left side
+            if u is not t:
+                out.append("(")
+                todo.append(")")
+            while type(u) is Seq:
+                todo += (u.rhs, ";")
+                u = u.lhs
+        if type(u) is Tensor:
+            todo += (u.rhs, u.lhs)
         else:
-            done.append(u)
-    return done.pop()
+            out.append(u)
+    return out
 
 
 def parse_gcq(text: str, sig: Signature, into=build_term):
-    """Parse a term against sig and fold its nodes ``into`` the tree, or,
+    """Parse a term against sig and fold its events ``into`` the tree, or,
     with ``cospan.compile_nodes``, straight into its cospan: no tree built."""
     return into(parse_nodes(text, sig))
 

@@ -165,15 +165,15 @@ class _Search:
     b back onto one at a of the same multiplicity.
 
     Set-up costs only what the search reads.  Each search builds the
-    ``targets`` (by class size if injective) from h|g and files g's edges
-    under the vertex where they become checkable.  A vertex builds its rule
-    (a) probes when first reached: per edge, the index of its pattern,
-    built once per search, and an ``itemgetter`` of its other tentacles.
-    One table of h|g's edge classes with their edge ids serves rule (b),
-    from its first failed image with no other preimage, and ``emit``, from
-    its first complete vertex map; a search that needs neither never
-    builds it.  Rule (b)'s swap classes take one pass over that table, then
-    test each vertex against its buckets' representatives on its own classes.
+    ``targets`` from h|g and files g's edges under the vertex where they
+    become checkable.  A vertex builds its rule (a) probes when first
+    reached: per edge, the index of its pattern, built once per search, and
+    an ``itemgetter`` of its other tentacles.  One table of h|g's edge
+    classes with their edge ids serves ``emit``, rule (b), and with its keys
+    a plain search's targets, so that builds it at once; an injective one
+    (targets by class size) when ``emit`` or rule (b) first needs it.  Rule
+    (b)'s swap classes take one pass over that table, then test each vertex
+    against its buckets' representatives on its own classes.
     """
 
     def __init__(self, g: Hypergraph, h: Hypergraph, pins, limit, budget, injective):
@@ -201,13 +201,13 @@ class _Search:
         self.hg = {sym: rows for sym, rows in h.edges.items()
                    if sorts.get(sym) == (len(rows[0][0]), len(rows[0][1]))}
         self.h_classes = None  # h|g's edge classes, built at first use: see ``edge_classes``
-        targets: dict[tuple, set] = {}
-        for sym, rows in self.hg.items():
-            if injective:
+        if injective:
+            targets: dict[tuple, set | dict] = {}
+            for sym, rows in self.hg.items():
                 for (s, t), n in Counter(rows).items():
                     targets.setdefault((sym, n), set()).add(s + t)
-            else:
-                targets[sym, None] = {s + t for s, t in rows}
+        else:  # the keys of each symbol's edge classes
+            targets = {(sym, None): table for sym, table in self.edge_classes().items()}
 
         # an edge becomes checkable at its largest unpinned tentacle vertex,
         # where rule (a) keeps only the images that pass it
@@ -233,9 +233,8 @@ class _Search:
             raise BudgetExhausted(f"morphism search exceeded {self.budget} steps")
 
     def edge_classes(self) -> dict:
-        """h|g's edge classes, built by the first of rule (b) and ``emit`` to
-        need them: symbol -> flat tentacle tuple -> the class's ascending
-        edge ids, whose count is the class's multiplicity."""
+        """h|g's edge classes, built once: symbol -> flat tentacle tuple ->
+        the class's ascending edge ids, as many as its multiplicity."""
         if self.h_classes is None:
             self.h_classes = {}
             for sym, rows in self.hg.items():

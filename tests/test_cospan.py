@@ -1,11 +1,14 @@
+import re
 import time
 from functools import reduce
 
 import pytest
 
-from conftest import model_battery, random_cospan, random_term
+from conftest import model_battery, random_cospan, random_judgment, random_term
+from cqgraph.ccq import parse_ccq
 from cqgraph.cospan import (
     Cospan,
+    compile_nodes,
     compose_cospans,
     cospan_to_dot,
     cospan_to_term,
@@ -28,10 +31,13 @@ from cqgraph.gcq import (
     Swap,
     Tensor,
     eval_gcq,
+    parse_gcq,
+    print_gcq,
     seq,
 )
-from cqgraph.hypergraph import Hypergraph, find_morphisms, join_plan, validate_morphism
+from cqgraph.hypergraph import Hypergraph, find_morphisms, join_plan, quotient, validate_morphism
 from cqgraph.sigmodel import Signature
+from cqgraph.translate import theta
 
 SIG = Signature({"R": (2, 0), "S": (1, 1)})
 
@@ -291,9 +297,9 @@ def test_cospan_rejects_bad_boundaries(n, m, apex, iota, omega):
 
 
 def test_tensor_chains_compile_alike_in_either_nesting():
-    # a (+) moves no wire unless its right operand's right boundary sits
-    # after a gap, so a right-nested chain gives the same cospan as a
-    # left-nested one, in about the same time
+    # a (+) moves no wire: its operands append to one list in text order,
+    # so a right-nested chain gives the same cospan as a left-nested one,
+    # in about the same time
     leaves = [Copy(), Gen("S", 1, 1), Spawn(), Merge(), Discard(), Swap()]
     for width in range(1, 13):
         parts = [leaves[k * 5 % len(leaves)] for k in range(width)]
@@ -321,8 +327,8 @@ def test_tensor_chains_compile_alike_in_either_nesting():
 
 
 def test_seq_chains_compile_alike_in_either_nesting():
-    # a ; truncates the glued wires off the left stack and leaves them as a
-    # gap on the right one, so a right-nested chain moves no boundary either
+    # a group that closes as the only item of its operand hands its list
+    # over whole, so a right-nested chain moves no wire list either
     layer = reduce(Tensor, [Id1()] + [Spawn()] * 31_999)
     parts = [Gen("R", 1, 1)] * 32_000 + [layer]
     compiled, best = {}, {}
@@ -337,6 +343,31 @@ def test_seq_chains_compile_alike_in_either_nesting():
     assert compiled[True].sort == (1, 32_000)
     assert compiled[True].apex.vcount == 64_000
     assert best[True] < 4 * best[False], best
+
+
+def test_groups_after_short_lists_compile_as_fast_as_groups_before_them():
+    # in spawn (+) (spawn ; (id (+) ...)) each group's list is the long one,
+    # so the short list before it moves, into room made in front of the long
+    # one; in the mirror image each group closes first in its operand
+    def nest(mirror: bool):
+        t = Spawn()
+        for _ in range(10_666):
+            t = (Tensor(Seq(Spawn(), Tensor(t, Id1())), Spawn()) if mirror
+                 else Tensor(Spawn(), Seq(Spawn(), Tensor(Id1(), t))))
+        return t
+
+    compiled, best = {}, {}
+    for mirror in (False, True):
+        t = nest(mirror)
+        for _ in range(3):
+            start = time.perf_counter()
+            compiled[mirror] = term_to_cospan(t)
+            elapsed = time.perf_counter() - start
+            best[mirror] = min(best.get(mirror, elapsed), elapsed)
+    for c in compiled.values():
+        assert c.sort == (0, 21_333) and c.apex.vcount == 21_333
+        assert sorted(c.omega) == list(range(21_333))
+    assert best[False] < 4 * best[True], best
 
 
 _LEAVES = {(1, 2): Copy(), (2, 1): Merge(), (1, 0): Discard(), (0, 1): Spawn(),
@@ -367,31 +398,72 @@ def reference_fold(t):
     return term_to_cospan(t)
 
 
-def gap_moves(t, moves) -> bool:
-    """Whether t's right boundary sits after a gap on compile_nodes' right
-    stack, counting in moves which boundary each (+) moves to close the gap
-    of its right operand: the left operand's when it is the shorter one,
-    the right operand's otherwise.  ``|``, not ``or``, so every subtree is counted."""
+def group_joins(t, moves) -> bool:
+    """Whether t ends in a ``;`` with wires between its sides, counting in
+    moves, for each (+) whose right operand does, which side is shorter
+    when that operand's group closes: the (+)'s left operand (``"left"``),
+    or not (``"right"``), so that the trees nest both ways.  ``|``, not
+    ``or``, so every subtree is counted."""
     if isinstance(t, Seq):
-        return gap_moves(t.lhs, moves) | (t.lhs.sort.m > 0) | gap_moves(t.rhs, moves)
+        return group_joins(t.lhs, moves) | (t.lhs.sort.m > 0) | group_joins(t.rhs, moves)
     if isinstance(t, Tensor):
-        left_gap, right_gap = gap_moves(t.lhs, moves), gap_moves(t.rhs, moves)
-        if right_gap and t.lhs.sort.m < t.rhs.sort.m:
+        left_glued, right_glued = group_joins(t.lhs, moves), group_joins(t.rhs, moves)
+        if right_glued and t.lhs.sort.m < t.rhs.sort.m:
             moves["left"] += 1
             return True
-        moves["right"] += right_gap
-        return left_gap
+        moves["right"] += right_glued
+        return left_glued
     return False
 
 
 def test_compile_is_the_reference_fold_of_whole_trees(rng):
-    # random nestings of both operators, so a (+) closes many gaps each way
+    # random nestings of both operators, where a closing group's list and
+    # the list before it each turn out the shorter many times
     moves = {"left": 0, "right": 0}
     for _ in range(300):
         t = random_tree(rng, rng.randint(1, 40), rng.randint(0, 4), rng.randint(0, 4))
         assert term_to_cospan(t) == reference_fold(t)
-        gap_moves(t, moves)
+        group_joins(t, moves)
     assert min(moves.values()) >= 50, moves
+    # and compiled straight from text: printed random terms, and printed
+    # theta terms, with their wide bundles of id
+    rel = Signature({"R": (2, 0)})
+    texts = ([print_gcq(random_term(rng, SIG, max_nodes=12)) for _ in range(100)]
+             + [print_gcq(theta(random_judgment(rng, rel, max_ctx=8))) for _ in range(50)]
+             # a list moved in front of a group's, then the two moved after a longer one
+             + ["spawn (+) spawn (+) spawn (+) spawn (+) (spawn ; id (+) (spawn ; id (+) spawn))"])
+    for text in texts:
+        assert parse_gcq(text, SIG, compile_nodes) == reference_fold(parse_gcq(text, SIG)), text
+    bundles = [run.count("(+)") + 1 for text in texts for run in re.findall(r"\bid(?: \(\+\) id\b)*", text)]
+    assert max(bundles) >= 6, max(bundles)
+
+
+def test_only_merge_glues_wires(monkeypatch, rng):
+    # every other leaf moves the wires it reads, or makes new ones, so the
+    # quotient gets one glue pair per merge: none for the printed theta term
+    # of a 50-atom path, whose bundles of id are wide, and so one wire per vertex
+    names = ["x0"] + [f"z{i}" for i in range(1, 50)] + ["x1"]
+    formula = ("2 |- " + "".join(f"exists {x}. " for x in names[1:-1])
+               + " /\\ ".join(f"R({a}, {b})" for a, b in zip(names, names[1:])))
+    rel = Signature({"R": (2, 0)})
+    texts = [print_gcq(theta(parse_ccq(formula, rel)))]
+    texts += [print_gcq(random_term(rng, SIG, max_nodes=12)) for _ in range(100)]
+    seen = []
+
+    def recording(size, glue, edges):
+        seen.append((size, list(glue)))
+        return quotient(size, seen[-1][1], edges)
+
+    monkeypatch.setattr("cqgraph.cospan.quotient", recording)
+    merges = 0
+    for text in texts:
+        c = parse_gcq(text, SIG, compile_nodes)
+        size, glue = seen.pop()
+        assert len(glue) == len(re.findall(r"\bmerge\b", text)), text
+        merges += len(glue)
+        if text is texts[0]:
+            assert c.apex.vcount == size == 51 and text.count("id") > 1000
+    assert merges >= 20
 
 
 def test_compile_rejects_a_symbol_at_two_sorts():

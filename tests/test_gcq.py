@@ -430,7 +430,10 @@ def test_a_cospan_passes_through_the_compiler():
 
 
 def test_width_mismatch_reads_the_same_from_both_folds():
-    for text in ("merge ; merge", "copy ; (S (+) id) ; (swap (+) id)", "(R ; copy) (+) id"):
+    for text in ("merge ; merge", "copy ; (S (+) id) ; (swap (+) id)", "(R ; copy) (+) id",
+                 # lists moved in front of a group's, before and in the failing operand
+                 "spawn (+) (spawn ; id (+) (spawn ; id (+) spawn)) ; id",
+                 "spawn (+) spawn ; id (+) (spawn ; id (+) (spawn ; id (+) spawn))"):
         with pytest.raises(SortError) as tree:
             parse_gcq(text, SIG)
         with pytest.raises(SortError) as direct:

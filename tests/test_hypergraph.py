@@ -353,11 +353,21 @@ def test_search_matches_the_reference_search():
 
 
 def test_edge_classes_are_built_only_when_a_rule_needs_them():
-    # one table serves rule (b), at the first failed image with no other
-    # preimage, and ``emit``, at the first complete vertex map
-    for limit, built in ((None, False), (1, True)):
+    # one table serves rule (b) and ``emit``.  Its keys are a plain search's
+    # rule (a) targets, so a plain search builds it at set-up, once
+    for limit in (None, 1):
         refutation = _Search(clique_graph(5), clique_graph(4), None, limit, None, False)
-        assert refutation.run() == [] and (refutation.h_classes is not None) == built
+        table = refutation.h_classes
+        assert table == {"E": {(a, b): [i] for i, ((a,), (b,)) in enumerate(clique_graph(4).edges["E"])}}
+        assert all(fset is table["E"] for refs in refutation.fresh_at for _, fset in refs)
+        assert refutation.run() == [] and refutation.h_classes is table
+    # an injective search files its targets by class size, and builds the
+    # table only for rule (b), at the first failed image with no other
+    # preimage, or for ``emit``, at the first complete vertex map
+    refutation = _Search(clique_graph(5), clique_graph(4), None, None, None, True)
+    assert refutation.run() == [] and refutation.h_classes is None
+    found = _Search(clique_graph(4), clique_graph(4), None, 1, None, True)
+    assert found.h_classes is None and found.run() and found.h_classes is not None
     found = _Search(clique_graph(4), clique_graph(5), None, 1, None, False)
     assert found.run() and found.h_classes == {"E": {
         (a, b): [i] for i, ((a,), (b,)) in enumerate(clique_graph(5).edges["E"])}}

@@ -116,7 +116,7 @@ def _cycles(sources: dict[str, str]) -> list[str]:
 def test_call_graph_sees_known_calls():
     graph = _call_graph(_package_sources())
     assert ("gcq", "_leaf_relation") in graph[("gcq", "eval_gcq")]
-    assert ("gcq", "postorder") in graph[("cospan", "term_to_cospan")]  # an import
+    assert ("gcq", "term_nodes") in graph[("cospan", "term_to_cospan")]  # an import
     assert ("hypergraph", "_Search.emit") in graph[("hypergraph", "_Search.assign")]  # self
     assert ("ccq", "parse_ccq_two_sided.free") in graph[("ccq", "parse_ccq_two_sided")]  # a closure
 
