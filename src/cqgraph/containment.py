@@ -14,14 +14,12 @@ deciders agree everywhere; the suite enforces that.
 
 from __future__ import annotations
 
-import json
-
 from .ccq import CcqJudgment
 from .cospan import Cospan, boundary_pins, term_to_cospan
 from .errors import ModelError, SortError
 from .gcq import GcqTerm, eval_gcq, term_signature
 from .hypergraph import HgMorphism, Hypergraph, find_morphisms
-from .sigmodel import Record, RelModel, Signature, Sort, _trusted, dump_model
+from .sigmodel import Record, RelModel, Signature, Sort, _trusted, model_json_dict
 
 
 class InclusionVerdict(Record):
@@ -35,7 +33,7 @@ class InclusionVerdict(Record):
             out["witness"] = {"vmap": list(self.witness.vmap),
                               "emaps": {sym: list(e) for sym, e in self.witness.emaps.items()}}
         if self.countermodel is not None:
-            out["countermodel"] = json.loads(dump_model(self.countermodel))
+            out["countermodel"] = model_json_dict(self.countermodel)
         return out
 
 

@@ -164,16 +164,18 @@ class _Search:
     make that a bijection; and σ is an involution, so it maps each class at
     b back onto one at a of the same multiplicity.
 
-    Set-up costs only what the search reads.  Each search builds the
-    ``targets`` from h|g and files g's edges under the vertex where they
-    become checkable.  A vertex builds its rule (a) probes when first
-    reached: per edge, the index of its pattern, built once per search, and
-    an ``itemgetter`` of its other tentacles.  One table of h|g's edge
-    classes with their edge ids serves ``emit``, rule (b), and with its keys
-    a plain search's targets, so that builds it at once; an injective one
-    (targets by class size) when ``emit`` or rule (b) first needs it.  Rule
-    (b)'s swap classes take one pass over that table, then test each vertex
-    against its buckets' representatives on its own classes.
+    Set-up is one walk over h and one over g.  The walk over h builds the
+    table of h|g's edge classes, each with its ascending edge ids, which
+    serves ``emit`` and rule (b), and rule (a)'s targets: in a plain search
+    each symbol's table, in an injective one its keys filed by class size.
+    The walk over g files each edge under the vertex where it becomes
+    checkable, with its rule (a) probe: the index of its pattern, shared by
+    the edges with that pattern, and an ``itemgetter`` of its other
+    tentacles; an edge with every tentacle there allows the same images
+    always, so its bitset is folded in once.  Only rule (b)'s swap classes
+    wait, as a positive search may never need them: one pass over the
+    table, then each vertex is tested against its buckets' representatives
+    on its own classes.
     """
 
     def __init__(self, g: Hypergraph, h: Hypergraph, pins, limit, budget, injective):
@@ -196,67 +198,67 @@ class _Search:
 
         # h|g: h's edges of the symbols g uses, at the sorts g uses them, as no
         # other edge constrains a morphism (so a flat tentacle tuple names its
-        # class); targets: (symbol, class size or None) -> flat tentacle tuples
+        # class); h_classes: symbol -> flat tentacle tuple -> ascending edge ids
         sorts = {sym: (len(s), len(t)) for sym, ((s, t), *_) in g.edges.items()}
-        self.hg = {sym: rows for sym, rows in h.edges.items()
-                   if sorts.get(sym) == (len(rows[0][0]), len(rows[0][1]))}
-        self.h_classes = None  # h|g's edge classes, built at first use: see ``edge_classes``
-        if injective:
-            targets: dict[tuple, set | dict] = {}
-            for sym, rows in self.hg.items():
-                for (s, t), n in Counter(rows).items():
-                    targets.setdefault((sym, n), set()).add(s + t)
-        else:  # the keys of each symbol's edge classes
-            targets = {(sym, None): table for sym, table in self.edge_classes().items()}
-
-        # an edge becomes checkable at its largest unpinned tentacle vertex,
-        # where rule (a) keeps only the images that pass it
-        self.fresh_at: list[list] = [[] for _ in range(g.vcount)]
-        self.ready: list = []
-        none = frozenset()  # the targets of an edge with no class to land on
-        for sym, rows in g.edges.items():
-            size = Counter(rows) if injective else {}
-            for row in rows:
-                verts = row[0] + row[1]
-                ref = (verts, targets.get((sym, size.get(row)), none))
-                unpinned = [x for x in verts if self.vmap[x] is None] if pins else verts
-                if unpinned:
-                    self.fresh_at[max(unpinned)].append(ref)
-                else:
-                    self.ready.append(ref)
-        self.by_rest: dict[tuple, dict] = {}  # rule (a): (id of targets, positions of v) -> index
-        self.probes: list = [None] * g.vcount  # rule (a) at each vertex, once it is reached
-
-    def tick(self):
-        self.steps += 1
-        if self.budget is not None and self.steps > self.budget:
-            raise BudgetExhausted(f"morphism search exceeded {self.budget} steps")
-
-    def edge_classes(self) -> dict:
-        """h|g's edge classes, built once: symbol -> flat tentacle tuple ->
-        the class's ascending edge ids, as many as its multiplicity."""
-        if self.h_classes is None:
-            self.h_classes = {}
-            for sym, rows in self.hg.items():
+        self.h_classes: dict[str, dict] = {}
+        for sym, rows in h.edges.items():
+            if sorts.get(sym) == (len(rows[0][0]), len(rows[0][1])):
                 table = self.h_classes[sym] = {}
                 for i, (s, t) in enumerate(rows):
                     table.setdefault(s + t, []).append(i)
-        return self.h_classes
+        # rule (a)'s targets: a plain search's are the table's keys; an
+        # injective search's, (symbol, class size) -> flat tentacle tuples
+        by_size: dict[tuple, set] = {}
+        if injective:
+            for sym, table in self.h_classes.items():
+                for flat, ids in table.items():
+                    by_size.setdefault((sym, len(ids)), set()).add(flat)
+
+        # an edge becomes checkable at its largest unpinned tentacle vertex,
+        # where rule (a) keeps only the images that pass it
+        self.ready: list = []  # edges inside the pinned region: (tentacles, targets)
+        # at v: the images its edges with every tentacle v allow, and the
+        # other edges' probes, (index getter, key getter) each
+        self.allowed = allowed = [-1] * g.vcount
+        self.probes = probes = [[] for _ in range(g.vcount)]
+        by_rest: dict[tuple, dict] = {}  # (id of targets, places of v) -> rule (a) index
+        none = frozenset()  # the targets of an edge with no class to land on
+        vmap = self.vmap
+        for sym, rows in g.edges.items():
+            size = Counter(rows) if injective else None
+            fset = self.h_classes.get(sym, none)
+            for row in rows:
+                verts = row[0] + row[1]
+                if injective:
+                    fset = by_size.get((sym, size[row]), none)
+                unpinned = [x for x in verts if vmap[x] is None] if pins else verts
+                if not unpinned:
+                    self.ready.append((verts, fset))
+                    continue
+                v = max(unpinned)
+                if verts.count(v) == 1:
+                    k = verts.index(v)
+                    at, others = (k,), verts[:k] + verts[k + 1:]
+                else:  # v's places: a repeated tentacle has several
+                    at = tuple([k for k, x in enumerate(verts) if x == v])
+                    others = tuple([x for x in verts if x != v])
+                index = by_rest.get((id(fset), at))
+                if index is None:
+                    index = by_rest[id(fset), at] = _rule_a_index(fset, at, len(verts))
+                if others:
+                    probes[v].append((index.get, itemgetter(*others)))
+                else:
+                    allowed[v] &= index.get((), 0)
 
     def emit(self):
         """All edge maps compatible with the completed vertex map."""
-        classes = self.edge_classes()
+        # every edge's image is a class of h|g: rule (a) admits only such
+        # images, and ``run`` checks the edges inside the pinned region first
         per_edge: dict[str, list[list[int]]] = {}
         image = self.vmap.__getitem__
         for sym, rows in self.g.edges.items():
-            cands = []
-            table = classes.get(sym, {})
-            for src, tgt in rows:
-                ids = table.get(tuple(map(image, src + tgt)))
-                if not ids:
-                    return False
-                cands.append(ids)
-            per_edge[sym] = cands
+            table = self.h_classes[sym]
+            per_edge[sym] = [table[tuple(map(image, src + tgt))] for src, tgt in rows]
 
         if self.injective:
             # each class lands on one of its own size: the order-preserving bijection
@@ -275,8 +277,11 @@ class _Search:
         syms = list(per_edge)
         flat = [cands for sym in syms for cands in per_edge[sym]]
         sizes = [len(self.g.edges[sym]) for sym in syms]
+        budget = self.budget
         for combo in product(*flat):
-            self.tick()
+            self.steps += 1
+            if budget is not None and self.steps > budget:
+                raise BudgetExhausted(f"morphism search exceeded {budget} steps")
             emaps = {}
             pos = 0
             for sym, size in zip(syms, sizes):
@@ -298,41 +303,10 @@ class _Search:
     def images(self, v: int):
         """Rule (a): the images every edge checkable at v allows there, given
         its other tentacles' images, ascending; else every vertex of h."""
-        probes = self.probes[v]
-        if probes is None:  # per edge, the index of its pattern and the getter of its key
-            allowed, probes = -1, []
-            for verts, fset in self.fresh_at[v]:
-                at = (tuple([k for k, x in enumerate(verts) if x == v]) if verts.count(v) > 1
-                      else (verts.index(v),))  # v's places: a repeated tentacle has several
-                index = self.by_rest.get((id(fset), at))
-                if index is None:
-                    index = self.rule_a_index(fset, at, len(verts))
-                others = [x for x in verts if x != v]
-                if others:
-                    probes.append((index.get, itemgetter(*others)))
-                else:  # every tentacle at v: the edge allows the same images always
-                    allowed &= index.get((), 0)
-            self.probes[v] = probes = (allowed, probes)
-        allowed, vmap = probes[0], self.vmap
-        for get, key in probes[1]:
+        allowed, vmap = self.allowed[v], self.vmap
+        for get, key in self.probes[v]:
             allowed &= get(key(vmap), 0)
         return range(self.h.vcount) if allowed < 0 else _bits(allowed)
-
-    def rule_a_index(self, fset: set, at: tuple, width: int) -> dict:
-        """The index rule (a) reads for edges with targets ``fset`` and v at
-        the places ``at`` of ``width``: the other places' images, as one
-        ``itemgetter`` gives them (``()`` if there are none), map to the
-        bitset of images x such that v -> x puts the edge in ``fset``.  It
-        depends on that pattern alone, so the edges that have it share it."""
-        index = self.by_rest[id(fset), at] = {}
-        first, rest = at[0], [k for k in range(width) if k not in at]
-        key = itemgetter(*rest) if rest else (lambda flat: ())
-        for flat in fset:
-            x = flat[first]
-            if len(at) == 1 or all(flat[k] == x for k in at):
-                others = key(flat)
-                index[others] = index.get(others, 0) | 1 << x
-        return index
 
     def swap_classes(self) -> list[list[int]]:
         """Rule (b): each vertex's swap class in h|g, ascending; an edge below
@@ -346,7 +320,7 @@ class _Search:
         n = self.h.vcount
         at: list[list] = [[] for _ in range(n)]  # (class table, class, multiplicity) at each vertex
         near: list[set] = [set() for _ in range(n)]  # N(x): the vertices sharing a class with x
-        for table in self.edge_classes().values():
+        for table in self.h_classes.values():
             for flat, ids in table.items():
                 on, entry = set(flat), (table, flat, len(ids))
                 for x in on:
@@ -499,6 +473,23 @@ def pushout(f: tuple, g: tuple, a: Hypergraph, b: Hypergraph):
             (tuple(off + v for v in s), tuple(off + v for v in t)) for s, t in rows)
     apex, number = quotient(off + b.vcount, ((x, off + y) for x, y in zip(f, g)), edges)
     return apex, tuple(number[:off]), tuple(number[off:])
+
+
+def _rule_a_index(fset, at: tuple, width: int) -> dict:
+    """The index rule (a) reads for edges with targets ``fset`` and v at the
+    places ``at`` of ``width``: the other places' images, as one
+    ``itemgetter`` gives them (``()`` if there are none), map to the bitset
+    of images x such that v -> x puts the edge in ``fset``.  It depends on
+    that pattern alone, so the edges that have it share it."""
+    index: dict = {}
+    first, rest = at[0], [k for k in range(width) if k not in at]
+    key = itemgetter(*rest) if rest else (lambda flat: ())
+    for flat in fset:
+        x = flat[first]
+        if len(at) == 1 or all(flat[k] == x for k in at):
+            others = key(flat)
+            index[others] = index.get(others, 0) | 1 << x
+    return index
 
 
 def _bits(mask: int):

@@ -373,11 +373,16 @@ def load_model(text: str, sig: Signature) -> RelModel:
     return _trusted(RelModel, signature=sig, carrier=tuple(carrier), rho=rho)
 
 
-def dump_model(model: RelModel) -> str:
+def model_json_dict(model: RelModel) -> dict:
+    """The JSON object ``load_model`` reads back as ``model``."""
     names = model.carrier
     relations = {sym: [[[names[x] for x in a], [names[x] for x in b]] for a, b in sorted(rows)]
                  for sym, rows in sorted(model.rho.items())}
-    return json.dumps({"carrier": list(names), "relations": relations})
+    return {"carrier": list(names), "relations": relations}
+
+
+def dump_model(model: RelModel) -> str:
+    return json.dumps(model_json_dict(model))
 
 
 def random_model(sig: Signature, carrier_size: int, rng, density: float | None = None) -> RelModel:

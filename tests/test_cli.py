@@ -9,6 +9,7 @@ import pytest
 
 import cqgraph
 from conftest import INT_DIGITS, clique, inclusion_steps, model_battery
+from cqgraph.axioms import AxiomReport
 from cqgraph.ccq import natural_model, parse_ccq
 from cqgraph.cli import main
 from cqgraph.containment import decide_equivalence, decide_inclusion
@@ -266,6 +267,59 @@ def test_sig_flag_wins_over_header(workdir, capsys):
     (workdir / "s.gcq").write_text("signature: sig.json\nS\n")
     assert main(["eval", str(workdir / "s.gcq"), str(workdir / "model.json")]) == 2
     capsys.readouterr()
+    (workdir / "s.json").write_text('{"carrier": ["a"], "relations": {"S": [[["a", "a"], ["a"]]]}}')
+    assert main(["eval", str(workdir / "s.gcq"), str(workdir / "s.json"),
+                 "--sig", str(workdir / "diag.json")]) == 0
+    assert capsys.readouterr().out == '[[["a", "a"], ["a"]]]\n'
+
+
+def test_export_dot_writes_the_file_with_a_final_newline(workdir, capsys):
+    out = workdir / "g.dot"
+    assert main(["export-dot", str(workdir / "psi.ccq"), "-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["export-dot", str(workdir / "psi.ccq")]) == 0
+    assert out.read_text(encoding="utf-8") == capsys.readouterr().out
+    assert out.read_text(encoding="utf-8").startswith("digraph G {\n")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["check", "phi.ccq", "psi.ccq", "--budget", "0"], "--budget"),
+    (["translate", "phi.ccq", "--verify", "--trials", "0"], "--trials"),
+    (["axioms-verify", "--trials", "-1"], "--trials"),
+    (["axioms-verify", "--max-carrier", "0"], "--max-carrier"),
+])
+def test_counts_that_are_not_positive_exit_2(workdir, capsys, argv, flag):
+    argv = [str(workdir / a) if a.endswith(".ccq") else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {flag} must be positive\n"
+
+
+def test_axioms_verify_reports_each_kind_of_failure(capsys, monkeypatch):
+    # the semantic check fails first with a countermodel, then the graphical
+    # check fails alone, then both pass
+    model = RelModel(Signature({"R": (1, 1)}), ["a"], {"R": [((0,), (0,))]})
+    semantic = iter([AxiomReport("x", False, "left not included in right", model),
+                     AxiomReport("x", True)] + [AxiomReport("x", True)] * 100)
+    graphical = iter([AxiomReport("x", True), AxiomReport("x", False)]
+                     + [AxiomReport("x", True)] * 100)
+    monkeypatch.setattr("cqgraph.cli.verify_axiom_semantic", lambda *a, **k: next(semantic))
+    monkeypatch.setattr("cqgraph.cli.verify_axiom_graphical", lambda entry: next(graphical))
+    assert main(["axioms-verify"]) == 1
+    first, second, *rest = capsys.readouterr().out.splitlines()
+    assert first.endswith(': FAIL countermodel {"carrier": ["a"], "relations": {"R": [[["a"], ["a"]]]}}')
+    assert second.endswith(": FAIL (graphical check failed)")
+    assert rest and all(line.endswith(": PASS") for line in rest)
+
+
+def test_check_prints_a_countermodel_in_text_and_json(workdir, capsys):
+    model = ('{"carrier": ["v0", "v1", "v2", "v3"], "relations": {"R": [[["v0", "v2"], []], '
+             '[["v0", "v3"], []], [["v1", "v2"], []], [["v1", "v3"], []]]}}')
+    lhs, rhs = str(workdir / "psi.ccq"), str(workdir / "phi.ccq")
+    assert main(["check", lhs, rhs]) == 1
+    assert capsys.readouterr().out == f"FAILS: lhs included in rhs\ncountermodel: {model}\n"
+    assert main(["check", lhs, rhs, "--format", "json"]) == 1
+    assert capsys.readouterr().out == f'{{"holds": false, "countermodel": {model}}}\n'
 
 
 def test_missing_signature_is_an_error(workdir, capsys):

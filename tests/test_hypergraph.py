@@ -68,6 +68,14 @@ def test_validate_size_mismatch_is_error():
         validate_morphism(HgMorphism((0, 1), {}), g, g)
 
 
+def test_validate_images_outside_the_target_are_errors():
+    g = single_edge()
+    with pytest.raises(ModelError, match="^vertex map leaves the target graph$"):
+        validate_morphism(HgMorphism((0, 2), {"R": (0,)}), g, g)
+    with pytest.raises(ModelError, match="^edge map for 'R' leaves the target graph$"):
+        validate_morphism(HgMorphism((0, 1), {"R": (1,)}), g, g)
+
+
 def test_find_morphisms_single_edge_counts():
     g = single_edge()
     h = triangle()
@@ -352,25 +360,41 @@ def test_search_matches_the_reference_search():
                                      "parallel")) >= 40, seen
 
 
-def test_edge_classes_are_built_only_when_a_rule_needs_them():
-    # one table serves rule (b) and ``emit``.  Its keys are a plain search's
-    # rule (a) targets, so a plain search builds it at set-up, once
+def test_search_set_up_builds_one_class_table_and_every_rule_a_probe():
+    # every search, plain or injective, builds h|g's class table once, at
+    # set-up, and files each edge of g under the vertex where it becomes
+    # checkable; K_5 -> K_4 with 0 and 1 pinned keeps E(0,1) and E(1,0) apart
+    g, h = clique_graph(5), clique_graph(4)
+    table = {(a, b): [i] for i, ((a,), (b,)) in enumerate(h.edges["E"])}
     for limit in (None, 1):
-        refutation = _Search(clique_graph(5), clique_graph(4), None, limit, None, False)
-        table = refutation.h_classes
-        assert table == {"E": {(a, b): [i] for i, ((a,), (b,)) in enumerate(clique_graph(4).edges["E"])}}
-        assert all(fset is table["E"] for refs in refutation.fresh_at for _, fset in refs)
-        assert refutation.run() == [] and refutation.h_classes is table
-    # an injective search files its targets by class size, and builds the
-    # table only for rule (b), at the first failed image with no other
-    # preimage, or for ``emit``, at the first complete vertex map
-    refutation = _Search(clique_graph(5), clique_graph(4), None, None, None, True)
-    assert refutation.run() == [] and refutation.h_classes is None
-    found = _Search(clique_graph(4), clique_graph(4), None, 1, None, True)
-    assert found.h_classes is None and found.run() and found.h_classes is not None
-    found = _Search(clique_graph(4), clique_graph(5), None, 1, None, False)
-    assert found.run() and found.h_classes == {"E": {
-        (a, b): [i] for i, ((a,), (b,)) in enumerate(clique_graph(5).edges["E"])}}
+        for injective in (False, True):
+            search = _Search(g, h, {0: 0, 1: 1}, limit, None, injective)
+            built = search.h_classes
+            assert built == {"E": table}
+            assert [verts for verts, _ in search.ready] == [(0, 1), (1, 0)]
+            # rule (a)'s targets: a plain search's are the table's dicts, an
+            # injective search's its keys filed by class size (here all 1)
+            for _, fset in search.ready:
+                assert fset is built["E"] if not injective else fset == set(table)
+            # probes[v]: exactly the edges whose largest unpinned tentacle is
+            # v, each keyed by its other tentacle
+            for v in range(5):
+                assert sorted(key(range(5)) for _, key in search.probes[v]) == sorted(
+                    min(a, b) for (a,), (b,) in g.edges["E"] if max(a, b) == v > 1)
+            assert search.allowed == [-1] * 5
+            assert search.run() == [] and search.h_classes is built
+    # classes of 1 and 2 parallel edges: an injective search files each
+    # edge's targets under its own class size
+    k = Hypergraph(2, {"R": [((1,), (0,))] + [((0,), (1,))] * 2})
+    search = _Search(k, k, {0: 0, 1: 1}, 1, None, True)
+    assert search.ready == [((1, 0), {(1, 0)}), ((0, 1), {(0, 1)}), ((0, 1), {(0, 1)})]
+    # an edge with every tentacle at v allows the same images always: its
+    # bitset is folded into allowed[v], and v holds no probe for it
+    loop = Hypergraph(1, {"R": [((0,), (0,))]})
+    search = _Search(loop, Hypergraph(3, {"R": [((2,), (2,)), ((0,), (1,)), ((1,), (1,))]}),
+                     None, None, None, False)
+    assert search.allowed == [0b110] and search.probes == [[]]
+    assert [f.vmap for f in search.run()] == [(1,), (2,)]
     parallel = _Search(single_edge(), Hypergraph(2, {"R": [((1,), (0,))] + [((0,), (1,))] * 2}),
                        None, None, None, False)
     assert [f.emaps for f in parallel.run()] == [{"R": (1,)}, {"R": (2,)}, {"R": (0,)}]

@@ -230,6 +230,28 @@ def test_load_model_names_the_first_of_two_faults(carrier, relations, error, mes
     assert type(caught.value) is error and str(caught.value) == message
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda sig: RelModel(sig, ["a", "a"]), ModelError, "carrier ids must be unique"),
+    (lambda sig: RelModel(sig, ["a"], {"Q": []}), SignatureError, "unknown symbol 'Q' in model"),
+    (lambda sig: RelModel(sig, ["a"], {"R": [((0,), (0,))]}), ModelError,
+     "tuple for 'R' does not match sort Sort(n=1, m=0)"),
+    (lambda sig: load_model("[]", sig), ModelError,
+     'model JSON must be an object with a "carrier" field'),
+    (lambda sig: load_model("{}", sig), ModelError,
+     'model JSON must be an object with a "carrier" field'),
+    (lambda sig: load_model('{"carrier": "ab"}', sig), ModelError,
+     "carrier must be a list of string ids"),
+    (lambda sig: Relation(Sort(1, 0), 2, [((0, 1), ())]), ModelError,
+     "tuple lengths 2,0 do not match sort Sort(n=1, m=0)"),
+    (lambda sig: relation_compose(identity_relation(2), identity_relation(3)), ModelError,
+     "compose over different carriers"),
+])
+def test_checked_models_and_relations_name_each_fault(build, error, message):
+    with pytest.raises(error) as caught:
+        build(Signature({"R": (1, 0)}))
+    assert type(caught.value) is error and str(caught.value) == message
+
+
 def test_model_dump_is_canonical():
     sig = load_signature('{"R": [1, 1]}')
     m1 = load_model('{"carrier": ["a","b"], "relations": {"R": [[["b"],["a"]], [["a"],["b"]]]}}', sig)
