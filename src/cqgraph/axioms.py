@@ -16,7 +16,6 @@ semantic verification is a transcription bug by definition.
 from __future__ import annotations
 
 import random
-from operator import attrgetter
 
 from .containment import decide_inclusion
 from .cospan import is_isomorphic_cospan, term_to_cospan
@@ -38,7 +37,6 @@ from .gcq import (
     parse_gcq,
     postorder,
     seq,
-    subtrees,
     tensor,
     term_signature,
 )
@@ -205,8 +203,6 @@ class CpMeet(Branch, CpTerm):
     lhs: CpTerm
     rhs: CpTerm
 
-    children = property(attrgetter("lhs", "rhs"))
-
 
 class CpId(CpTerm):
     pass
@@ -216,15 +212,9 @@ class CpComp(Branch, CpTerm):
     lhs: CpTerm
     rhs: CpTerm
 
-    children = property(attrgetter("lhs", "rhs"))
-
 
 class CpConverse(Branch, CpTerm):
     arg: CpTerm
-
-    @property
-    def children(self):
-        return (self.arg,)
 
 
 class CpRel(CpTerm):
@@ -239,7 +229,7 @@ def encode_cp(t: CpTerm) -> GcqTerm:
     cup on the right.
     """
     done: list[GcqTerm] = []  # encodings of finished subterms
-    for u in postorder(t, subtrees):
+    for u in postorder(t):
         if isinstance(u, CpTop):
             out = Seq(Discard(), Spawn())
         elif isinstance(u, CpMeet):

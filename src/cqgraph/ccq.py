@@ -25,7 +25,7 @@ import re
 from operator import attrgetter
 
 from .errors import ParseError, SignatureError
-from .gcq import Branch, postorder, subtrees, tokenize
+from .gcq import Branch, postorder, tokenize
 from .hypergraph import join_plan, quotient
 from .sigmodel import _NAME, Record, RelModel, Signature, _trusted, check_symbol_name
 
@@ -44,8 +44,6 @@ class Conj(Branch, CcqFormula):
     lhs: CcqFormula
     rhs: CcqFormula
 
-    children = property(attrgetter("lhs", "rhs"))
-
 
 class Eq(CcqFormula):
     i: int
@@ -62,10 +60,6 @@ class RelAtom(CcqFormula):
 
 class Exists(Branch, CcqFormula):
     body: CcqFormula
-
-    @property
-    def children(self):
-        return (self.body,)
 
 
 def _walk(f: CcqFormula, ctx: int) -> list:
@@ -194,15 +188,11 @@ class ConjIntro(Branch, CcqDerivation):
     def __post_init__(self):
         object.__setattr__(self, "context", self.left.context + self.right.context)
 
-    children = property(attrgetter("left", "right"))
-
 
 class _Step(Branch, CcqDerivation):
     """A rule with one premise."""
 
     child: CcqDerivation
-
-    children = property(lambda self: (self.child,))
 
 
 class ExistsIntro(_Step):
@@ -384,7 +374,7 @@ def replay_eval(d: CcqDerivation, model: RelModel) -> frozenset:
     pass over ``postorder``."""
     size = model.size
     done: list[frozenset] = []  # values of finished subderivations
-    for e in postorder(d, subtrees):
+    for e in postorder(d):
         if isinstance(e, TopIntro):
             out = frozenset({()})
         elif isinstance(e, EqIntro):

@@ -19,7 +19,7 @@ from .cospan import Cospan, boundary_pins, term_to_cospan
 from .errors import ModelError, SortError
 from .gcq import GcqTerm, eval_gcq, term_signature
 from .hypergraph import HgMorphism, Hypergraph, find_morphisms
-from .sigmodel import Record, RelModel, Signature, Sort, _trusted, model_json_dict
+from .sigmodel import Record, RelModel, Signature, _trusted, model_json_dict
 
 
 class InclusionVerdict(Record):
@@ -43,20 +43,13 @@ class EquivalenceVerdict(Record):
     backward: InclusionVerdict
 
 
-def _apex_signature(g: Hypergraph) -> Signature:
-    """The symbols with an edge in g, each at the sort of its tentacles (a
-    checked g lists its symbols sorted, each with edges of one sort)."""
-    return _trusted(Signature, _table={sym: Sort(len(rows[0][0]), len(rows[0][1]))
-                                       for sym, rows in g.edges.items()})
-
-
 def hypergraph_as_model(g: Hypergraph, sig: Signature) -> RelModel:
     """Read a hypergraph as a relational model: vertices become the carrier,
     the tentacle tuples of each symbol become its relation (a set, so
-    parallel duplicate edges collapse).  A checked g gives each symbol one
-    sort, so its first edge is checked against ``sig``."""
-    for sym, rows in g.edges.items():
-        if sym in sig and (len(rows[0][0]), len(rows[0][1])) != sig.sort(sym):
+    parallel duplicate edges collapse).  Each symbol's sort in g is checked
+    against ``sig``."""
+    for sym, sort in g.signature.items():
+        if sym in sig and sort != sig.sort(sym):
             raise ModelError(f"tuple for {sym!r} does not match sort {sig.sort(sym)}")
     return _trusted(RelModel, signature=sig, carrier=tuple(f"v{i}" for i in range(g.vcount)),
                     rho={name: frozenset(g.edges.get(name, ())) for name in sig})
@@ -86,9 +79,9 @@ def _decide(ca: Cospan, da: Cospan, budget: int | None) -> InclusionVerdict:
     if pins is not None:
         found = find_morphisms(da.apex, ca.apex, pins, limit=1, budget=budget)
         if found:
-            return InclusionVerdict(True, witness=found[0])
-    sig = _apex_signature(ca.apex).merged(_apex_signature(da.apex))
-    return InclusionVerdict(False, countermodel=hypergraph_as_model(ca.apex, sig))
+            return InclusionVerdict(True, found[0], None)
+    sig = ca.apex.signature.merged(da.apex.signature)
+    return InclusionVerdict(False, None, hypergraph_as_model(ca.apex, sig))
 
 
 def natural_model_check(c: GcqTerm, d: GcqTerm) -> bool:
@@ -101,7 +94,7 @@ def natural_model_check(c: GcqTerm, d: GcqTerm) -> bool:
     if c.sort != d.sort:
         raise SortError(f"cannot compare sorts {c.sort} and {d.sort}")
     ca = term_to_cospan(c)
-    sig = _apex_signature(ca.apex).merged(term_signature(d))
+    sig = ca.apex.signature.merged(term_signature(d))
     return (ca.iota, ca.omega) in eval_gcq(d, hypergraph_as_model(ca.apex, sig))
 
 

@@ -37,10 +37,9 @@ from .sigmodel import (
 )
 
 
-def postorder(root, children) -> list:
-    """Every node of the tree under root, each after its children and the
-    left subtree before the right: ``children(u)`` lists u's subtrees
-    (for the syntax trees of this package, ``subtrees``).
+def postorder(root) -> list:
+    """Every node of the tree under root, each after its ``children`` and
+    the left subtree before the right.
 
     An explicit stack, so any depth: the pre-order that visits the right
     subtree first, read backwards.
@@ -49,18 +48,15 @@ def postorder(root, children) -> list:
     while todo:
         u = todo.pop()
         out.append(u)
-        todo += children(u)
+        todo += u.children
     out.reverse()
     return out
 
 
-# A node of a term, formula, derivation or converse-algebra term lists its
-# subtrees, left to right, in ``children``: a class attribute () on leaves.
-subtrees = attrgetter("children")
-
-
 class Branch:
-    """An inner node of a syntax tree, whose fields are its ``children``, then its ``tags``.
+    """An inner node of a syntax tree, whose fields are its children, left to
+    right, then its ``tags``.  Its class lists the children in ``children``,
+    read off those fields; a leaf's class has ``children = ()``.
 
     ``==``, ``hash`` and ``repr`` walk the tree with ``postorder`` instead
     of recursing through the fields as ``sigmodel.Record``'s would; ``==``
@@ -70,11 +66,18 @@ class Branch:
 
     tags = ()  # the names of the fields after the children, which hold no subtree
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)  # the Record's, which reads the fields
+        names = [n for n in cls.__match_args__ if n not in cls.tags]
+        get = attrgetter(*names)  # a bare value for one name
+        cls.children = (property(get) if len(names) > 1
+                        else property(lambda self: (get(self),)))
+
     def _key(self) -> tuple:
         # each leaf, and each inner node's class (fixing its number of
-        # subtrees) with its tags, in post-order: equal keys, equal trees
+        # children) with its tags, in post-order: equal keys, equal trees
         return tuple(((type(u), *map(u.__getattribute__, u.tags)) if u.tags else type(u))
-                     if isinstance(u, Branch) else u for u in postorder(self, subtrees))
+                     if isinstance(u, Branch) else u for u in postorder(self))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -85,8 +88,8 @@ class Branch:
         return hash(self._key())
 
     def __repr__(self):
-        done: list[str] = []  # reprs of finished subtrees
-        for u in postorder(self, subtrees):
+        done: list[str] = []  # reprs of the trees finished so far
+        for u in postorder(self):
             if isinstance(u, Branch):
                 names = u.__match_args__
                 split = len(done) - len(names) + len(u.tags)
@@ -174,8 +177,6 @@ class Seq(Branch, GcqTerm):
     lhs: GcqTerm
     rhs: GcqTerm
 
-    children = property(attrgetter("lhs", "rhs"))
-
     def __post_init__(self):
         a, b = self.lhs.sort, self.rhs.sort
         if a.m != b.n:
@@ -186,8 +187,6 @@ class Seq(Branch, GcqTerm):
 class Tensor(Branch, GcqTerm):
     lhs: GcqTerm
     rhs: GcqTerm
-
-    children = property(attrgetter("lhs", "rhs"))
 
     def __post_init__(self):
         a, b = self.lhs.sort, self.rhs.sort
@@ -271,7 +270,7 @@ def n_swap(n: int, m: int) -> GcqTerm:
 def term_signature(t: GcqTerm) -> Signature:
     """The signature spanned by the boxes occurring in t."""
     table: dict[str, Sort] = {}
-    for u in postorder(t, subtrees):
+    for u in postorder(t):
         if isinstance(u, Gen) and table.setdefault(u.name, u.sort) != u.sort:
             raise SignatureError(f"symbol {u.name!r} used at two sorts")
     return _trusted(Signature, _table={name: table[name] for name in sorted(table)})
@@ -286,7 +285,7 @@ def eval_gcq(t: GcqTerm, model: RelModel) -> Relation:
     --verify`` join a term's compiled cospan into the model instead.
     """
     done: list[Relation] = []  # relations of finished subterms
-    for u in postorder(t, subtrees):
+    for u in postorder(t):
         if isinstance(u, Seq):
             rhs = done.pop()
             done[-1] = relation_compose(done[-1], rhs)

@@ -27,7 +27,7 @@ from itertools import product
 from operator import itemgetter
 
 from .errors import BudgetExhausted, ModelError, SignatureError
-from .sigmodel import Record, RelModel, _trusted, check_symbol_name
+from .sigmodel import Record, RelModel, Signature, Sort, _trusted, check_symbol_name
 
 
 Edge = tuple  # (source vertex tuple, target vertex tuple)
@@ -37,6 +37,8 @@ class Hypergraph(Record):
     """An immutable hypergraph over dense vertex ids.
 
     Each symbol's edges share one sort; malformed input raises ``ModelError``.
+    ``signature`` gives each symbol with an edge that sort.  It is not a
+    field, so ``==``, hash and ``repr`` ignore it.
     """
 
     vcount: int
@@ -66,7 +68,7 @@ class Hypergraph(Record):
                     raise ModelError(f"edge of {sym!r} mentions a vertex out of range")
             if rows:
                 table[sym] = rows
-        _check_one_sort(table)
+        object.__setattr__(self, "signature", _edge_signature(table))
         object.__setattr__(self, "edges", table)
 
     def edge_count(self) -> int:
@@ -124,9 +126,10 @@ class _Search:
     vertices to distinct images and an edge of a class K only onto a class
     with exactly |K| edges.
 
-    Given equal vertex counts and equal edge counts per symbol, which
-    ``is_isomorphic`` checks first, those two rules accept exactly the
-    vertex maps that extend to isomorphisms.  Enough: an injective map
+    Given equal vertex counts and equal edge counts per symbol, those two
+    rules accept exactly the vertex maps that extend to isomorphisms; where
+    the counts differ, no isomorphism exists, and an injective search is
+    marked ``infeasible`` before anything is built.  Enough: an injective map
     between vertex sets of one size is a bijection, and it sends distinct
     classes to distinct classes, so matched class sizes give an edge
     bijection class by class, and equal totals leave no edge of h
@@ -194,15 +197,20 @@ class _Search:
                 raise ModelError("pin outside the graphs")
             self.vmap[v] = img
             self.hits[img] += 1
-        self.infeasible = injective and any(n > 1 for n in self.hits)  # two pins on one image
+        # two pins on one image, or sizes no bijection matches
+        self.infeasible = injective and (
+            any(n > 1 for n in self.hits) or g.vcount != h.vcount
+            or {s: len(r) for s, r in g.edges.items()} != {s: len(r) for s, r in h.edges.items()})
+        if self.infeasible:
+            return
 
         # h|g: h's edges of the symbols g uses, at the sorts g uses them, as no
         # other edge constrains a morphism (so a flat tentacle tuple names its
         # class); h_classes: symbol -> flat tentacle tuple -> ascending edge ids
-        sorts = {sym: (len(s), len(t)) for sym, ((s, t), *_) in g.edges.items()}
+        gsig, hsig = g.signature, h.signature
         self.h_classes: dict[str, dict] = {}
         for sym, rows in h.edges.items():
-            if sorts.get(sym) == (len(rows[0][0]), len(rows[0][1])):
+            if sym in gsig and gsig.sort(sym) == hsig.sort(sym):
                 table = self.h_classes[sym] = {}
                 for i, (s, t) in enumerate(rows):
                     table.setdefault(s + t, []).append(i)
@@ -406,27 +414,26 @@ def find_morphisms(g: Hypergraph, h: Hypergraph,
 def is_isomorphic(g: Hypergraph, h: Hypergraph, pins: dict | None = None) -> HgMorphism | None:
     """An isomorphism g -> h (bijective vertex and edge maps), or None.
 
-    The morphism search is set up first, so a pin outside the graphs raises
-    ``ModelError`` as in ``find_morphisms``.  Unless the vertex counts and
-    the edge counts per symbol agree, which the search's soundness needs, the
+    A pin outside the graphs raises ``ModelError`` as in ``find_morphisms``.
+    Unless the vertex counts and the edge counts per symbol agree, the
     answer is None; else the search runs injective, each edge restricted to
     the classes of h with as many parallel edges as its own class, and the
     first hit is the answer.
     """
-    search = _Search(g, h, pins, limit=1, budget=None, injective=True)
-    if g.vcount != h.vcount:
-        return None
-    if {s: len(r) for s, r in g.edges.items()} != {s: len(r) for s, r in h.edges.items()}:
-        return None
-    found = search.run()
+    found = _Search(g, h, pins, limit=1, budget=None, injective=True).run()
     return found[0] if found else None
 
 
-def _check_one_sort(edges: dict) -> None:
-    """Raise ``ModelError`` unless each symbol's edges share one sort."""
+def _edge_signature(edges: dict) -> Signature:
+    """The signature of ``edges`` (sorted checked symbols -> non-empty edge
+    tuples): each symbol at the sort its edges share; ``ModelError`` if
+    two of them differ."""
+    table = {}
     for sym, rows in edges.items():
-        if len({(len(s), len(t)) for s, t in rows}) > 1:
+        if len(sorts := {(len(s), len(t)) for s, t in rows}) > 1:
             raise ModelError(f"edges of {sym!r} have two sorts")
+        table[sym] = Sort(*sorts.pop())
+    return _trusted(Signature, _table=table)
 
 
 def quotient(size: int, glue, edges: dict):
@@ -452,8 +459,7 @@ def quotient(size: int, glue, edges: dict):
     at = number.__getitem__
     table = {sym: tuple((tuple(map(at, s)), tuple(map(at, t))) for s, t in edges[sym])
              for sym in sorted(edges) if edges[sym]}
-    _check_one_sort(table)
-    return _trusted(Hypergraph, vcount=count, edges=table), number
+    return _trusted(Hypergraph, vcount=count, edges=table, signature=_edge_signature(table)), number
 
 
 def pushout(f: tuple, g: tuple, a: Hypergraph, b: Hypergraph):
@@ -533,7 +539,6 @@ def join_plan(g: Hypergraph, boundary):
     but keep different tuples.
     """
     edges = []  # (tentacle vertices, symbol)
-    sorts = {sym: (len(s), len(t)) for sym, ((s, t), *_) in g.edges.items()}  # one per symbol
     incident: list[list[int]] = [[] for _ in range(g.vcount)]
     for sym, rows in g.edges.items():
         for s, t in rows:
@@ -582,10 +587,10 @@ def join_plan(g: Hypergraph, boundary):
         if g.vcount and not size:
             return frozenset()
         tuples = {}  # symbol -> its model tuples, in-tuple and out-tuple joined
-        for sym, want in sorts.items():
+        for sym, want in g.signature.items():
             if (sort := model.signature.sort(sym)) != want:
                 raise SignatureError(f"model interprets {sym!r} at sort {tuple(sort)}, "
-                                     f"query uses {want}")
+                                     f"query uses {tuple(want)}")
             tuples[sym] = [a + b for a, b in model.rho[sym]]
         rows = set(product(range(size), repeat=width))
         indexes: dict = {}  # (symbol, bound, firsts, same) -> index, for this run

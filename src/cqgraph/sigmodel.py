@@ -147,9 +147,10 @@ def _trusted(cls, **fields):
     ``RelModel``: a tuple of unique string ids, and for each symbol in
     signature order a frozenset of pairs at its sort.  ``Hypergraph``:
     sorted string symbols, each with a non-empty tuple of in-range edges of
-    one sort.  ``Cospan``: in-range tuple boundaries of lengths ``n`` and
-    ``m``.  ``CcqJudgment``: a natural ``context`` and a ``formula`` whose
-    variables lie in it and whose atoms' symbols pass ``check_symbol_name``."""
+    one sort, and the ``signature`` of those sorts.  ``Cospan``: in-range
+    tuple boundaries of lengths ``n`` and ``m``.  ``CcqJudgment``: a
+    natural ``context`` and a ``formula`` whose variables lie in it and
+    whose atoms' symbols pass ``check_symbol_name``."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj

@@ -48,7 +48,6 @@ from .gcq import (
     Tensor,
     Wiring,
     postorder,
-    subtrees,
 )
 from .sigmodel import Record, RelModel, Signature, _trusted
 
@@ -108,7 +107,7 @@ def theta(j: CcqJudgment) -> GcqTerm:
         return bundles[k]
 
     done: list[GcqTerm] = []  # translations of finished subderivations
-    for e in postorder(derive(j), subtrees):
+    for e in postorder(derive(j)):
         if isinstance(e, TopIntro):
             out = Id0()
         elif isinstance(e, EqIntro):

@@ -33,7 +33,6 @@ from cqgraph.gcq import (
     identity,
     postorder,
     seq,
-    subtrees,
     tensor,
 )
 from cqgraph.hypergraph import HgMorphism, Hypergraph, _Search, validate_morphism
@@ -57,7 +56,7 @@ refuses_5000_digits = pytest.mark.skipif(not 0 < INT_DIGITS < 5000,
 
 def generator_count(t: GcqTerm) -> int:
     """Number of leaf generators (constants and boxes) in the tree."""
-    return sum(1 for u in postorder(t, subtrees) if not isinstance(u, (Seq, Tensor)))
+    return sum(1 for u in postorder(t) if not isinstance(u, (Seq, Tensor)))
 
 
 def base_atoms(sig: Signature) -> list[GcqTerm]:

@@ -1,6 +1,9 @@
+import pytest
+
 from cqgraph.axioms import (
     EQUALITY,
     LEFT_LEQ_RIGHT,
+    AxiomEntry,
     CpComp,
     CpConverse,
     CpId,
@@ -14,7 +17,10 @@ from cqgraph.axioms import (
     verify_axiom_semantic,
 )
 from cqgraph.containment import decide_equivalence, decide_inclusion
-from cqgraph.gcq import Copy, Discard, Gen, Id1, Merge, Seq, Tensor, eval_gcq, n_discard, seq
+from cqgraph.errors import SignatureError
+from cqgraph.gcq import (
+    Copy, Discard, Gen, Id1, Merge, Seq, Spawn, Tensor, eval_gcq, n_discard, seq,
+)
 from cqgraph.sigmodel import Signature, Sort, full_relation, random_model
 
 SIG = Signature({"E": (1, 1), "J": (2, 1), "P": (2, 0), "D": (1, 0)})
@@ -161,3 +167,17 @@ def test_encode_a_deep_composition_chain():
     for _ in range(1199):
         chain = CpComp(chain, CpRel("E"))
     assert encode_cp(chain) == seq(*([Gen("E", 1, 1)] * 1200))
+
+
+def test_entries_and_encodings_refuse_what_they_cannot_read():
+    with pytest.raises(SignatureError, match=r"^axiom bad: sides have different sorts$"):
+        AxiomEntry("bad", Copy(), Id1(), "eq")
+    with pytest.raises(TypeError, match=r"^not a converse-algebra term: Copy\(\)$"):
+        encode_cp(Copy())
+
+
+def test_a_semantic_check_names_the_direction_that_fails():
+    # id <= discard ; spawn holds; the carrier-2 model of the battery refutes >=
+    report = verify_axiom_semantic(AxiomEntry("bone", Id1(), Seq(Discard(), Spawn()), EQUALITY))
+    assert (report.passed, report.detail) == (False, "right not included in left")
+    assert report.countermodel.size == 2

@@ -29,7 +29,7 @@ from cqgraph.ccq import (
     replay_eval,
 )
 from cqgraph.errors import ParseError, SignatureError
-from cqgraph.gcq import postorder, subtrees
+from cqgraph.gcq import Copy, postorder
 from cqgraph.sigmodel import RelModel, Signature, random_model
 
 SIG = Signature({"R": (2, 0), "S": (1, 0)})
@@ -51,7 +51,7 @@ def rename(f, old_ctx: int, new_ctx: int, fmap: dict):
         return i - old_ctx + new_ctx
 
     done: list = []  # renamed subformulas
-    for u in postorder(f, subtrees):
+    for u in postorder(f):
         if isinstance(u, Conj):
             rhs = done.pop()
             done[-1] = Conj(done[-1], rhs)
@@ -437,7 +437,7 @@ def test_replay_of_the_deep_clique_derivation():
 def reference_conclusion(d) -> CcqJudgment:
     """The conclusion rule by rule, as each rule renames its premises'."""
     done: list[tuple] = []  # (context, formula) of finished subderivations
-    for e in postorder(d, subtrees):
+    for e in postorder(d):
         if isinstance(e, TopIntro):
             out = (0, Top())
         elif isinstance(e, EqIntro):
@@ -521,3 +521,14 @@ def test_rule_errors_keep_their_messages():
         with pytest.raises(ValueError) as err:
             build()
         assert str(err.value) == message
+
+
+def test_replay_and_formulas_refuse_what_is_not_theirs():
+    model = RelModel(Signature({"R": (1, 0)}), ["a"])
+    with pytest.raises(SignatureError, match=r"^symbol 'R' is not an arity-2 CQ symbol$"):
+        replay_eval(RelIntro("R", 2), model)
+    with pytest.raises(TypeError, match=r"^not a derivation: Copy\(\)$"):
+        replay_eval(Copy(), model)
+    for build in (lambda: CcqJudgment(1, Copy()), lambda: format_formula(Copy(), 0, 0)):
+        with pytest.raises(TypeError, match=r"^not a formula: Copy\(\)$"):
+            build()

@@ -1,3 +1,4 @@
+import gc
 import importlib
 import random
 import re
@@ -20,13 +21,14 @@ from conftest import (
     reference_tokenize,
     relation_oracle,
 )
-from cqgraph.ccq import _CCQ_CUTS, _CCQ_TOKEN, _CCQ_WHOLE, eval_ccq, parse_ccq, print_ccq
+from cqgraph.ccq import _CCQ_CUTS, _CCQ_TOKEN, _CCQ_WHOLE, Top, eval_ccq, parse_ccq, print_ccq
 from cqgraph.cospan import compile_nodes, term_to_cospan
 from cqgraph.errors import CqError, ParseError, SignatureError, SortError
 from cqgraph.gcq import (
     _CUTS,
     _TOKEN,
     _WHOLE,
+    Branch,
     Copy,
     Discard,
     Gen,
@@ -47,11 +49,11 @@ from cqgraph.gcq import (
     postorder,
     print_gcq,
     seq,
-    subtrees,
     tokenize,
 )
 from cqgraph.hypergraph import join_plan
 from cqgraph.sigmodel import (
+    Record,
     RelModel,
     Signature,
     Sort,
@@ -240,6 +242,11 @@ def test_eval_errors_name_the_first_failing_leaf(term, message):
         eval_gcq(term, model)
 
 
+def test_eval_refuses_what_is_not_a_term():
+    with pytest.raises(TypeError, match=r"^not a term: Top\(\)$"):
+        eval_gcq(Top(), RelModel(Signature({}), ["a"]))
+
+
 @pytest.mark.parametrize("n, m", [(1.5, 0), ("a", 0), (True, 0), (0, None)])
 def test_boxes_refuse_sorts_that_are_not_naturals(n, m):
     with pytest.raises(SortError):
@@ -377,6 +384,47 @@ def test_long_chain_counts_compares_hashes_and_prints():
     assert chain == again and hash(chain) == hash(again)
     assert chain != seq(*([Gen("S", 1, 1)] * 1199), Id1())
     assert repr(chain).count("Gen(name='S', n=1, m=1)") == 1200
+
+
+def test_a_branch_reads_its_children_off_its_fields():
+    # a node class of three subtree fields and a tag, declared in here and
+    # collected after, so that the package's Record classes stay the only ones
+    def check():
+        class Node(Record):
+            children = ()
+
+        class Leaf(Node):
+            label: str
+
+        class Tri(Branch, Node):
+            left: Node
+            mid: Node
+            right: Node
+            mark: int
+            tags = ("mark",)
+
+        a, b, c = Leaf("a"), Leaf("b"), Leaf("c")
+        t = Tri(a, b, c, 0)
+        assert t.children == (a, b, c) and postorder(t) == [a, b, c, t]
+        local = Tri.__qualname__.removesuffix("Tri")  # the prefix a class declared in here gets
+        assert repr(t).replace(local, "") == \
+            "Tri(left=Leaf(label='a'), mid=Leaf(label='b'), right=Leaf(label='c'), mark=0)"
+
+        def tower(bottom):  # 3,000 deep, past the default recursion limit
+            for i in range(3000):
+                bottom = Tri(a, bottom, c, i)
+            return bottom
+
+        deep = tower(a)
+        assert len(postorder(deep)) == 9001
+        assert deep == tower(Leaf("a")) and hash(deep) == hash(tower(Leaf("a")))
+        assert deep != tower(b) and deep != Tri(a, deep.mid, c, 0)
+        assert repr(deep).count("mark=") == 3000
+        return weakref.ref(Tri)
+
+    tri = check()
+    gc.collect()
+    assert tri() is None
 
 
 def test_wide_sugar_builds_without_recursion():

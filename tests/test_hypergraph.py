@@ -196,6 +196,21 @@ def test_not_isomorphic_when_two_pins_share_an_image():
     assert is_isomorphic(two_loops, two_loops, pins={0: 1, 1: 0}) is not None
 
 
+def test_sizes_that_differ_refute_an_isomorphism_before_any_set_up():
+    # vertex counts, or edge counts of one symbol: the injective search is
+    # infeasible at once and builds no class table or probe
+    k40, k39 = clique_graph(40), clique_graph(39)
+    for g, h in ((k40, k39), (k39, k40), (k40, Hypergraph(40, k39.edges)),
+                 (k40, clique_graph(40, tails=(1,)))):
+        search = _Search(g, h, {0: 0}, 1, None, True)
+        assert search.infeasible and not hasattr(search, "h_classes")
+        assert search.run() == [] and is_isomorphic(g, h) is None
+    assert is_isomorphic(k40, k40) is not None
+    # the pins are checked first: one outside the graphs is still an error
+    with pytest.raises(ModelError, match="pin outside the graphs"):
+        is_isomorphic(k40, k39, {0: 39})
+
+
 def with_repeats(rng, g: Hypergraph) -> Hypergraph:
     """g with one row per symbol repeated or not, so parallel edges occur."""
     return Hypergraph(g.vcount, {sym: rows + (rng.choice(rows),) * rng.randint(0, 1)
@@ -363,11 +378,14 @@ def test_search_matches_the_reference_search():
 def test_search_set_up_builds_one_class_table_and_every_rule_a_probe():
     # every search, plain or injective, builds h|g's class table once, at
     # set-up, and files each edge of g under the vertex where it becomes
-    # checkable; K_5 -> K_4 with 0 and 1 pinned keeps E(0,1) and E(1,0) apart
-    g, h = clique_graph(5), clique_graph(4)
+    # checkable; with 0 and 1 pinned, E(0,1) and E(1,0) are kept apart.  A
+    # plain search runs K_5 -> K_4, an injective one K_4 -> K_4, as unequal
+    # sizes leave it nothing to build
+    h = clique_graph(4)
     table = {(a, b): [i] for i, ((a,), (b,)) in enumerate(h.edges["E"])}
-    for limit in (None, 1):
-        for injective in (False, True):
+    for g, injective, found in ((clique_graph(5), False, (0, 0)), (h, True, (2, 1))):
+        n = g.vcount
+        for limit, count in zip((None, 1), found):
             search = _Search(g, h, {0: 0, 1: 1}, limit, None, injective)
             built = search.h_classes
             assert built == {"E": table}
@@ -378,11 +396,11 @@ def test_search_set_up_builds_one_class_table_and_every_rule_a_probe():
                 assert fset is built["E"] if not injective else fset == set(table)
             # probes[v]: exactly the edges whose largest unpinned tentacle is
             # v, each keyed by its other tentacle
-            for v in range(5):
-                assert sorted(key(range(5)) for _, key in search.probes[v]) == sorted(
+            for v in range(n):
+                assert sorted(key(range(n)) for _, key in search.probes[v]) == sorted(
                     min(a, b) for (a,), (b,) in g.edges["E"] if max(a, b) == v > 1)
-            assert search.allowed == [-1] * 5
-            assert search.run() == [] and search.h_classes is built
+            assert search.allowed == [-1] * n
+            assert len(search.run()) == count and search.h_classes is built
     # classes of 1 and 2 parallel edges: an injective search files each
     # edge's targets under its own class size
     k = Hypergraph(2, {"R": [((1,), (0,))] + [((0,), (1,))] * 2})
@@ -459,6 +477,11 @@ def test_clique_search_steps_and_witnesses():
 def test_union_counts():
     k, inl, inr = pushout((), (), triangle(), single_edge())
     assert (k.vcount, len(k.edges["R"]), inl, inr) == (5, 4, (0, 1, 2), (3, 4))
+
+
+def test_pushout_legs_must_share_their_source():
+    with pytest.raises(ModelError, match="^pushout legs must share their source ordinal$"):
+        pushout((0,), (), single_edge(), single_edge())
 
 
 def test_union_with_empty_is_isomorphic():

@@ -33,6 +33,10 @@ def test_load_signature_basic():
     assert list(sig) == ["R", "S"]
 
 
+def test_signature_repr_lists_each_sort():
+    assert repr(Signature({"R": (2, 0), "S": (1, 1)})) == "Signature({R:2,0, S:1,1})"
+
+
 def test_load_signature_empty():
     assert len(load_signature("{}")) == 0
 

@@ -1,3 +1,5 @@
+import pytest
+
 from conftest import clique, model_battery, random_judgment, random_term
 from cqgraph.ccq import (
     CcqJudgment,
@@ -11,6 +13,7 @@ from cqgraph.ccq import (
     parse_ccq,
     parse_ccq_two_sided,
 )
+from cqgraph.errors import SignatureError
 from cqgraph.gcq import (
     Copy,
     Discard,
@@ -23,7 +26,6 @@ from cqgraph.gcq import (
     eval_gcq,
     postorder,
     seq,
-    subtrees,
 )
 from cqgraph.sigmodel import RelModel, Signature, Sort
 from cqgraph.translate import (
@@ -157,7 +159,7 @@ def test_theta_of_a_long_path():
     j = parse_ccq("0 |- " + "".join(f"exists z{i}. " for i in range(201)) + body, SIG)
     t = theta(j)
     assert t.sort == Sort(0, 0)
-    assert sum(isinstance(u, Gen) for u in postorder(t, subtrees)) == 200
+    assert sum(isinstance(u, Gen) for u in postorder(t)) == 200
 
 
 def test_theta_builds_each_identity_bundle_once():
@@ -171,7 +173,7 @@ def test_theta_builds_each_identity_bundle_once():
             u = todo.pop()
             if id(u) not in seen:
                 seen.add(id(u))
-                todo += subtrees(u)
+                todo += u.children
         return len(seen)
 
     terms = []
@@ -181,7 +183,7 @@ def test_theta_builds_each_identity_bundle_once():
                                      + " /\\ ".join(f"R({a}, {b})" for a, b in zip(names, names[1:])),
                                      SIG)))
     assert [distinct_nodes(t) for t in terms] == [2_376, 4_776, 9_576]
-    assert len(postorder(terms[0], subtrees)) == 71_081  # the same tree as unshared
+    assert len(postorder(terms[0])) == 71_081  # the same tree as unshared
 
 
 def test_theta_of_a_long_conjunction_of_truths():
@@ -209,10 +211,13 @@ def test_translations_build_each_formula_once(rng):
     path = parse_ccq("2 |- " + "".join(f"exists {v}. " for v in names[1:-1])
                      + " /\\ ".join(f"R({a}, {b})" for a, b in zip(names, names[1:])), k8)
     d = derive(path)
-    assert len(postorder(d, subtrees)) == 7993
+    assert len(postorder(d)) == 7993
     assert d.conclusion == path
 
 
 def test_theta_model_hands_back_the_model():
     model = RelModel(SIG, ["a", "b"], {"R": [((0, 1), ())]})
     assert theta_model(model) is model
+    wide = RelModel(Signature({"R": (1, 1)}), ["a"])
+    with pytest.raises(SignatureError, match=r"^theta_model needs a relational \(coarity-0\) signature$"):
+        theta_model(wide)

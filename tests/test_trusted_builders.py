@@ -3,7 +3,7 @@
 ``eval_gcq``'s relations, compiled apexes and cospans, the reference cospan
 algebra, ``hypergraph_as_model``, the models of ``load_model``,
 ``random_model`` and ``lambda_model``, the signatures read off terms and
-apexes (``term_signature``, ``_apex_signature``, ``merged``) and the
+apexes (``term_signature``, ``Hypergraph.signature``, ``merged``) and the
 judgments of ``parse_ccq`` build their values through
 ``sigmodel._trusted``.  Each value must come back unchanged, down to the
 types of its fields, from the public constructor that checks it.
@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 from conftest import random_judgment, random_term
 from cqgraph.ccq import CcqJudgment, parse_ccq, print_ccq
-from cqgraph.containment import _apex_signature, hypergraph_as_model
+from cqgraph.containment import hypergraph_as_model
 from cqgraph.cospan import Cospan, compose_cospans, identity_cospan, tensor_cospans, term_to_cospan
-from cqgraph.gcq import Seq, Tensor, eval_gcq, postorder, subtrees, term_signature
+from cqgraph.gcq import Seq, Tensor, eval_gcq, postorder, term_signature
 from cqgraph.hypergraph import Hypergraph, pushout
 from cqgraph.sigmodel import Relation, RelModel, Signature, dump_model, load_model, random_model
 from cqgraph.translate import lambda_model
@@ -56,7 +56,7 @@ def test_trusted_values_pass_their_constructors(seed):
     t = random_term(rng, SIG, max_nodes=10)
     models = [random_model(SIG, size, rng) for size in (0, 1, 2, 3)]
     cospans = {}
-    for u in postorder(t, subtrees):
+    for u in postorder(t):
         c = cospans[id(u)] = term_to_cospan(u)
         assert_checked_cospan(c)
         if isinstance(u, (Seq, Tensor)):
@@ -76,7 +76,7 @@ def test_trusted_values_pass_their_constructors(seed):
     same(model, checked)
     for name in SIG:
         same(checked.relation(name), model.relation(name))
-    signatures = [term_signature(t), _apex_signature(apex), SIG]
+    signatures = [term_signature(t), apex.signature, SIG]
     signatures += [a.merged(b) for a in signatures for b in signatures]
     for sig in signatures:
         same(Signature(dict(sig.items())), sig)
