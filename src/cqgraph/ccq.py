@@ -96,6 +96,22 @@ def _check(f: CcqFormula, ctx: int):
             raise TypeError(f"not a formula: {u!r}")
 
 
+def assemble(order: list) -> CcqFormula:
+    """The formula whose pre-order is ``order``: its atoms, with the classes
+    ``Conj`` and ``Exists`` standing for those nodes.  Read backwards, each
+    marker finds its subformulas on the stack, its left conjunct on top."""
+    done: list[CcqFormula] = []  # finished subformulas
+    for u in reversed(order):
+        if u is Conj:
+            rhs = done.pop()
+            done[-1] = Conj(done[-1], rhs)
+        elif u is Exists:
+            done[-1] = Exists(done[-1])
+        else:
+            done.append(u)
+    return done.pop()
+
+
 class CcqJudgment(Record):
     context: int
     formula: CcqFormula
@@ -121,9 +137,9 @@ class CcqDerivation(Record):
 
         Walking down, each node's context slots are mapped to variables of
         the root formula, with the context ``depth`` its formula is read at
-        there; reading that walk backwards builds the formula.
+        there; ``assemble`` folds the walk's pre-order into the formula.
         """
-        order = []  # nodes that build formula, in pre-order; leaves as their atoms
+        order = []  # the formula in pre-order: atoms, and the markers Conj and Exists
         todo = [(self, list(range(self.context)), self.context)]
         while todo:
             e, slots, depth = todo.pop()
@@ -134,12 +150,12 @@ class CcqDerivation(Record):
             elif isinstance(e, RelIntro):
                 order.append(RelAtom(e.symbol, tuple(slots)))
             elif isinstance(e, ConjIntro):
-                order.append(e)
+                order.append(Conj)
                 k = e.left.context
                 todo += ((e.left, slots[:k], depth), (e.right, slots[k:], depth))
             elif isinstance(e, _Step):  # its slots serve its premise alone
                 if isinstance(e, ExistsIntro):
-                    order.append(e)
+                    order.append(Exists)
                     slots.append(depth)  # an Exists read at depth binds index depth
                     depth += 1
                 elif isinstance(e, SwapVars):
@@ -152,16 +168,7 @@ class CcqDerivation(Record):
                 todo.append((e.child, slots, depth))
             else:
                 raise TypeError(f"not a derivation: {e!r}")
-        done: list[CcqFormula] = []  # finished subformulas
-        for u in reversed(order):
-            if isinstance(u, ConjIntro):
-                rhs = done.pop()
-                done[-1] = Conj(done[-1], rhs)
-            elif isinstance(u, ExistsIntro):
-                done[-1] = Exists(done[-1])
-            else:
-                done.append(u)
-        return CcqJudgment(self.context, done.pop())
+        return CcqJudgment(self.context, assemble(order))
 
 
 class TopIntro(CcqDerivation):
@@ -252,10 +259,10 @@ def adjacent_swaps(perm: list[int]) -> list[int]:
     return out
 
 
-def _apply_perm(d: CcqDerivation, perm: list[int]) -> CcqDerivation:
-    """Rename free variable i to perm[i] via adjacent swaps."""
-    for pos in adjacent_swaps(perm):
-        d = SwapVars(d, pos)
+def _swap(d: CcqDerivation, positions) -> CcqDerivation:
+    """Apply the adjacent swaps at ``positions``, in order."""
+    for k in positions:
+        d = SwapVars(d, k)
     return d
 
 
@@ -295,11 +302,13 @@ def _align(d: CcqDerivation, labels: list[int]) -> tuple:
     """Merge the slots of d that carry the same variable, then sort them.
 
     ``labels[p]`` is the variable at slot p (the list is consumed).
-    Scanning left to right, a slot is merged into the first earlier slot
-    with its variable: the two are swapped to the end (the others keep
-    their order), merged, and the survivor is swapped back.  Returns the
-    derivation, now over the distinct variables in ascending order, and
-    that list.
+    Scanning left to right, slot s is merged into the first earlier slot a
+    with its variable.  The swaps are those of the bubble passes that move
+    a and s to the end, the other n - 2 slots keeping their order, and
+    then the merged slot back to a: the first pass moves a to s - 1 and s
+    to the end, the second a to n - 2, and after ``MergeVars`` each pass
+    moves the merged slot left one place.  Returns the derivation, now
+    over the distinct variables in ascending order, and that list.
     """
     first: dict[int, int] = {}  # variable -> the slot it kept
     s = 0
@@ -309,16 +318,12 @@ def _align(d: CcqDerivation, labels: list[int]) -> tuple:
             s += 1
             continue
         n = len(labels)
-        others = [p for p in range(n) if p != a and p != s]
-        to_end = [0] * n
-        for rank, p in enumerate(others + [a, s]):
-            to_end[p] = rank
-        d = MergeVars(_apply_perm(d, to_end))
-        d = _apply_perm(d, [p if p < s else p - 1 for p in others] + [a])
+        d = _swap(d, [*range(a, s - 1), *range(s, n - 1), *range(s - 1, n - 2)])
+        d = _swap(MergeVars(d), range(n - 3, a - 1, -1))
         del labels[s]  # slots before s keep their places
     fv = sorted(labels)
     rank = {v: i for i, v in enumerate(fv)}
-    return _apply_perm(d, [rank[v] for v in labels]), fv
+    return _swap(d, adjacent_swaps([rank[v] for v in labels])), fv
 
 
 def _spread(d: CcqDerivation, fv: list[int], n: int) -> CcqDerivation:
@@ -328,7 +333,7 @@ def _spread(d: CcqDerivation, fv: list[int], n: int) -> CcqDerivation:
         d = AddVar(d)
     perm = list(fv)
     perm.extend(sorted(set(range(n)) - set(fv)))
-    return _apply_perm(d, perm)
+    return _swap(d, adjacent_swaps(perm))
 
 
 # -- semantics ---------------------------------------------------------------
@@ -559,7 +564,12 @@ def print_ccq(j: CcqJudgment) -> str:
 
 
 def format_formula(f: CcqFormula, left: int, right: int) -> str:
-    """Render with x/y free variables and z-named bound variables."""
+    """Render with x/y free variables and z-named bound variables.
+
+    Text pieces go on one explicit stack, as in ``print_gcq``, and are
+    joined once.  A conjunct that is an equation, a conjunction or an
+    existential is parenthesised.
+    """
     n_free = left + right
 
     def var(i: int) -> str:
@@ -569,27 +579,26 @@ def format_formula(f: CcqFormula, left: int, right: int) -> str:
             return f"y{i - left}"
         return f"z{i - n_free}"
 
-    # read the pre-order backwards: each node finds its subformulas' texts
-    # on the stack, right conjunct first; a text is kept bare together with
-    # whether it needs parentheses inside a conjunction
-    done: list[tuple[str, bool]] = []
-    for u, depth in reversed(_walk(f, 0)):
-        if isinstance(u, Top):
-            done.append(("top", False))
-        elif isinstance(u, Eq):
-            done.append((f"{var(u.i)} = {var(u.j)}", True))
-        elif isinstance(u, RelAtom):
-            done.append((f"{u.symbol}({', '.join(var(a) for a in u.args)})", False))
+    out: list[str] = []
+    todo: list = [(f, 0, False)]  # text, or (subformula, its depth, whether a conjunct)
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        u, depth, conjunct = item
+        if conjunct and isinstance(u, (Eq, Conj, Exists)):
+            todo += (")", (u, depth, False), "(")
         elif isinstance(u, Conj):
-            lhs, rhs = done.pop(), done.pop()
-            done.append((f"{_inner(lhs)} /\\ {_inner(rhs)}", True))
+            todo += ((u.rhs, depth, True), " /\\ ", (u.lhs, depth, True))
         elif isinstance(u, Exists):
-            done.append((f"exists z{depth}. {done.pop()[0]}", True))
+            todo += ((u.body, depth + 1, False), f"exists z{depth}. ")
+        elif isinstance(u, Top):
+            out.append("top")
+        elif isinstance(u, Eq):
+            out.append(f"{var(u.i)} = {var(u.j)}")
+        elif isinstance(u, RelAtom):
+            out.append(f"{u.symbol}({', '.join(var(a) for a in u.args)})")
         else:
             raise TypeError(f"not a formula: {u!r}")
-    return done.pop()[0]
-
-
-def _inner(text: tuple[str, bool]) -> str:
-    body, wrap = text
-    return f"({body})" if wrap else body
+    return "".join(out)

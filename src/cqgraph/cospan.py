@@ -276,9 +276,9 @@ def cospan_to_term(c: Cospan) -> GcqTerm:
     return seq(left, middle, right)
 
 
-def cospan_to_dot(c: Cospan, name: str = "G") -> str:
+def cospan_to_dot(c: Cospan) -> str:
     """Apex in DOT plus dotted arrows for the two boundary maps."""
-    body = hypergraph_to_dot(c.apex, name)
+    body = hypergraph_to_dot(c.apex)
     lines = body.splitlines()
     extra = []
     for i, v in enumerate(c.iota):

@@ -609,13 +609,13 @@ def join_plan(g: Hypergraph, boundary):
     return run
 
 
-def hypergraph_to_dot(g: Hypergraph, name: str = "G") -> str:
+def hypergraph_to_dot(g: Hypergraph) -> str:
     """DOT rendering: vertices as points, hyperedges as labelled boxes.
 
     Tentacles are drawn as arrows vertex -> box (sources, labelled s0, s1,
     ...) and box -> vertex (targets, labelled t0, t1, ...).
     """
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph G {"]
     for v in range(g.vcount):
         lines.append(f'  v{v} [shape=point, xlabel="{v}"];')
     for sym, rows in g.edges.items():

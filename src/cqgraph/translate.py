@@ -30,6 +30,7 @@ from .ccq import (
     SwapVars,
     Top,
     TopIntro,
+    assemble,
     derive,
     format_formula,
 )
@@ -139,23 +140,23 @@ def lambda_term(t: GcqTerm) -> TwoSidedJudgment:
     Walking down, each node's boundary wires are mapped to variables of
     the result, with the context ``depth`` its formula is read at: the
     middle wires of a ``;`` are bound there, as depth..depth+mid-1.
-    Reading that walk backwards builds the formula.
+    ``assemble`` folds the walk's pre-order into the formula.
     """
     n, m = t.sort
-    order = []  # nodes that build formula, in pre-order; leaves as their atoms
+    order = []  # the formula in pre-order: atoms, and the markers Conj and Exists
     todo = [(t, list(range(n + m)), n + m)]
     while todo:
         u, wires, depth = todo.pop()
         if isinstance(u, Seq):
             k, mid = u.lhs.sort
             middle = list(range(depth, depth + mid))
-            order.append(u)
+            order += [Exists] * mid + [Conj]
             todo += ((u.lhs, wires[:k] + middle, depth + mid),
                      (u.rhs, middle + wires[k:], depth + mid))
         elif isinstance(u, Tensor):
             l1, r1 = u.lhs.sort
             y = l1 + u.rhs.sort.n  # where the outputs start
-            order.append(u)
+            order.append(Conj)
             todo += ((u.lhs, wires[:l1] + wires[y:y + r1], depth),
                      (u.rhs, wires[l1:y] + wires[y + r1:], depth))
         elif isinstance(u, Gen):
@@ -167,18 +168,7 @@ def lambda_term(t: GcqTerm) -> TwoSidedJudgment:
             order.append(reduce(Conj, eqs) if eqs else Top())
         else:
             raise TypeError(f"not a term: {u!r}")
-    done: list[CcqFormula] = []  # finished subformulas
-    for u in reversed(order):
-        if isinstance(u, (Seq, Tensor)):
-            rhs = done.pop()
-            body = Conj(done.pop(), rhs)
-            if isinstance(u, Seq):
-                for _ in range(u.lhs.sort.m):
-                    body = Exists(body)
-            done.append(body)
-        else:
-            done.append(u)
-    return TwoSidedJudgment(n, m, done.pop())
+    return TwoSidedJudgment(n, m, assemble(order))
 
 
 def relational_signature(sig: Signature) -> Signature:

@@ -20,6 +20,8 @@ from cqgraph.ccq import (
     SwapVars,
     Top,
     TopIntro,
+    _align,
+    adjacent_swaps,
     derive,
     eval_ccq,
     format_formula,
@@ -181,6 +183,29 @@ def test_derive_handles_repeats_and_permutations():
         assert d.conclusion == j
         for model in models:
             assert replay_eval(d, model) == naive_eval_ccq(j, model)
+
+
+def test_a_merge_takes_the_swaps_of_its_bubble_passes():
+    # the reference: bubble passes that send slots a and s to the end, the
+    # other slots keeping their order, and then the merged slot back to a
+    for n in range(2, 25):
+        for s in range(1, n):
+            for a in range(s):
+                others = [p for p in range(n) if p != a and p != s]
+                to_end = [0] * n
+                for rank, p in enumerate(others + [a, s]):
+                    to_end[p] = rank
+                back = [p if p < s else p - 1 for p in others] + [a]
+                want = adjacent_swaps(to_end) + ["merge"] + adjacent_swaps(back)
+                # slot s repeats slot a's variable; once s goes the rest are sorted
+                labels = [a if p == s else p for p in range(n)]
+                d, fv = _align(RelIntro("R", n), labels)
+                assert fv == [p for p in range(n) if p != s]
+                steps = []
+                while not isinstance(d, RelIntro):
+                    steps.append(d.k if isinstance(d, SwapVars) else "merge")
+                    d = d.child
+                assert steps[::-1] == want, (n, a, s)
 
 
 def test_eval_top_is_unit_even_on_empty_model():

@@ -132,6 +132,32 @@ def test_budget_is_an_error_not_a_no():
         find_morphisms(g, h, budget=3)
 
 
+def test_a_budget_of_exactly_the_steps_taken_is_enough():
+    # a refutation takes only vertex steps
+    g, h = clique_graph(6), clique_graph(5, tails=range(1, 6), tail_symbol="E")
+    steps = search_steps(g, h)
+    assert steps == 340
+    assert find_morphisms(g, h, limit=1, budget=steps) == []
+    with pytest.raises(BudgetExhausted):
+        find_morphisms(g, h, limit=1, budget=steps - 1)
+    # a positive search's last step is the edge map it emits
+    g, h = clique_graph(7), clique_graph(8, tails=range(8, 0, -1))
+    steps = search_steps(g, h)
+    [f] = find_morphisms(g, h, limit=1, budget=steps)
+    assert validate_morphism(f, g, h)
+    with pytest.raises(BudgetExhausted):
+        find_morphisms(g, h, limit=1, budget=steps - 1)
+
+
+def test_isomorphism_maps_parallel_edges_in_ascending_order():
+    # three parallel edges map onto h's three, the least onto the least
+    g = Hypergraph(2, {"R": [((0,), (1,))] * 3 + [((1,), (0,))]})
+    h = Hypergraph(2, {"R": [((1,), (0,))] + [((0,), (1,))] * 3})
+    f = is_isomorphic(g, h)
+    assert f.vmap == (0, 1) and f.emaps == {"R": (1, 2, 3, 0)}
+    assert validate_morphism(f, g, h)
+
+
 def test_isomorphic_reflexive():
     g = triangle()
     f = is_isomorphic(g, g)

@@ -86,10 +86,12 @@ VALUES = [
 
 
 def test_every_value_class_is_listed():
+    # the package's own classes: one that a test declares is not counted
     classes, todo = set(), [Record]
     while todo:
         for sub in todo.pop().__subclasses__():
-            classes.add(sub)
+            if sub.__module__.partition(".")[0] == "cqgraph":
+                classes.add(sub)
             todo.append(sub)
     assert classes == {type(build()) for build, _ in VALUES}
 

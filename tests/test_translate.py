@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from conftest import clique, model_battery, random_judgment, random_term
@@ -196,6 +198,22 @@ def test_lambda_of_a_long_chain_prints_and_parses_back():
     assert (tsj.left, tsj.right) == (1, 1)
     flat = relational_signature(DIAG_SIG)
     assert parse_ccq_two_sided(str(tsj), flat) == (1, 1, tsj.formula)
+
+
+def test_lambda_text_of_a_chain_grows_about_linearly():
+    # the text of each nested exists is written once, not copied again by
+    # every binder around it
+    best = {}
+    for n in (8_000, 32_000):
+        t = seq(*([Gen("R", 1, 1)] * n))
+        for _ in range(3):
+            start = time.perf_counter()
+            text = str(lambda_term(t))
+            elapsed = time.perf_counter() - start
+            best[n] = min(best.get(n, elapsed), elapsed)
+        assert text.startswith("1,1 |- exists z0. (exists z1. ")
+        assert text.count("R(") == n
+    assert best[32_000] < 8 * best[8_000], best
 
 
 def test_translations_build_each_formula_once(rng):
