@@ -115,22 +115,25 @@ def compile_nodes(nodes) -> Cospan:
     """The cospan of a term's events (``gcq.parse_nodes``, ``gcq.term_nodes``)
     in one pass that threads wires forward.  An operand reads its inputs from
     the source around its chain if it is the chain's first, else, in full,
-    from the list of the operand before it; it appends its outputs to a list
-    of its own.  Only reads past the left boundary's end, ``spawn`` and boxes
-    make wires, and only ``merge`` glues.  A closing group's list and its
-    operand's join by moving the shorter, if need be into room as long as the
-    other made in front of it: a wire moves only into a list at least twice as
-    long, which grows until read, so at most log n times: O(n log n) in all.
-    The quotient numbers each class by its first wire, made at the first leaf
-    in text order touching it, as in the reference algebra, which gives the
-    leaves fresh wires in that order: the cospans are equal.
+    from the outputs of the operand before it.  Every open operand writes its
+    outputs to one list from its own start, so a group's outputs land where
+    its operand's next ones belong, and closing it moves nothing; a ``;`` cuts
+    the finished operand's outputs off the list as the next one's source.
+    Each wire cut must be read, or the widths differ, so the pass is O(n) at
+    any nesting.  Only reads past the left boundary's end, ``spawn`` and boxes
+    make wires, and only ``merge`` glues.  The quotient numbers each class by
+    its first wire, made at the first leaf in text order touching it, as in
+    the reference algebra, which gives the leaves fresh wires in that order:
+    the cospans are equal.
     """
     wires, glue, edges = 0, [], {}  # glue: the two inputs of each merge
     left: list[int] = []  # the left boundary
-    src, pos, out, off = left, 0, [], 0  # the operand reads src from pos, and gives out[off:]
+    out: list[int] = []  # the outputs of every open operand
     put = out.append
-    at = (None, 0, 0)  # its chain's left width (None in its first operand), src's pos and end then
-    groups: list[tuple] = []  # (src, pos, out, off, at) of the operand around each open group
+    src, pos, start = left, 0, 0  # the operand reads src from pos, and gives out[start:]
+    # (None, src's pos at the chain's start) in its first operand, else (its left width, src's end)
+    at = (None, 0)
+    groups: list[tuple] = []  # (src, pos, start, at) of the operand around each open group
     for u in nodes:
         kind = type(u)
         if kind is Id1 and pos < len(src):  # the commonest leaf, inlined
@@ -139,30 +142,20 @@ def compile_nodes(nodes) -> Cospan:
             continue
         if kind is str:
             if u == "(":
-                groups.append((src, pos, out, off, at))
-                out, off, at = [], 0, (None, pos, 0)
-            else:  # the operand ends
-                n, start, end = at
-                if n is None:
-                    n = pos - start
-                elif pos != end:
-                    raise composition_error(Sort(n, end - start), Sort(pos - start, len(out) - off))
-                if u == ";":
-                    src, pos, out, off, at = out, off, [], 0, (n, off, len(out))
-                elif groups:
-                    src, pos, outer, room, at = groups.pop()
-                    pos += n
-                    moved = len(outer) - room
-                    if moved >= len(out) - off:
-                        outer += out[off:]
-                        out, off = outer, room
-                    else:
-                        if off < moved:
-                            out[:0] = [None] * (grow := len(out) - off + moved)
-                            off += grow
-                        out[off - moved:off] = outer[room:]
-                        off -= moved
-            put = out.append
+                groups.append((src, pos, start, at))
+                start, at = len(out), (None, pos)
+                continue
+            n, mark = at  # the operand ends
+            if n is None:
+                n = pos - mark
+            elif pos != mark:
+                raise composition_error(Sort(n, mark), Sort(pos, len(out) - start))
+            if u == ";":
+                src, pos, at = out[start:], 0, (n, len(out) - start)
+                del out[start:]
+            elif groups:
+                src, pos, start, at = groups.pop()
+                pos += n
             continue
         if kind is Gen:
             reads, spawns = u.n, u.m
@@ -185,7 +178,7 @@ def compile_nodes(nodes) -> Cospan:
         for i in outs:
             put(got[i])
     apex, number = quotient(wires, glue, edges)
-    iota, omega = (tuple(map(number.__getitem__, side)) for side in (left, out[off:]))
+    iota, omega = (tuple(map(number.__getitem__, side)) for side in (left, out))
     return _trusted(Cospan, n=len(iota), m=len(omega), apex=apex, iota=iota, omega=omega)
 
 

@@ -58,9 +58,10 @@ class Branch:
     right, then its ``tags``.  Its class lists the children in ``children``,
     read off those fields; a leaf's class has ``children = ()``.
 
-    ``==``, ``hash`` and ``repr`` walk the tree with ``postorder`` instead
-    of recursing through the fields as ``sigmodel.Record``'s would; ``==``
-    and ``repr`` agree with those.  Put it first among the bases, before
+    ``==`` and ``hash`` walk the tree with ``postorder``, and ``repr`` pushes
+    its text pieces on one explicit stack and joins them once, instead of
+    recursing through the fields as ``sigmodel.Record``'s would; ``==`` and
+    ``repr`` agree with those.  Put it first among the bases, before
     the ``Record`` subclass, so that its methods win.
     """
 
@@ -88,18 +89,21 @@ class Branch:
         return hash(self._key())
 
     def __repr__(self):
-        done: list[str] = []  # reprs of the trees finished so far
-        for u in postorder(self):
+        out: list[str] = []
+        todo: list = [self]  # text, or a tree to write
+        while todo:
+            u = todo.pop()
             if isinstance(u, Branch):
-                names = u.__match_args__
-                split = len(done) - len(names) + len(u.tags)
-                args = done[split:] + [repr(getattr(u, n)) for n in u.tags]
-                del done[split:]
-                done.append(f"{type(u).__qualname__}("
-                            + ", ".join(f"{n}={a}" for n, a in zip(names, args)) + ")")
-            else:
-                done.append(repr(u))
-        return done.pop()
+                pieces = [f"{type(u).__qualname__}("]
+                for k, name in enumerate(u.__match_args__):
+                    value = getattr(u, name)
+                    pieces += (f", {name}=" if k else f"{name}=",
+                               repr(value) if name in u.tags else value)
+                pieces.append(")")
+                todo += reversed(pieces)
+            else:  # a leaf, or a piece of text
+                out.append(u if type(u) is str else repr(u))
+        return "".join(out)
 
 
 class GcqTerm(Record):

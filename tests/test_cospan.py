@@ -327,8 +327,9 @@ def test_tensor_chains_compile_alike_in_either_nesting():
 
 
 def test_seq_chains_compile_alike_in_either_nesting():
-    # a group that closes as the only item of its operand hands its list
-    # over whole, so a right-nested chain moves no wire list either
+    # a right-nested chain nests 32,000 groups, each the only item of the
+    # operand around it, down to a 32,000-wide layer, and compiles in about
+    # the time of the left-nested chain
     layer = reduce(Tensor, [Id1()] + [Spawn()] * 31_999)
     parts = [Gen("R", 1, 1)] * 32_000 + [layer]
     compiled, best = {}, {}
@@ -346,9 +347,9 @@ def test_seq_chains_compile_alike_in_either_nesting():
 
 
 def test_groups_after_short_lists_compile_as_fast_as_groups_before_them():
-    # in spawn (+) (spawn ; (id (+) ...)) each group's list is the long one,
-    # so the short list before it moves, into room made in front of the long
-    # one; in the mirror image each group closes first in its operand
+    # in spawn (+) (spawn ; (id (+) ...)) each group is its operand's last
+    # item, after one-wire items; in the mirror image,
+    # (spawn ; (... (+) id)) (+) spawn, each group is its operand's first
     def nest(mirror: bool):
         t = Spawn()
         for _ in range(10_666):
@@ -400,10 +401,10 @@ def reference_fold(t):
 
 def group_joins(t, moves) -> bool:
     """Whether t ends in a ``;`` with wires between its sides, counting in
-    moves, for each (+) whose right operand does, which side is shorter
-    when that operand's group closes: the (+)'s left operand (``"left"``),
-    or not (``"right"``), so that the trees nest both ways.  ``|``, not
-    ``or``, so every subtree is counted."""
+    moves, for each (+) whose right operand does, whether the (+)'s left
+    operand has fewer outputs than its right one (``"left"``) or not
+    (``"right"``), so that the trees nest both ways.  ``|``, not ``or``, so
+    every subtree is counted."""
     if isinstance(t, Seq):
         return group_joins(t.lhs, moves) | (t.lhs.sort.m > 0) | group_joins(t.rhs, moves)
     if isinstance(t, Tensor):
@@ -417,8 +418,8 @@ def group_joins(t, moves) -> bool:
 
 
 def test_compile_is_the_reference_fold_of_whole_trees(rng):
-    # random nestings of both operators, where a closing group's list and
-    # the list before it each turn out the shorter many times
+    # random nestings of both operators, where a group closes after fewer
+    # outputs than its own many times, and after as many or more many times
     moves = {"left": 0, "right": 0}
     for _ in range(300):
         t = random_tree(rng, rng.randint(1, 40), rng.randint(0, 4), rng.randint(0, 4))
@@ -430,7 +431,7 @@ def test_compile_is_the_reference_fold_of_whole_trees(rng):
     rel = Signature({"R": (2, 0)})
     texts = ([print_gcq(random_term(rng, SIG, max_nodes=12)) for _ in range(100)]
              + [print_gcq(theta(random_judgment(rng, rel, max_ctx=8))) for _ in range(50)]
-             # a list moved in front of a group's, then the two moved after a longer one
+             # a group after four one-wire items, holding a group after one
              + ["spawn (+) spawn (+) spawn (+) spawn (+) (spawn ; id (+) (spawn ; id (+) spawn))"])
     for text in texts:
         assert parse_gcq(text, SIG, compile_nodes) == reference_fold(parse_gcq(text, SIG)), text

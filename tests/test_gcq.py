@@ -2,6 +2,7 @@ import gc
 import importlib
 import random
 import re
+import time
 import weakref
 from collections import Counter
 from itertools import product
@@ -384,6 +385,20 @@ def test_long_chain_counts_compares_hashes_and_prints():
     assert chain == again and hash(chain) == hash(again)
     assert chain != seq(*([Gen("S", 1, 1)] * 1199), Id1())
     assert repr(chain).count("Gen(name='S', n=1, m=1)") == 1200
+
+
+def test_repr_of_a_chain_grows_about_linearly():
+    # each node's text is written once, not copied again by every node above it
+    best = {}
+    for n in (2_000, 16_000):
+        t = seq(*([Gen("R", 1, 1)] * n))
+        for _ in range(3):
+            start = time.perf_counter()
+            text = repr(t)
+            elapsed = time.perf_counter() - start
+            best[n] = min(best.get(n, elapsed), elapsed)
+        assert text.startswith("Seq(lhs=Seq(lhs=") and text.count("Gen(name='R', n=1, m=1)") == n
+    assert best[16_000] < 16 * best[2_000], best
 
 
 def test_a_branch_reads_its_children_off_its_fields():
