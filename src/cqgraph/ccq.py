@@ -242,17 +242,17 @@ class AddVar(_Step):
 
 # -- constructing a derivation for any valid judgment ------------------------
 
-def adjacent_swaps(perm: list[int]) -> list[int]:
-    """Positions of the adjacent swaps, in order, that move item i to
-    position perm[i] (a bubble pass)."""
-    k = len(perm)
-    arr = list(range(k))  # arr[pos] = item currently at pos
+def adjacent_swaps(values) -> list[int]:
+    """Positions of the adjacent swaps, in order, that bubble passes make
+    to sort a copy of ``values``.  Equal values never swap, so for a
+    permutation item i ends at position values[i]."""
+    arr = list(values)
     out = []
     changed = True
     while changed:
         changed = False
-        for pos in range(k - 1):
-            if perm[arr[pos]] > perm[arr[pos + 1]]:
+        for pos in range(len(arr) - 1):
+            if arr[pos] > arr[pos + 1]:
                 arr[pos], arr[pos + 1] = arr[pos + 1], arr[pos]
                 out.append(pos)
                 changed = True
@@ -273,7 +273,8 @@ def derive(j: CcqJudgment) -> CcqDerivation:
     its free variables, in ascending order: an atom or a conjunction is
     introduced in its canonical shape and its variables aligned by
     ``_align``, an existential weakens its body when the bound variable
-    is unused and then closes it.  The root is weakened to j's context.
+    is unused and then closes it.  The root takes one ``AddVar`` per
+    context slot it leaves unused, and ``_align`` sorts it into place.
     """
     done: list[tuple] = []  # (derivation, its sorted free variables) of finished subformulas
     for f, ctx in reversed(_walk(j.formula, j.context)):
@@ -292,7 +293,11 @@ def derive(j: CcqJudgment) -> CcqDerivation:
                     else RelIntro(f.symbol, len(f.args)))
             d, fv = _align(leaf, list(_vars(f)))
         done.append((d, fv))
-    d = _spread(*done.pop(), j.context)
+    d, fv = done.pop()
+    rest = sorted(set(range(j.context)) - set(fv))
+    for _ in rest:
+        d = AddVar(d)
+    d, _ = _align(d, fv + rest)
     if d.conclusion != j:
         raise AssertionError(f"derivation concluded {d.conclusion}, wanted {j}")
     return d
@@ -321,19 +326,7 @@ def _align(d: CcqDerivation, labels: list[int]) -> tuple:
         d = _swap(d, [*range(a, s - 1), *range(s, n - 1), *range(s - 1, n - 2)])
         d = _swap(MergeVars(d), range(n - 3, a - 1, -1))
         del labels[s]  # slots before s keep their places
-    fv = sorted(labels)
-    rank = {v: i for i, v in enumerate(fv)}
-    return _swap(d, adjacent_swaps([rank[v] for v in labels])), fv
-
-
-def _spread(d: CcqDerivation, fv: list[int], n: int) -> CcqDerivation:
-    """Weaken a derivation over |fv| variables to n and send its variable
-    i back to position fv[i]."""
-    while d.context < n:
-        d = AddVar(d)
-    perm = list(fv)
-    perm.extend(sorted(set(range(n)) - set(fv)))
-    return _swap(d, adjacent_swaps(perm))
+    return _swap(d, adjacent_swaps(labels)), sorted(labels)
 
 
 # -- semantics ---------------------------------------------------------------

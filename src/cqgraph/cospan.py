@@ -203,11 +203,12 @@ def is_isomorphic_cospan(a: Cospan, b: Cospan) -> bool:
 
 # -- writing a cospan back as a term ----------------------------------------
 
-def _perm_term(perm: list[int]) -> GcqTerm:
-    """A wiring term sending input wire i to output position perm[i]."""
-    k = len(perm)
+def _perm_term(values) -> GcqTerm:
+    """A wiring term that sorts its wires stably by ``values``: wire i
+    carries values[i], and equal values keep their order."""
+    k = len(values)
     layers = [tensor(identity(pos), Swap(), identity(k - pos - 2))
-              for pos in adjacent_swaps(perm)]
+              for pos in adjacent_swaps(values)]
     return seq(*layers) if layers else identity(k)
 
 
@@ -237,13 +238,11 @@ def _discrete_term(f: tuple, g: tuple, vcount: int) -> GcqTerm:
     Inputs are routed to their vertex, merged per vertex, fanned back out,
     and routed to the outputs: perm ; merges ; copies ; perm.
     """
-    order_in = sorted(range(len(f)), key=lambda i: (f[i], i))
-    perm_in = sorted(range(len(f)), key=order_in.__getitem__)  # input i goes to perm_in[i]
     merges = tensor(*(_merge_fan(f.count(v)) for v in range(vcount)))
     copies = tensor(*(_copy_fan(g.count(v)) for v in range(vcount)))
     # the wire at grouped position pos must reach output slot perm_out[pos]
-    perm_out = sorted(range(len(g)), key=lambda j: (g[j], j))
-    return seq(_perm_term(perm_in), merges, copies, _perm_term(perm_out))
+    perm_out = sorted(range(len(g)), key=g.__getitem__)
+    return seq(_perm_term(f), merges, copies, _perm_term(perm_out))
 
 
 def cospan_to_term(c: Cospan) -> GcqTerm:

@@ -149,12 +149,34 @@ def test_a_budget_of_exactly_the_steps_taken_is_enough():
         find_morphisms(g, h, limit=1, budget=steps - 1)
 
 
+@pytest.mark.parametrize("g, h, steps, found", [
+    (clique_graph(5), clique_graph(4), 4, 0),  # four vertex steps, each where ``assign`` tries an image
+    (clique_graph(4), clique_graph(5), 5, 1),  # four vertex steps, then the edge map ``emit`` emits
+], ids=["refutation", "morphism"])
+def test_a_small_search_fits_a_budget_of_exactly_its_steps(g, h, steps, found):
+    assert search_steps(g, h) == steps
+    result = find_morphisms(g, h, limit=1, budget=steps)
+    assert len(result) == found and all(validate_morphism(f, g, h) for f in result)
+    with pytest.raises(BudgetExhausted):
+        find_morphisms(g, h, limit=1, budget=steps - 1)
+
+
 def test_isomorphism_maps_parallel_edges_in_ascending_order():
     # three parallel edges map onto h's three, the least onto the least
     g = Hypergraph(2, {"R": [((0,), (1,))] * 3 + [((1,), (0,))]})
     h = Hypergraph(2, {"R": [((1,), (0,))] + [((0,), (1,))] * 3})
     f = is_isomorphic(g, h)
     assert f.vmap == (0, 1) and f.emaps == {"R": (1, 2, 3, 0)}
+    assert validate_morphism(f, g, h)
+
+
+def test_isomorphism_maps_a_class_of_three_parallel_edges_in_order():
+    # each class of parallel edges maps onto h's in ascending order: g's
+    # edges 0, 1, 2 onto h's 01-edges 0, 2, 4, and g's 3, 4 onto 1, 3
+    g = Hypergraph(2, {"E": [((0,), (1,))] * 3 + [((1,), (0,))] * 2})
+    h = Hypergraph(2, {"E": [((0,), (1,)), ((1,), (0,))] * 2 + [((0,), (1,))]})
+    f = is_isomorphic(g, h)
+    assert f.vmap == (0, 1) and f.emaps == {"E": (0, 2, 4, 1, 3)}
     assert validate_morphism(f, g, h)
 
 

@@ -1,8 +1,10 @@
+import hashlib
+import random
 import time
 
 import pytest
 
-from conftest import clique, model_battery, random_judgment, random_term
+from conftest import clique, model_battery, random_cospan, random_judgment, random_term
 from cqgraph.ccq import (
     CcqJudgment,
     Conj,
@@ -15,6 +17,7 @@ from cqgraph.ccq import (
     parse_ccq,
     parse_ccq_two_sided,
 )
+from cqgraph.cospan import cospan_to_term
 from cqgraph.errors import SignatureError
 from cqgraph.gcq import (
     Copy,
@@ -27,6 +30,7 @@ from cqgraph.gcq import (
     Spawn,
     eval_gcq,
     postorder,
+    print_gcq,
     seq,
 )
 from cqgraph.sigmodel import RelModel, Signature, Sort
@@ -231,6 +235,25 @@ def test_translations_build_each_formula_once(rng):
     d = derive(path)
     assert len(postorder(d)) == 7993
     assert d.conclusion == path
+
+
+def test_translations_print_the_pinned_bytes():
+    # SHA-256 over derive's and θ's output for 2,000 seeded judgments, and
+    # over the decompiled term of 1,000 seeded cospans: every swap, merge
+    # and weakening stays where it is
+    rng = random.Random(35)
+    sig = Signature({"R": (2, 0), "S": (1, 0), "T": (3, 0)})
+    digest = hashlib.sha256()
+    for _ in range(2000):
+        j = random_judgment(rng, sig, max_ctx=4)
+        digest.update(f"{print_gcq(theta(j))}\n{derive(j)!r}\n".encode())
+    assert digest.hexdigest() == "70f5130a811c0977ae10a8d2c29a6e5ba6531fdcc241322363b0395cbc6468e0"
+    rng = random.Random(35)
+    sig = Signature({"R": (2, 0), "S": (1, 1), "Q": (0, 2)})
+    digest = hashlib.sha256()
+    for _ in range(1000):
+        digest.update(f"{cospan_to_term(random_cospan(rng, sig))!r}\n".encode())
+    assert digest.hexdigest() == "e88389a5d20833940de6a0883a7ef5d99db27b0cd2a18062a855eb94baf7bf4b"
 
 
 def test_theta_model_hands_back_the_model():
