@@ -6,8 +6,10 @@ signature file (relative to the query file), and the ``--sig`` flag wins
 over the header.  Files containing ``|-`` are judgments, anything else is
 a diagram term.
 
-Exit codes: 0 the requested relation holds / success, 1 it fails to hold,
-2 parse, usage or internal error (a crash never reads as "does not hold").
+Exit codes: 0 the requested relation holds / success, 1 it fails to hold
+(for ``translate --verify``, ``decide_equivalence`` finds the translation
+not equivalent to the query), 2 parse, usage or internal error (a crash
+never reads as "does not hold").
 Exit 2 reports on stderr; stdout keeps only what was printed before it.
 """
 
@@ -16,21 +18,20 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import sys
 from pathlib import Path
 
 from .axioms import axiom_catalog, verify_axiom_graphical, verify_axiom_semantic
-from .ccq import CcqJudgment, eval_ccq, natural_model, parse_ccq
+from .ccq import CcqJudgment, eval_ccq, parse_ccq
 from .containment import decide_equivalence, decide_inclusion
 from .cospan import compile_nodes, cospan_to_dot, term_to_cospan
 from .errors import CqError
-# eval_gcq is not called here, but perfbench/tracing.py spans it at this name,
-# and tests/test_perfbench_spans.py checks that every traced name resolves
+# eval_gcq and random_model are not called here, but perfbench/tracing.py spans them
+# at these names, and tests/test_perfbench_spans.py checks that every traced name resolves
 from .gcq import build_term, eval_gcq, parse_gcq, print_gcq  # noqa: F401
 from .hypergraph import join_plan
-from .sigmodel import Signature, dump_model, load_model, load_signature, random_model
-from .translate import lambda_model, lambda_term, theta, theta_model
+from .sigmodel import Signature, dump_model, load_model, load_signature, random_model  # noqa: F401
+from .translate import lambda_term, relational_cospan, theta
 
 
 def _read(path: str) -> str:
@@ -115,33 +116,18 @@ def cmd_translate(args) -> int:
     body, sig = _load_query_file(args.query, args.sig)
     q = _parse_query(body, sig, build_term)
     if isinstance(q, CcqJudgment):
-        # formulas use only the coarity-0 symbols; draw models over those
-        sig = Signature((name, s) for name, s in sig.items() if s.m == 0)
         term = theta(q)
         print(print_gcq(term))
         if not args.verify:
             return 0
-        g, free = natural_model(q)
-        term_model, formula_model = theta_model, lambda model: model
+        verdict = decide_equivalence(term, q)
     else:
-        term, tsj = q, lambda_term(q)
+        tsj = lambda_term(q)
         print(str(tsj))
         if not args.verify:
             return 0
-        g, free = natural_model(tsj.as_judgment())
-        term_model, formula_model = (lambda model: model), lambda_model
-    # neither side's hypergraph depends on the model, so each is built and
-    # its join planned once: the formula's natural model above, the term's
-    # compiled cospan here; every trial runs both plans on its model
-    c = term_to_cospan(term)
-    term_plan, formula_plan = join_plan(c.apex, c.iota + c.omega), join_plan(g, free)
-
-    def agree(model) -> bool:
-        return term_plan(term_model(model)) == formula_plan(formula_model(model))
-
-    # spot-check semantics preservation on random models
-    rng = random.Random(args.seed)
-    if not all(agree(random_model(sig, rng.randint(0, 3), rng)) for _ in range(args.trials)):
+        verdict = decide_equivalence(relational_cospan(term_to_cospan(q)), tsj.as_judgment())
+    if not verdict.holds:
         print("verification failed", file=sys.stderr)
         return 1
     return 0
@@ -206,9 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("query")
     p.add_argument("--sig")
     p.add_argument("--verify", action="store_true",
-                   help="spot-check semantics preservation on random models")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+                   help="decide that the translation is equivalent to the query")
+    ignored = "ignored: --verify decides exactly and samples no models"
+    p.add_argument("--trials", type=int, default=20, help=ignored)
+    p.add_argument("--seed", type=int, default=0, help=ignored)
     p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("export-dot", help="export the compiled cospan as DOT")

@@ -34,6 +34,7 @@ from .ccq import (
     derive,
     format_formula,
 )
+from .cospan import Cospan
 from .errors import SignatureError
 from .gcq import (
     Copy,
@@ -50,6 +51,7 @@ from .gcq import (
     Wiring,
     postorder,
 )
+from .hypergraph import Hypergraph
 from .sigmodel import Record, RelModel, Signature, _trusted
 
 
@@ -141,6 +143,9 @@ def lambda_term(t: GcqTerm) -> TwoSidedJudgment:
     the result, with the context ``depth`` its formula is read at: the
     middle wires of a ``;`` are bound there, as depth..depth+mid-1.
     ``assemble`` folds the walk's pre-order into the formula.
+
+    The result's natural model is ``relational_cospan(term_to_cospan(t))``,
+    up to isomorphism.
     """
     n, m = t.sort
     order = []  # the formula in pre-order: atoms, and the markers Conj and Exists
@@ -193,3 +198,10 @@ def lambda_model(model: RelModel) -> RelModel:
     sig = relational_signature(model.signature)
     rho = {name: frozenset((a + b, ()) for a, b in pairs) for name, pairs in model.rho.items()}
     return _trusted(RelModel, signature=sig, carrier=model.carrier, rho=rho)
+
+
+def relational_cospan(c: Cospan) -> Cospan:
+    """The cospan ``lambda_model`` reads: each edge (s, t) becomes (s + t, ())
+    and the right boundary follows the left, a cospan of sort (n+m, 0)."""
+    edges = {sym: [(s + t, ()) for s, t in rows] for sym, rows in c.apex.edges.items()}
+    return Cospan(c.n + c.m, 0, Hypergraph(c.apex.vcount, edges), c.iota + c.omega, ())

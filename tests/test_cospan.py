@@ -1,6 +1,7 @@
 import re
 import time
 from functools import reduce
+from itertools import chain
 
 import pytest
 
@@ -477,9 +478,11 @@ def test_compile_rejects_a_symbol_at_two_sorts():
 
 
 def test_join_over_compiled_cospan_is_relational_evaluation(rng):
-    # the battery's empty and one-element models exercise the witness rule
-    for _ in range(150):
-        t = random_term(rng, SIG, max_nodes=8)
+    # the battery's empty and one-element models exercise the witness rule,
+    # most of all on the fixed terms, whose vertices no edge constrains
+    bodies = ("0 |- top", "1 |- exists z0. top", "2 |- x0 = x1")
+    fixed = [theta(parse_ccq(body, SIG)) for body in bodies] + [Seq(Spawn(), Discard())]
+    for t in chain((random_term(rng, SIG, max_nodes=8) for _ in range(150)), fixed):
         c = term_to_cospan(t)
         for model in model_battery(SIG, rng, sizes=(0, 1, 2, 3)):
             flat = join_plan(c.apex, c.iota + c.omega)(model)

@@ -1,20 +1,23 @@
-"""A judgment compiles straight to its natural model, and theta preserves it.
+"""A judgment compiles straight to its natural model, and theta and lambda
+preserve it.
 
 ``term_to_cospan(j)`` reads the natural model of a judgment; the paper's
 translation ``theta`` gives a term whose compiled cospan must be isomorphic
 to it under the free-variable pins, and inclusion decided on judgments must
-agree with inclusion decided on their theta terms.
+agree with inclusion decided on their theta terms.  Going back, the natural
+model of ``lambda_term(t)`` is t's cospan read relationally.
 """
 
-from conftest import clique, random_formula, random_judgment
+from conftest import clique, random_formula, random_judgment, random_term
 from cqgraph.ccq import CcqJudgment, Conj, eval_ccq, parse_ccq
-from cqgraph.containment import decide_inclusion
+from cqgraph.containment import decide_equivalence, decide_inclusion
 from cqgraph.cospan import boundary_pins, is_isomorphic_cospan, term_to_cospan
 from cqgraph.hypergraph import validate_morphism
 from cqgraph.sigmodel import Signature, Sort
-from cqgraph.translate import theta
+from cqgraph.translate import lambda_term, relational_cospan, theta
 
 SIG = Signature({"R": (2, 0), "P": (1, 0), "T": (3, 0)})
+WIDE_SIG = Signature({"R": (2, 0), "S": (1, 1), "Q": (0, 2), "B": (2, 3)})
 
 
 def test_judgment_compiles_to_its_natural_model():
@@ -31,6 +34,14 @@ def test_theta_preserves_the_natural_model(rng):
                   for reverse in (False, True)]
     for j in judgments:
         assert is_isomorphic_cospan(term_to_cospan(theta(j)), term_to_cospan(j)), j
+
+
+def test_lambda_preserves_the_natural_model(rng):
+    for _ in range(500):
+        t = random_term(rng, WIDE_SIG)
+        c, j = relational_cospan(term_to_cospan(t)), lambda_term(t).as_judgment()
+        assert is_isomorphic_cospan(c, term_to_cospan(j)), t
+        assert decide_equivalence(c, j).holds, t
 
 
 def _check_verdict(c, d):
