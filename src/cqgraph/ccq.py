@@ -559,9 +559,8 @@ def print_ccq(j: CcqJudgment) -> str:
 def format_formula(f: CcqFormula, left: int, right: int) -> str:
     """Render with x/y free variables and z-named bound variables.
 
-    Text pieces go on one explicit stack, as in ``print_gcq``, and are
-    joined once.  A conjunct that is an equation, a conjunction or an
-    existential is parenthesised.
+    Text pieces go on one explicit stack and are joined once.  A conjunct
+    that is an equation, a conjunction or an existential is parenthesised.
     """
     n_free = left + right
 

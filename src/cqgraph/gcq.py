@@ -9,10 +9,11 @@ up to the diagrammatic laws lives in :mod:`cqgraph.containment`.
 Every pass over a tree is a flat loop over an explicit stack, mostly
 ``postorder``, so terms (and the formulas and derivations of the other
 modules) of any depth are handled under the default recursion limit.  The
-parser yields a term's leaves and ``;`` chain marks in text order, from its
-tokens (cut by ``str.split`` at the padded punctuation, or by one
-``findall``), as ``term_nodes`` does from a tree; ``build_term`` folds them
-into the tree, and ``cospan.compile_nodes`` into the cospan.
+parser yields a term's events, its leaves and ``;`` chain marks in text
+order, from its tokens (cut by ``str.split`` at the padded punctuation, or
+by one ``findall``), as ``term_nodes`` does from a tree; ``build_term``
+folds them into the tree, ``cospan.compile_nodes`` into the cospan, and
+``print_gcq`` into the text.
 """
 
 from __future__ import annotations
@@ -345,6 +346,9 @@ _TOKEN = re.compile(rf"\s*(?:({_ONE_TOKEN})|(\S))")
 # pad the punctuation with spaces, keeping "(+)" whole behind a placeholder
 _CUTS = (("(+)", "\0"), ("(", " ( "), (")", " ) "), (";", " ; "), ("\0", " (+) "))
 _WHOLE = re.compile(_ONE_TOKEN)
+# the padding the cuts take off, put back between a term's events joined
+# with "\0": " ; " around a ";", none inside parentheses, else " (+) "
+_UNCUTS = (("\0;\0", " ; "), ("(\0", "("), ("\0)", ")"), ("\0", " (+) "))
 
 
 def tokenize(token: re.Pattern, text: str, cuts, whole: re.Pattern) -> list[str]:
@@ -423,8 +427,9 @@ def build_term(nodes) -> GcqTerm:
 
 
 def term_nodes(t: GcqTerm) -> list:
-    """A tree's events, those of its printed text less groups of one operand:
-    ``a ; b ; c`` for ``Seq(Seq(a, b), c)``, in parentheses unless at the root."""
+    """A tree's events, those ``parse_nodes`` reads from its printed text:
+    ``a ; b ; c`` for ``Seq(Seq(a, b), c)``, a chain in parentheses unless at
+    the root, and so is a ``Tensor`` right of a ``(+)``."""
     out, todo = [], [")", t]
     while todo:
         u = todo.pop()
@@ -436,7 +441,7 @@ def term_nodes(t: GcqTerm) -> list:
                 todo += (u.rhs, ";")
                 u = u.lhs
         if type(u) is Tensor:
-            todo += (u.rhs, u.lhs)
+            todo += (")", u.rhs, "(", u.lhs) if type(u.rhs) is Tensor else (u.rhs, u.lhs)
         else:
             out.append(u)
     return out
@@ -449,22 +454,9 @@ def parse_gcq(text: str, sig: Signature, into=build_term):
 
 
 def print_gcq(t: GcqTerm) -> str:
-    """Render with minimal parentheses; parse_gcq(print_gcq(t)) == t."""
-    out: list[str] = []
-    todo: list = [(t, 0)]  # text, or (subterm, least precedence it may show)
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        u, min_prec = item
-        prec = 0 if isinstance(u, Seq) else 1 if isinstance(u, Tensor) else 2
-        if prec < min_prec:
-            todo += (")", (u, 0), "(")
-        elif isinstance(u, Seq):
-            todo += ((u.rhs, 1), " ; ", (u.lhs, 0))
-        elif isinstance(u, Tensor):
-            todo += ((u.rhs, 2), " (+) ", (u.lhs, 1))
-        else:
-            out.append(u.name)
-    return "".join(out)
+    """The text of ``term_nodes(t)`` less its closing ``")"``: their names and
+    marks joined with ``\\0``, padded by ``_UNCUTS``; parse_gcq(print_gcq(t)) == t."""
+    nodes = term_nodes(t)
+    nodes.pop()
+    text = "\0".join([u if type(u) is str else u.name for u in nodes])
+    return reduce(lambda cut, pad: cut.replace(*pad), _UNCUTS, text)

@@ -57,11 +57,12 @@ class Signature:
         raw = dict(symbols)
         table: dict[str, Sort] = {}
         for name in sorted(raw, key=str):  # a name that is no str meets the check, not a TypeError
-            n, m = raw[name]
+            sort = raw[name]
             check_symbol_name(name)
-            if type(n) is not int or type(m) is not int or n < 0 or m < 0:
+            if not (isinstance(sort, (tuple, list)) and len(sort) == 2
+                    and all(type(x) is int and x >= 0 for x in sort)):
                 raise SignatureError(f"sort of {name!r} must be a pair of naturals")
-            table[name] = Sort(n, m)
+            table[name] = Sort(*sort)
         self._table = table
 
     def sort(self, name: str) -> Sort:
@@ -223,7 +224,10 @@ class Relation(Record):
             raise ModelError(f"sort {self.sort!r} must be a pair of naturals")
         if type(self.carrier_size) is not int or self.carrier_size < 0:
             raise ModelError(f"carrier size {self.carrier_size!r} must be a natural")
-        norm = frozenset((tuple(a), tuple(b)) for a, b in self.pairs)
+        try:
+            norm = frozenset((tuple(a), tuple(b)) for a, b in self.pairs)
+        except (TypeError, ValueError):  # no pair, or a side no tuple
+            raise ModelError("pairs must be (in-tuple, out-tuple) pairs") from None
         object.__setattr__(self, "pairs", norm)
         n, m = self.sort
         for a, b in norm:
@@ -292,11 +296,16 @@ class RelModel(Record):
             raise ModelError("carrier must be a list of string ids")
         if len(set(carrier)) != len(carrier):
             raise ModelError("carrier ids must be unique")
+        if not isinstance(self.rho, (dict, type(None))):
+            raise ModelError("rho must be a dict mapping symbols to their pairs")
         table: dict[str, frozenset] = {name: frozenset() for name in signature}
         for name, pairs in (self.rho or {}).items():
             if name not in signature:
                 raise SignatureError(f"unknown symbol {name!r} in model")
-            table[name] = frozenset((tuple(a), tuple(b)) for a, b in pairs)
+            try:
+                table[name] = frozenset((tuple(a), tuple(b)) for a, b in pairs)
+            except (TypeError, ValueError):  # no pair, or a side no tuple
+                raise ModelError(f"pairs of {name!r} must be (in-tuple, out-tuple) pairs") from None
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "rho", table)
         size = len(carrier)
@@ -386,16 +395,15 @@ def dump_model(model: RelModel) -> str:
     return json.dumps(model_json_dict(model))
 
 
-def random_model(sig: Signature, carrier_size: int, rng, density: float | None = None) -> RelModel:
-    """Draw a random model: each candidate tuple is kept independently.
-
-    With ``density=None`` a per-symbol density is drawn from {0.2, 0.5, 0.8},
-    which exercises sparse and dense interpretations alike.
+def random_model(sig: Signature, carrier_size: int, rng) -> RelModel:
+    """Draw a random model: each candidate tuple is kept independently, with
+    a per-symbol density drawn from {0.2, 0.5, 0.8}, which exercises sparse
+    and dense interpretations alike.
     """
     carrier = tuple(f"e{i}" for i in range(carrier_size))
     rho = {}
     for name, sort in sig.items():
-        p = density if density is not None else rng.choice((0.2, 0.5, 0.8))
+        p = rng.choice((0.2, 0.5, 0.8))
         pairs = (
             (a, b)
             for a in product(range(carrier_size), repeat=sort.n)

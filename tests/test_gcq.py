@@ -40,6 +40,7 @@ from cqgraph.gcq import (
     Spawn,
     Swap,
     Tensor,
+    build_term,
     eval_gcq,
     n_copy,
     n_discard,
@@ -47,9 +48,11 @@ from cqgraph.gcq import (
     n_spawn,
     n_swap,
     parse_gcq,
+    parse_nodes,
     postorder,
     print_gcq,
     seq,
+    term_nodes,
     tokenize,
 )
 from cqgraph.hypergraph import join_plan
@@ -331,6 +334,38 @@ def test_print_parse_round_trip(rng):
     for _ in range(60):
         t = random_term(rng, SIG, max_nodes=9)
         assert parse_gcq(print_gcq(t), SIG) == t
+
+
+def nested_term(rng: random.Random, n: int, depth: int):
+    """A random term of left width n, each ``;`` and ``(+)`` nesting either
+    way: ``random_term`` builds its trees to the left only."""
+    leaves = [a for a in (*(cls() for cls, _, _ in CONSTANTS), Gen("R", 2, 0), Gen("S", 1, 1))
+              if a.sort.n == n]
+    if depth <= 0 or rng.random() < 0.3:
+        return rng.choice(leaves) if leaves else Tensor(nested_term(rng, 1, 0),
+                                                        nested_term(rng, n - 1, 0))
+    if rng.random() < 0.5:
+        k = rng.randint(0, n)
+        return Tensor(nested_term(rng, k, depth - 1), nested_term(rng, n - k, depth - 1))
+    first = nested_term(rng, n, depth - 1)
+    return Seq(first, nested_term(rng, first.sort.m, depth - 1))
+
+
+def test_term_nodes_are_the_events_of_the_printed_text():
+    """A tree's events fold back into it, and are, event for event, those
+    its printed text parses to, at any nesting of ``;`` and ``(+)``."""
+    rng = random.Random(37)
+    rel = Signature({"R": (2, 0)})
+    thetas = [theta(random_judgment(rng, rel, max_depth=4)) for _ in range(20)]
+    thetas.append(theta(parse_ccq("2 |- exists z0. R(x0, z0) /\\ R(z0, x1)", rel)))
+    terms = [nested_term(rng, rng.randint(0, 3), rng.randint(1, 6)) for _ in range(500)]
+    for t in [Tensor(Id1(), Tensor(Id1(), Id1())), *thetas, *terms]:
+        nodes = term_nodes(t)
+        assert build_term(nodes) == t
+        assert nodes == list(parse_nodes(print_gcq(t), SIG))
+        assert compile_nodes(nodes) == term_to_cospan(parse_gcq(print_gcq(t), SIG))
+    assert term_nodes(Tensor(Id1(), Tensor(Id1(), Id1()))) == \
+        [Id1(), "(", Id1(), Id1(), ")", ")"]
 
 
 def test_eval_is_compositional(rng):

@@ -150,10 +150,14 @@ def test_load_signature_rejects_boolean_arities():
     {"R": ("1", 0)},
     {1: (1, 0)},  # a name not a string
     {1: (1, 0), "R": (1, 0)},
+    {"R": 5},  # a sort not a pair
+    {"R": (1,)},
+    {"R": (1, 0, 0)},
 ])
 def test_signature_rejects_non_natural_sorts_and_non_string_names(symbols):
-    with pytest.raises(SignatureError):
+    with pytest.raises(SignatureError) as caught:
         Signature(symbols)
+    assert type(caught.value) is SignatureError
 
 
 @pytest.mark.parametrize("pairs", [[((1.0,), ())], [((True,), ())], [(("0",), ())]])
@@ -247,6 +251,16 @@ def test_load_model_names_the_first_of_two_faults(carrier, relations, error, mes
      "carrier must be a list of string ids"),
     (lambda sig: Relation(Sort(1, 0), 2, [((0, 1), ())]), ModelError,
      "tuple lengths 2,0 do not match sort Sort(n=1, m=0)"),
+    (lambda sig: Relation(Sort(1, 0), 2, [((0,),)]), ModelError,
+     "pairs must be (in-tuple, out-tuple) pairs"),
+    (lambda sig: Relation(Sort(1, 0), 2, [(0, ())]), ModelError,
+     "pairs must be (in-tuple, out-tuple) pairs"),
+    (lambda sig: RelModel(sig, ["a"], {"R": [(0, ())]}), ModelError,
+     "pairs of 'R' must be (in-tuple, out-tuple) pairs"),
+    (lambda sig: RelModel(sig, ["a"], {"R": [((0,), (), ())]}), ModelError,
+     "pairs of 'R' must be (in-tuple, out-tuple) pairs"),
+    (lambda sig: RelModel(sig, ["a"], 5), ModelError,
+     "rho must be a dict mapping symbols to their pairs"),
     (lambda sig: relation_compose(identity_relation(2), identity_relation(3)), ModelError,
      "compose over different carriers"),
 ])
